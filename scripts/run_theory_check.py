@@ -10,30 +10,7 @@ slope, and the closed-form bound.
 
 import argparse
 
-import numpy as np
-
-from risfed import diagnostics, fed, harness
-
-
-def build_worker(config, dataset_seed):
-    import math
-    from risfed.channel import Placement, make_worker_geometry
-    from risfed.labeling import RateParams, WorkerProfile, gen_dataset, split
-
-    rate = RateParams(config.bandwidth, config.tx_power, config.noise_psd)
-    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(3,)))
-    geom = make_worker_geometry(
-        config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
-        tx=Placement(30.0, math.radians(-25.0), 0.0),
-        rx=Placement(20.0, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=config.n_scatterers, rng=rng,
-        extra_travel_lo=0.25, extra_travel_hi=0.5,
-    )
-    profile = WorkerProfile(0, geom, rate)
-    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(3,)))
-    ds = gen_dataset(profile, config.J, rng)
-    train, test = split(ds, config.train_fraction, rng)
-    return [train], [test]
+from risfed import harness
 
 
 def main() -> int:
@@ -42,34 +19,15 @@ def main() -> int:
     parser.add_argument("--probes", type=int, default=120)
     args = parser.parse_args()
 
-    config = harness.ExperimentConfig()
-    Ks = (50, 100, 200, 400, 800)
-    by_T = {}
-    held = total = 0
-    for s in range(args.seeds):
-        train_sets, test_sets = build_worker(config, config.dataset_seed + s)
-        est = diagnostics.estimate_constants(
-            train_sets, n_probes=args.probes, rng=np.random.default_rng(1000 + s),
-            batch_size=config.B, pair_scale=1e-3)
-        for K in Ks:
-            sched = diagnostics.prescribed_schedule(K, 1, est)
-            T = sched.K * sched.tau
-            ckpts = diagnostics.round_checkpoints(K)
-            result = fed.run_fgdra(sched, train_sets, test_sets, seed=s, eval_every=K,
-                                   checkpoint_rounds=set(ckpts))
-            trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)
-            rm = float(diagnostics.running_mean_trace(trace).grad_norm_sq[-1])
-            bound = diagnostics.theorem_bound(est, sched.m, T)
-            by_T.setdefault(T, []).append(rm)
-            held += rm <= bound
-            total += 1
-            print(f"seed {s} K={K:4d} T={T:5d} running mean {rm:8.4f} bound {bound:8.2f} "
-                  f"{'ok' if rm <= bound else 'VIOLATED'}")
-    Ts = np.array(sorted(by_T))
-    means = np.array([np.mean(by_T[T]) for T in Ts])
-    slope = diagnostics.fit_loglog_slope(Ts, means)
-    print(f"\nlog-log decay slope of the seed-mean running average: {slope:.3f}")
-    print(f"bound held in {held}/{total} runs")
+    records = harness.theory_check(harness.ExperimentConfig(), range(args.seeds), args.probes)
+    held = 0
+    for r in records:
+        ok = r["running_mean"] <= r["bound"]
+        held += ok
+        print(f"seed {r['seed']} K={r['K']:4d} T={r['T']:5d} running mean {r['running_mean']:8.4f} "
+              f"bound {r['bound']:8.2f} {'ok' if ok else 'VIOLATED'}")
+    print(f"\nlog-log decay slope of the seed-mean running average: {harness.theory_decay_slope(records):.3f}")
+    print(f"bound held in {held}/{len(records)} runs")
     return 0
 
 

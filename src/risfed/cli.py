@@ -78,7 +78,7 @@ def cmd_diagnose(args) -> int:
         batch_size=config.B,
     )
     sched = diagnostics.prescribed_schedule(config.K, config.N, est)
-    ckpts = sorted({0, *np.linspace(1, config.K, num=min(config.K, 24), dtype=int).tolist()})
+    ckpts = diagnostics.round_checkpoints(config.K)
     result = fed.run_fgdra(sched, train_sets, test_sets, seed=config.seeds[0],
                            eval_every=max(1, config.K // 10), checkpoint_rounds=set(ckpts))
     trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)

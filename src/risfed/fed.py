@@ -1,18 +1,19 @@
-"""Federated min-max training loops: FGDRA and the DRFA / FedAvg baselines.
+"""Federated min-max training: FGDRA and the DRFA / FedAvg baselines.
 
-All three algorithms share one parameter server skeleton: sample a worker
-subset, run local SGD, average the returned models.  They differ in how the
-simplex weight vector over workers evolves and in how many communication
-exchanges one algorithmic round costs:
+All three algorithms run one round loop: sample m workers proportionally to
+the simplex weights lambda, run local SGD, take each sampled worker's dual
+loss on a fresh batch, lift its weight by ``dual_update``, average the
+models with ``ps_aggregate`` and renormalize lambda with ``normalize``.
+The table ``DUAL_LOSS_AT`` holds the one fact that tells them apart, the
+iterate at which the dual loss is taken; the rest follows from it:
 
-* ``fgdra``  - workers update their own dual weight locally (exponentiated
-  ascent on a fresh-batch loss at the final local iterate) and piggyback it
-  on the model upload; the server renormalizes.  One exchange per round.
-* ``drfa``   - same lambda-weighted local SGD, but the dual step happens at
-  the server from losses evaluated at a uniformly random local iterate
-  snapshot, which needs a second exchange.  Two exchanges per round.
-* ``fedavg`` - uniform sampling, unweighted local SGD, no dual variable.
-  One exchange per round.
+* ``fgdra``  - the final local iterate.  Workers lift their own weight and
+  piggyback it on the model upload: one exchange per round.
+* ``drfa``   - a uniformly random local iterate snapshot (one index per
+  round, drawn by the server).  The loss is importance weighted by N/m and
+  the server-side dual step needs a second exchange: two per round.
+* ``fedavg`` - nowhere.  No dual step, so lambda stays uniform, sampling is
+  uniform and local SGD is unweighted.  One exchange per round.
 
 Randomness is organized as per-(seed, purpose, worker, round) substreams, so
 results are independent of worker execution order and identical batch
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +33,10 @@ from .labeling import Dataset
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = ("fgdra", "drfa", "fedavg")
+# Where each algorithm takes the loss of its dual step: "final" local
+# iterate, random "snapshot" iterate, or None (no dual variable).
+DUAL_LOSS_AT = {"fgdra": "final", "drfa": "snapshot", "fedavg": None}
+ALGORITHMS = tuple(DUAL_LOSS_AT)
 
 # Substream purpose tags; part of the reproducibility contract.
 _INIT, _SERVER, _PRIMAL, _DUAL, _SNAPSHOT = range(5)
@@ -169,11 +173,11 @@ def local_sgd(
     return theta, snapshot
 
 
-def dual_update(lambda_n: float, theta_n: mlp.ModelParams, gamma: float, batch: mlp.MiniBatch) -> float:
-    """Exponentiated-ascent factor: lambda_n * exp(gamma * loss(theta_n; batch))."""
+def dual_update(lambda_n: float, loss: float, gamma: float) -> float:
+    """Exponentiated-ascent factor: lambda_n * exp(gamma * loss)."""
     if lambda_n < 0.0:
         raise ValueError("lambda_n must be >= 0")
-    return lambda_n * math.exp(gamma * mlp.loss(theta_n, batch))
+    return lambda_n * math.exp(gamma * loss)
 
 
 def ps_aggregate(theta_list: list[mlp.ModelParams]) -> mlp.ModelParams:
@@ -205,14 +209,18 @@ def _run(
     config: TrainConfig,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
-    seed: int,
+    seed: int | None,
     eval_every: int,
     checkpoint_rounds: set[int] | None,
-    algorithm: str,
 ) -> RunResult:
     if len(train_sets) != config.N or len(test_sets) != config.N:
         raise ValueError(f"expected {config.N} train and test sets")
-    comm_cost = 2 if algorithm == "drfa" else 1
+    seed = config.seeds[0] if seed is None else seed
+    dual_at = DUAL_LOSS_AT[config.algorithm]
+    at_snapshot = dual_at == "snapshot"
+    comm_cost = 2 if at_snapshot else 1
+    # importance weighting: the m sampled snapshot losses stand in for all N
+    dual_step = config.gamma * (config.N / config.m if at_snapshot else 1.0)
     checkpoint_rounds = set(checkpoint_rounds or ())
 
     theta = mlp.init(_substream(seed, _INIT))
@@ -228,41 +236,27 @@ def _run(
         if k in checkpoint_rounds:
             theta_checkpoints[k] = theta
 
-        server_rng = _substream(seed, _SERVER, k)
-        if algorithm == "fedavg":
-            sampled = sample_workers(np.full(config.N, 1.0 / config.N), config.m, server_rng)
-        else:
-            sampled = sample_workers(lam, config.m, server_rng)
-        snapshot_at = None
-        if algorithm == "drfa":
-            snapshot_at = int(_substream(seed, _SNAPSHOT, k).integers(0, config.tau))
+        sampled = sample_workers(lam, config.m, _substream(seed, _SERVER, k))
+        snapshot_at = int(_substream(seed, _SNAPSHOT, k).integers(0, config.tau)) if at_snapshot else None
 
         new_lam = lam.copy()
         thetas: list[mlp.ModelParams] = []
         dual_losses: dict[int, float] = {}
         for n in sampled:  # ascending order; each worker owns its substreams
             n = int(n)
-            lam_n = 1.0 if algorithm == "fedavg" else float(lam[n])
+            lam_n = float(lam[n]) if dual_at else 1.0
             theta_n, snapshot = local_sgd(
                 train_sets[n], theta, lam_n, config.tau, config.alpha, config.B,
                 _substream(seed, _PRIMAL, n, k), snapshot_at=snapshot_at,
             )
             thetas.append(theta_n)
-            if algorithm == "fgdra":
+            if dual_at:
                 batch = _draw_batch(train_sets[n], config.B, _substream(seed, _DUAL, n, k))
-                ell = mlp.loss(theta_n, batch)
-                dual_losses[n] = ell
-                new_lam[n] = lam[n] * math.exp(config.gamma * ell)
-            elif algorithm == "drfa":
-                batch = _draw_batch(train_sets[n], config.B, _substream(seed, _DUAL, n, k))
-                # importance-weighted loss estimate: sampled workers stand in
-                # for the full population, hence the N/m scale
-                ell = mlp.loss(snapshot, batch)
-                dual_losses[n] = ell
-                new_lam[n] = lam[n] * math.exp(config.gamma * (config.N / config.m) * ell)
+                dual_losses[n] = mlp.loss(snapshot if at_snapshot else theta_n, batch)
+                new_lam[n] = dual_update(lam_n, dual_losses[n], dual_step)
 
         theta = ps_aggregate(thetas)
-        if algorithm != "fedavg":
+        if dual_at:
             lam = normalize(new_lam)
         lambda_history[k + 1] = lam
         dual_loss_history.append(dual_losses)
@@ -285,7 +279,7 @@ def _run(
         theta_checkpoints[config.K] = theta
 
     return RunResult(
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         seed=seed,
         config=config,
         round_logs=round_logs,
@@ -315,8 +309,7 @@ def run_fgdra(
     entries keep their previous values).  Costs one communication round per
     algorithmic round.
     """
-    seed = config.seeds[0] if seed is None else seed
-    return _run(config, train_sets, test_sets, seed, eval_every, checkpoint_rounds, "fgdra")
+    return _run(replace(config, algorithm="fgdra"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 def run_fedavg(
@@ -329,8 +322,7 @@ def run_fedavg(
 ) -> RunResult:
     """Plain federated averaging: uniform sampling, unweighted local SGD
     with step alpha.  The logged lambda stays the uniform vector."""
-    seed = config.seeds[0] if seed is None else seed
-    return _run(config, train_sets, test_sets, seed, eval_every, checkpoint_rounds, "fedavg")
+    return _run(replace(config, algorithm="fedavg"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 def run_drfa(
@@ -349,8 +341,7 @@ def run_drfa(
     requires a second exchange, so each round consumes two communication
     rounds.
     """
-    seed = config.seeds[0] if seed is None else seed
-    return _run(config, train_sets, test_sets, seed, eval_every, checkpoint_rounds, "drfa")
+    return _run(replace(config, algorithm="drfa"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 RUNNERS = {"fgdra": run_fgdra, "drfa": run_drfa, "fedavg": run_fedavg}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import fed, metrics
+from . import diagnostics, fed
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult, TrainConfig
 from .labeling import Dataset, RateParams, WorkerProfile, gen_dataset, save_dataset, split
@@ -75,6 +75,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         self.train_config()  # reuse its hyperparameter validation
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
@@ -86,11 +87,15 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if any(v <= 0 for v in self.sweep_values):
             raise ValueError("sweep values must be positive")
-        if any(s <= 0 for s in self.spacings):
-            raise ValueError("spacings must be positive")
+        if not self.spacings or any(s <= 0 for s in self.spacings):
+            raise ValueError("spacings must be a nonempty list of positive values")
+        _worker_angles(self)  # the alias geometry must be feasible
         for alg in self.algorithms:
             if alg not in fed.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        if self.sweep_axis != "none":
+            for value in self.sweep_values:
+                sweep_config(self, self.sweep_axis, value)
 
     def train_config(self, algorithm: str = "fgdra") -> TrainConfig:
         return TrainConfig(
@@ -101,6 +106,18 @@ class ExperimentConfig:
 
 _LIST_FIELDS = {"algorithms": str, "seeds": int, "spacings": float, "sweep_values": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _check_numbers(config: ExperimentConfig) -> None:
+    """Reject non-finite values of float keys and non-integers in int keys."""
+    for key, ftype in _FIELD_TYPES.items():
+        kind = _LIST_FIELDS.get(key) or {"int": int, "float": float}.get(ftype)
+        values = getattr(config, key) if key in _LIST_FIELDS else (getattr(config, key),)
+        for v in values:
+            if kind is float and not math.isfinite(v):
+                raise ValueError(f"{key} must be finite, got {v!r}")
+            if kind is int and not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
 
 
 def _parse_value(key: str, text: str):
@@ -161,33 +178,45 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _worker_angles(config: ExperimentConfig) -> list[tuple[float, float, float]]:
+    """(RX azimuth, TX azimuth, RX elevation) of every worker, in radians.
+
+    Worker 0 sits at the anchor angles.  Every other worker's RX azimuth is
+    phase-ramp matched to the anchor at its own spacing
+    (sin(a_w) * spacing_w = sin(anchor) * spacing_0 + ALIAS_RAMP_OFFSET),
+    its TX azimuth matched without offset, and its elevation is zero.  A
+    spacing too small for the RX match (sin > 1) is rejected; the TX match
+    then holds too, as |sin(ANCHOR_TX)| < sin(ANCHOR_RX).
+    """
+    rx0 = math.radians(ANCHOR_RX_AZIMUTH_DEG)
+    tx0 = math.radians(ANCHOR_TX_AZIMUTH_DEG)
+    s_rx = math.sin(rx0) * config.spacings[0]
+    s_tx = math.sin(tx0) * config.spacings[0]
+    angles = [(rx0, tx0, math.radians(ANCHOR_RX_ELEVATION_DEG))]
+    for w in range(1, config.N):
+        spacing = config.spacings[w % len(config.spacings)]
+        sin_rx = (s_rx + ALIAS_RAMP_OFFSET) / spacing
+        if sin_rx > 1.0:
+            raise ValueError(
+                f"spacings {config.spacings} with N={config.N}: worker {w} (spacing {spacing!r}) cannot "
+                f"be phase-ramp matched to worker 0 (sin of its RX azimuth would be {sin_rx:.4f})")
+        angles.append((math.asin(sin_rx), math.asin(s_tx / spacing), 0.0))
+    return angles
+
+
 def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
     """Construct the N worker scenarios deterministically from profile_seed.
 
     Worker w gets element spacing spacings[w mod len(spacings)] (in
-    wavelengths).  Worker 0 sits at the anchor angles; every other worker's
-    RX azimuth is phase-ramp matched to the anchor at its own spacing
-    (sin(a_w) * spacing_w = sin(anchor) * spacing_0 + ALIAS_RAMP_OFFSET),
-    its TX azimuth matched without offset, and its elevations are zero.
+    wavelengths) and the placement angles of :func:`_worker_angles`.
     Scatterer constellations are drawn once per worker from profile_seed
     and stay fixed.
     """
     rate = RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
-    base = config.spacings[0]
-    s_rx = math.sin(math.radians(ANCHOR_RX_AZIMUTH_DEG)) * base
-    s_tx = math.sin(math.radians(ANCHOR_TX_AZIMUTH_DEG)) * base
     profiles = []
-    for w in range(config.N):
+    for w, (rx_az, tx_az, rx_el) in enumerate(_worker_angles(config)):
         spacing = config.spacings[w % len(config.spacings)]
         rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(w,)))
-        if w == 0:
-            rx_az = math.radians(ANCHOR_RX_AZIMUTH_DEG)
-            tx_az = math.radians(ANCHOR_TX_AZIMUTH_DEG)
-            rx_el = math.radians(ANCHOR_RX_ELEVATION_DEG)
-        else:
-            rx_az = math.asin((s_rx + ALIAS_RAMP_OFFSET) / spacing)
-            tx_az = math.asin(s_tx / spacing)
-            rx_el = 0.0
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
         geom = make_worker_geometry(
@@ -240,14 +269,6 @@ class SeedDataCache:
             train, test, _ = generate_data(self.config, dataset_seed=self.config.dataset_seed + seed)
             self._cache[seed] = (train, test)
         return self._cache[seed]
-
-
-def evaluate(theta, test_sets: list[Dataset]):
-    """(average, worst, population sd, per-worker vector) of test accuracy,
-    in percent."""
-    per_worker = metrics.per_worker_accuracy(theta, test_sets)
-    avg, worst, sd = metrics.summarize_accuracy(per_worker)
-    return avg, worst, sd, per_worker
 
 
 @dataclass(frozen=True)
@@ -380,13 +401,16 @@ class SweepCell:
 
 
 def sweep_config(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "tau":
-        return replace(config, tau=int(value))
-    if axis == "B":
-        return replace(config, B=int(value))
-    if axis == "m":
-        return replace(config, m=int(value))
-    raise ValueError(f"unsupported sweep axis {axis!r}")
+    """The plain (non-sweep) config of one sweep cell: ``axis`` set to
+    ``value``, which must be integral."""
+    if axis not in SWEEP_AXES[1:]:
+        raise ValueError(f"unsupported sweep axis {axis!r}")
+    if value != int(value):
+        raise ValueError(f"sweep_values: {axis} takes integral values, got {value!r}")
+    try:
+        return replace(config, sweep_axis="none", sweep_values=(), **{axis: int(value)})
+    except ValueError as exc:
+        raise ValueError(f"sweep_values: {axis}={value!r} is invalid: {exc}") from exc
 
 
 def run_sweep(config: ExperimentConfig,
@@ -402,21 +426,17 @@ def run_sweep(config: ExperimentConfig,
     cells = []
     for value in config.sweep_values:
         cfg_v = sweep_config(config, config.sweep_axis, value)
-        for alg in cfg_v.algorithms:
-            avg, worst = [], []
-            for seed in cfg_v.seeds:
-                train_sets, test_sets = cache.for_seed(seed)
-                result = _run_one(cfg_v, alg, seed, train_sets, test_sets)
-                avg.append(result.round_logs[-1].avg_acc)
-                worst.append(result.round_logs[-1].worst_acc)
+        runs = {(alg, seed): _run_one(cfg_v, alg, seed, *cache.for_seed(seed))
+                for alg in cfg_v.algorithms for seed in cfg_v.seeds}
+        for s in summarize_runs(runs, cfg_v.algorithms, cfg_v.seeds).per_algorithm.values():
             cells.append(SweepCell(
                 axis=config.sweep_axis,
                 value=value,
-                algorithm=alg,
-                avg_acc_mean=float(np.mean(avg)),
-                avg_acc_se=_standard_error(np.array(avg)),
-                worst_acc_mean=float(np.mean(worst)),
-                worst_acc_se=_standard_error(np.array(worst)),
+                algorithm=s.algorithm,
+                avg_acc_mean=s.avg_acc_mean,
+                avg_acc_se=s.avg_acc_se,
+                worst_acc_mean=s.worst_acc_mean,
+                worst_acc_se=s.worst_acc_se,
             ))
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "sweep.csv"), "w") as f:
@@ -475,3 +495,65 @@ def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
             save_dataset(ds, stem, extra_meta=meta)
             written.append(stem + ".csv")
     return written
+
+
+THEORY_KS = (50, 100, 200, 400, 800)
+
+
+def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
+    """Single well-conditioned worker for the convergence-rate check: a
+    full-wavelength array at a small azimuth with distant scatterers, which
+    trains to interpolation under the rate-matched schedule."""
+    rate = RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
+    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(3,)))
+    geom = make_worker_geometry(
+        config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
+        tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
+        rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
+        n_scatterers=config.n_scatterers, rng=rng,
+        extra_travel_lo=0.25, extra_travel_hi=0.5,
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(3,)))
+    ds = gen_dataset(WorkerProfile(0, geom, rate), config.J, rng)
+    train, test = split(ds, config.train_fraction, rng)
+    return [train], [test]
+
+
+def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
+    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``.
+
+    Seed s trains on :func:`theory_worker_data` drawn from dataset_seed + s,
+    under :func:`diagnostics.prescribed_schedule` with constants estimated
+    from ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
+    iteration count), the final iteration-weighted running mean of the
+    squared gradient norm and the theorem bound.
+    """
+    records = []
+    for s in seeds:
+        train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)
+        est = diagnostics.estimate_constants(
+            train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
+            batch_size=config.B, pair_scale=1e-3,
+        )
+        for K in THEORY_KS:
+            sched = diagnostics.prescribed_schedule(K, 1, est)
+            T = sched.K * sched.tau
+            ckpts = diagnostics.round_checkpoints(K)
+            result = fed.run_fgdra(sched, train_sets, test_sets, seed=s, eval_every=K,
+                                   checkpoint_rounds=set(ckpts))
+            trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)
+            records.append({
+                "seed": s, "K": K, "T": T,
+                "running_mean": float(diagnostics.running_mean_trace(trace).grad_norm_sq[-1]),
+                "bound": diagnostics.theorem_bound(est, sched.m, T),
+            })
+    return records
+
+
+def theory_decay_slope(records: list[dict]) -> float:
+    """Log-log slope of the seed-mean final running average against T."""
+    by_T: dict[int, list[float]] = {}
+    for r in records:
+        by_T.setdefault(r["T"], []).append(r["running_mean"])
+    Ts = np.array(sorted(by_T))
+    return diagnostics.fit_loglog_slope(Ts, np.array([np.mean(by_T[T]) for T in Ts]))

@@ -65,13 +65,6 @@ class Codebook:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: int
-    rate_achieved: float
-
-
-@dataclass(frozen=True)
 class FeatureScaler:
     """Per-column affine standardization fitted on a worker's training split."""
 
@@ -114,13 +107,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return [
-            LabeledSample(features=self.features[j], label=int(self.labels[j]), rate_achieved=float(self.rates[j]))
-            for j in range(len(self))
-        ]
 
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=NUM_CLASSES)

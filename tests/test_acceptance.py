@@ -12,38 +12,22 @@ import time
 import numpy as np
 import pytest
 
-from risfed import diagnostics, fed, harness, mlp
-from risfed.channel import Placement, make_worker_geometry
-from risfed.fed import TrainConfig
+from risfed import fed, harness, mlp
+from risfed.fed import ALGORITHMS, TrainConfig
 from risfed.harness import ExperimentConfig, SeedDataCache
-from risfed.labeling import (
-    RateParams,
-    WorkerProfile,
-    build_codebook,
-    decode_features,
-    gen_dataset,
-    rate,
-    split,
-)
+from risfed.labeling import build_codebook, decode_features, rate
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
-def mean_se(values):
-    v = np.asarray(values, dtype=float)
-    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
-
-
-def final_stats(runs, alg):
-    finals = [runs[(alg, s)].round_logs[-1] for s in SEEDS]
-    avg_m, avg_se = mean_se([f.avg_acc for f in finals])
-    worst_m, worst_se = mean_se([f.worst_acc for f in finals])
-    return {"avg": avg_m, "avg_se": avg_se, "worst": worst_m, "worst_se": worst_se}
+def final_stats(runs):
+    """Final-round mean and standard error per algorithm over SEEDS."""
+    return harness.summarize_runs(runs, ALGORITHMS, SEEDS).per_algorithm
 
 
 def run_battery(config, cache, eval_every, **cfg_overrides):
     runs = {}
-    for alg in ("fgdra", "drfa", "fedavg"):
+    for alg in ALGORITHMS:
         base = config.train_config(alg)
         cfg = TrainConfig(**{**base.__dict__, **cfg_overrides, "algorithm": alg})
         for seed in SEEDS:
@@ -81,64 +65,20 @@ def sweep_cells(config, cache, default_battery):
     is the default battery."""
     default_runs, _ = default_battery
     cells = {}
-    for alg in ("fgdra", "drfa", "fedavg"):
-        cells[("tau", 10, alg)] = final_stats(default_runs, alg)
-        cells[("B", 50, alg)] = final_stats(default_runs, alg)
+    for alg, stats in final_stats(default_runs).items():
+        cells[("tau", 10, alg)] = cells[("B", 50, alg)] = stats
     for tau in (1, 5):
-        runs = run_battery(config, cache, eval_every=config.K, tau=tau)
-        for alg in ("fgdra", "drfa", "fedavg"):
-            cells[("tau", tau, alg)] = final_stats(runs, alg)
+        for alg, stats in final_stats(run_battery(config, cache, eval_every=config.K, tau=tau)).items():
+            cells[("tau", tau, alg)] = stats
     for B in (10, 30):
-        runs = run_battery(config, cache, eval_every=config.K, B=B)
-        for alg in ("fgdra", "drfa", "fedavg"):
-            cells[("B", B, alg)] = final_stats(runs, alg)
+        for alg, stats in final_stats(run_battery(config, cache, eval_every=config.K, B=B)).items():
+            cells[("B", B, alg)] = stats
     return cells
-
-
-def diagnostic_worker_data(dataset_seed, config):
-    """Single well-conditioned worker for the convergence-rate check: a
-    full-wavelength array at a small azimuth with distant scatterers, which
-    trains to interpolation under the rate-matched schedule."""
-    rate_params = RateParams(config.bandwidth, config.tx_power, config.noise_psd)
-    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(3,)))
-    geom = make_worker_geometry(
-        config.ris_rows, config.ris_cols, 1.0 * config.wavelength, config.wavelength,
-        tx=Placement(30.0, math.radians(-25.0), 0.0),
-        rx=Placement(20.0, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=config.n_scatterers, rng=rng,
-        extra_travel_lo=0.25, extra_travel_hi=0.5,
-    )
-    profile = WorkerProfile(0, geom, rate_params)
-    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(3,)))
-    ds = gen_dataset(profile, config.J, rng)
-    train, test = split(ds, config.train_fraction, rng)
-    return [train], [test]
 
 
 @pytest.fixture(scope="module")
 def theory_battery(config):
-    Ks = (50, 100, 200, 400, 800)
-    records = []
-    for s in (0, 1, 2, 3):
-        train_sets, test_sets = diagnostic_worker_data(config.dataset_seed + s, config)
-        est = diagnostics.estimate_constants(
-            train_sets, n_probes=120, rng=np.random.default_rng(1000 + s),
-            batch_size=config.B, pair_scale=1e-3,
-        )
-        for K in Ks:
-            sched = diagnostics.prescribed_schedule(K, 1, est)
-            T = sched.K * sched.tau
-            ckpts = diagnostics.round_checkpoints(K)
-            result = fed.run_fgdra(sched, train_sets, test_sets, seed=s, eval_every=K,
-                                   checkpoint_rounds=set(ckpts))
-            trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)
-            rm = diagnostics.running_mean_trace(trace)
-            records.append({
-                "seed": s, "K": K, "T": T,
-                "running_mean": float(rm.grad_norm_sq[-1]),
-                "bound": diagnostics.theorem_bound(est, sched.m, T),
-            })
-    return records
+    return harness.theory_check(config, seeds=(0, 1, 2, 3), n_probes=120)
 
 
 def test_c01_gradient_correctness(tiny_fleet):
@@ -216,22 +156,18 @@ def test_c04_label_oracle_equality(config, cache):
 def test_c05_robustness_ordering(default_battery):
     """Worst-accuracy means: FGDRA >= DRFA >= FedAvg, FGDRA - FedAvg >= 5."""
     runs, elapsed = default_battery
-    fg = final_stats(runs, "fgdra")
-    dr = final_stats(runs, "drfa")
-    fa = final_stats(runs, "fedavg")
-    assert fg["worst"] >= dr["worst"] >= fa["worst"]
-    assert fg["worst"] - fa["worst"] >= 5.0
+    stats = final_stats(runs)
+    fg, dr, fa = (stats[alg].worst_acc_mean for alg in ("fgdra", "drfa", "fedavg"))
+    assert fg >= dr >= fa
+    assert fg - fa >= 5.0
     assert elapsed < 1800.0
-    print(f"\nCRITERION 5 PASS: worst acc fgdra {fg['worst']:.2f} >= drfa {dr['worst']:.2f} "
-          f">= fedavg {fa['worst']:.2f}; gap {fg['worst'] - fa['worst']:.2f} pts; battery {elapsed:.0f}s")
+    print(f"\nCRITERION 5 PASS: worst acc fgdra {fg:.2f} >= drfa {dr:.2f} "
+          f">= fedavg {fa:.2f}; gap {fg - fa:.2f} pts; battery {elapsed:.0f}s")
 
 
 def test_c06_fairness_gap_at_m2(m2_battery):
     """(average - worst) gaps at m=2: FGDRA < DRFA < FedAvg, >= 4 pt margin."""
-    gaps = {}
-    for alg in ("fgdra", "drfa", "fedavg"):
-        s = final_stats(m2_battery, alg)
-        gaps[alg] = s["avg"] - s["worst"]
+    gaps = {alg: s.avg_acc_mean - s.worst_acc_mean for alg, s in final_stats(m2_battery).items()}
     assert gaps["fgdra"] < gaps["drfa"] < gaps["fedavg"]
     assert gaps["fedavg"] - gaps["fgdra"] >= 4.0
     print(f"\nCRITERION 6 PASS: m=2 gaps fgdra {gaps['fgdra']:.2f} < drfa {gaps['drfa']:.2f} "
@@ -241,7 +177,7 @@ def test_c06_fairness_gap_at_m2(m2_battery):
 def test_c07_communication_efficiency(default_battery):
     """FGDRA reaches DRFA's final worst accuracy in <= 0.7x the exchanges."""
     runs, _ = default_battery
-    drfa_final = final_stats(runs, "drfa")["worst"]
+    drfa_final = final_stats(runs)["drfa"].worst_acc_mean
     drfa_comm = runs[("drfa", 0)].round_logs[-1].communication_rounds_consumed
     grid = [log.communication_rounds_consumed for log in runs[("fgdra", 0)].round_logs]
     mean_curve = np.mean(
@@ -258,15 +194,16 @@ def test_c08_monotone_trends(sweep_cells):
     slack (dips smaller than the adjacent cells' combined SEs pass)."""
     violations = []
     for axis, values in (("tau", (1, 5, 10)), ("B", (10, 30, 50))):
-        for alg in ("fgdra", "drfa", "fedavg"):
+        for alg in ALGORITHMS:
             for metric in ("avg", "worst"):
                 for lo, hi in zip(values, values[1:]):
                     a = sweep_cells[(axis, lo, alg)]
                     b = sweep_cells[(axis, hi, alg)]
-                    slack = a[f"{metric}_se"] + b[f"{metric}_se"]
-                    if b[metric] < a[metric] - slack:
+                    mean_a, mean_b = getattr(a, f"{metric}_acc_mean"), getattr(b, f"{metric}_acc_mean")
+                    slack = getattr(a, f"{metric}_acc_se") + getattr(b, f"{metric}_acc_se")
+                    if mean_b < mean_a - slack:
                         violations.append(
-                            f"{alg} {metric} {axis} {lo}->{hi}: {a[metric]:.2f} -> {b[metric]:.2f} "
+                            f"{alg} {metric} {axis} {lo}->{hi}: {mean_a:.2f} -> {mean_b:.2f} "
                             f"(slack {slack:.2f})")
     assert not violations, "\n".join(violations)
     print("\nCRITERION 8 PASS: all tau/B trends non-decreasing within one SE")
@@ -277,12 +214,7 @@ def test_c09_theorem_decay_and_bound(theory_battery):
     >= 95% of the 20 runs."""
     records = theory_battery
     assert len(records) == 20
-    by_T = {}
-    for r in records:
-        by_T.setdefault(r["T"], []).append(r["running_mean"])
-    Ts = np.array(sorted(by_T))
-    means = np.array([np.mean(by_T[T]) for T in Ts])
-    slope = diagnostics.fit_loglog_slope(Ts, means)
+    slope = harness.theory_decay_slope(records)
     holds = sum(r["running_mean"] <= r["bound"] for r in records)
     assert -1.0 <= slope <= -0.2
     assert holds >= math.ceil(0.95 * len(records))

@@ -102,14 +102,11 @@ def test_local_sgd_snapshot_is_pre_step_iterate(tiny_fleet):
     assert mlp.to_vector(snap1).tobytes() == mlp.to_vector(one_step).tobytes()
 
 
-def test_dual_update_gamma_zero_and_absorbing(tiny_fleet):
-    train_sets, _ = tiny_fleet
-    theta = mlp.init(np.random.default_rng(11))
-    batch = mlp.MiniBatch(train_sets[0].features[:10], train_sets[0].labels[:10])
-    assert dual_update(0.25, theta, 0.0, batch) == 0.25
-    assert dual_update(0.0, theta, 5e-3, batch) == 0.0
+def test_dual_update_gamma_zero_and_absorbing():
+    assert dual_update(0.25, 1.3, 0.0) == 0.25
+    assert dual_update(0.0, 1.3, 5e-3) == 0.0
     with pytest.raises(ValueError):
-        dual_update(-0.1, theta, 5e-3, batch)
+        dual_update(-0.1, 1.3, 5e-3)
 
 
 def test_dual_update_direct_evaluation():
@@ -120,7 +117,7 @@ def test_dual_update_direct_evaluation():
     )
     batch = mlp.MiniBatch(inputs=np.random.default_rng(0).standard_normal((10, 400)),
                           labels=np.random.default_rng(1).integers(0, 4, 10))
-    got = dual_update(0.25, theta, 5e-3, batch)
+    got = dual_update(0.25, mlp.loss(theta, batch), 5e-3)
     assert got == pytest.approx(0.25 * math.exp(5e-3 * math.log(4.0)), rel=1e-12)
     assert got == pytest.approx(0.251736, abs=1e-5)
 
@@ -259,6 +256,29 @@ def test_monotone_dual_pressure(tiny_fleet):
         pre, post = result.lambda_history[k], result.lambda_history[k + 1]
         factors = {n: post[n] * 1.0 / pre[n] for n in losses}  # common normalization cancels in argmax
         assert max(factors, key=factors.get) == max(losses, key=losses.get)
+
+
+@pytest.mark.parametrize("algorithm,loss_scale", [("fgdra", 1.0), ("drfa", 4 / 3)])
+def test_lambda_history_replays_the_dual_step(tiny_fleet, algorithm, loss_scale):
+    # every round: sampled entries lifted by dual_update on the recorded loss
+    # (drfa's scaled by N/m), then the vector renormalized
+    train_sets, test_sets = tiny_fleet
+    cfg = TrainConfig(K=6, tau=2, B=10)
+    result = fed.RUNNERS[algorithm](cfg, train_sets, test_sets, seed=6, eval_every=6)
+    for k, losses in enumerate(result.dual_loss_history):
+        assert len(losses) == cfg.m
+        lam = result.lambda_history[k].copy()
+        for n, ell in losses.items():
+            lam[n] = dual_update(float(lam[n]), ell, cfg.gamma * loss_scale)
+        assert normalize(lam).tobytes() == result.lambda_history[k + 1].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
+def test_run_result_names_its_algorithm(tiny_fleet, algorithm):
+    train_sets, test_sets = tiny_fleet
+    result = fed.RUNNERS[algorithm](TrainConfig(K=1, tau=1, B=10), train_sets, test_sets)
+    assert result.algorithm == result.config.algorithm == algorithm
+    assert result.seed == 0
 
 
 def test_run_reproducibility(tiny_fleet):

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from risfed import cli, fed, harness, metrics, mlp
+from risfed import cli, harness, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides, parse_config, serialize_config
 from risfed.labeling import Dataset
 
@@ -28,30 +29,25 @@ def zero_model():
                            b2=np.zeros(32), W3=np.zeros((4, 32)), b3=np.zeros(4))
 
 
-def test_evaluate_hand_case():
+def test_per_worker_accuracy_hand_case():
     # zero model on zero features predicts class 0 everywhere
     tests = [constant_label_dataset(0, 1.00), constant_label_dataset(1, 0.60),
              constant_label_dataset(2, 0.60), constant_label_dataset(3, 0.60)]
-    avg, worst, sd, per_worker = harness.evaluate(zero_model(), tests)
-    assert per_worker.tolist() == [100.0, 60.0, 60.0, 60.0]
-    assert avg == pytest.approx(70.0)
-    assert worst == pytest.approx(60.0)
-    assert sd == pytest.approx(math.sqrt(300.0), rel=1e-12)
+    assert metrics.per_worker_accuracy(zero_model(), tests).tolist() == [100.0, 60.0, 60.0, 60.0]
 
 
-def test_evaluate_random_classifier_near_chance():
+def test_per_worker_accuracy_random_classifier_near_chance():
     rng = np.random.default_rng(0)
     params = mlp.init(rng)
     tests = [Dataset(worker_id=w, features=rng.standard_normal((500, 400)),
                      labels=rng.integers(0, 4, 500), rates=np.zeros(500)) for w in range(4)]
-    avg, worst, sd, _ = harness.evaluate(params, tests)
-    assert avg == pytest.approx(25.0, abs=3.0)
+    assert np.mean(metrics.per_worker_accuracy(params, tests)) == pytest.approx(25.0, abs=3.0)
 
 
 def test_summarize_accuracy_direct():
     avg, worst, sd = metrics.summarize_accuracy(np.array([100.0, 60.0, 60.0, 60.0]))
     assert (avg, worst) == (70.0, 60.0)
-    assert sd == pytest.approx(math.sqrt(300.0))
+    assert sd == pytest.approx(math.sqrt(300.0), rel=1e-12)
 
 
 def test_summarize_accuracy_identical_workers():
@@ -121,6 +117,35 @@ def test_build_profiles_design():
         assert sp * math.sin(p.geometry.rx.azimuth) == pytest.approx(base + harness.ALIAS_RAMP_OFFSET)
     again = harness.build_profiles(cfg)
     assert again[2].geometry.scatterers == profiles[2].geometry.scatterers
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"alpha": math.nan}, "alpha"),
+    ({"gamma": math.inf}, "gamma"),
+    ({"train_fraction": math.nan}, "train_fraction"),
+    ({"noise_psd": -math.inf}, "noise_psd"),
+    ({"spacings": (0.125, math.inf)}, "spacings"),
+    ({"tau": 2.5}, "tau"),
+    ({"sweep_axis": "tau", "sweep_values": (2.7,)}, "sweep_values"),
+    ({"sweep_axis": "B", "sweep_values": (math.nan,)}, "sweep_values"),
+    ({"sweep_axis": "m", "sweep_values": (2.0, 9.0)}, "sweep_values"),
+    ({"N": 5}, "spacings"),
+    ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
+])
+def test_config_rejects_bad_values_naming_the_key(overrides, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**overrides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4))
+def test_alias_geometry_rejected_at_config_or_buildable(N, spacings):
+    try:
+        cfg = ExperimentConfig(N=N, m=1, spacings=tuple(spacings))
+    except ValueError as exc:
+        assert "spacings" in str(exc) and f"N={N}" in str(exc)
+        return
+    assert len(harness.build_profiles(cfg)) == N
 
 
 def test_run_experiment_row_count_and_rerun_identical(tmp_path):

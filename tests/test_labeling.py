@@ -240,13 +240,3 @@ def test_fit_scaler_handles_constant_columns():
     assert np.all(scaler.sd == 1.0)
     assert np.all(scaler.transform(X) == 0.0)
 
-
-def test_dataset_samples_view():
-    geom = small_geometry()
-    ds = gen_dataset(WorkerProfile(1, geom, RATE), 20, np.random.default_rng(19))
-    records = ds.samples
-    assert len(records) == 20
-    assert records[5].label == ds.labels[5]
-    assert records[5].rate_achieved == ds.rates[5]
-    assert np.array_equal(records[5].features, ds.features[5])
-    assert records[5].label < 4
