@@ -6,7 +6,9 @@ component contributed by scatterers near the TX; the RIS-RX channel is pure
 line-of-sight.  Every channel draw combines three deterministic geometric
 factors (element radiation pattern, free-space path loss, planar-array
 response) with per-draw randomness (uniform phases, complex-normal scatterer
-gains).
+gains).  The geometric factors depend on the geometry alone, so each
+:class:`ScenarioGeometry` computes them once, at construction, and every draw
+reads them from ``ScenarioGeometry.paths``.
 
 All generators are pure functions of (geometry, rng): callers own the rng
 stream, so concurrent generation across workers is safe.
@@ -15,7 +17,7 @@ stream, so concurrent generation across workers is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +57,12 @@ class ScenarioGeometry:
     scatterer placements; they are part of the worker profile and stay fixed
     across channel draws, which is what makes worker data distributions
     heterogeneous.
+
+    ``paths`` is computed at construction and holds one read-only
+    ``(amplitude, steering vector)`` pair per propagation path, in the order
+    rx, tx, then each scatterer; the amplitude is
+    sqrt(radiation_gain * path_loss).  It is derived from the other fields,
+    so it takes no part in ``repr``, ``==`` or ``hash``.
     """
 
     ris_rows: int
@@ -64,6 +72,7 @@ class ScenarioGeometry:
     tx: Placement
     rx: Placement
     scatterers: tuple[Placement, ...]
+    paths: tuple[tuple[float, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ris_rows <= 0 or self.ris_cols <= 0:
@@ -74,6 +83,7 @@ class ScenarioGeometry:
             raise ValueError("carrier_wavelength must be > 0")
         if len(self.scatterers) < 1:
             raise ValueError("at least one scatterer is required")
+        object.__setattr__(self, "paths", tuple(_path(p, self) for p in (self.rx, self.tx, *self.scatterers)))
 
     @property
     def num_elements(self) -> int:
@@ -137,22 +147,30 @@ def array_response(azimuth: float, elevation: float, geom: ScenarioGeometry) -> 
     return np.exp(1j * phase).ravel()
 
 
+def _path(placement: Placement, geom: ScenarioGeometry) -> tuple[float, np.ndarray]:
+    """Amplitude sqrt(G(b) L(d)) and read-only steering vector of one path."""
+    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance, geom.carrier_wavelength))
+    steering = array_response(placement.azimuth, placement.elevation, geom)
+    steering.flags.writeable = False
+    return amp, steering
+
+
 def gen_ris_rx_channel(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Draw the RIS-RX channel: a scaled steering vector under a random phase.
 
     g = sqrt(G(b_R) L(d_R)) * exp(i eta) * Omega(a_R, b_R), eta ~ U[0, 2pi).
     """
     eta = float(rng.uniform(0.0, TWO_PI))
-    amp = math.sqrt(radiation_gain(geom.rx.elevation) * path_loss(geom.rx.distance, geom.carrier_wavelength))
-    g = amp * np.exp(1j * eta) * array_response(geom.rx.azimuth, geom.rx.elevation, geom)
+    amp, a = geom.paths[0]
+    g = amp * np.exp(1j * eta) * a
     return g, eta
 
 
 def gen_tx_ris_los(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Draw the LoS part of the TX-RIS channel (mirror of the RIS-RX draw)."""
     eta = float(rng.uniform(0.0, TWO_PI))
-    amp = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance, geom.carrier_wavelength))
-    h_los = amp * np.exp(1j * eta) * array_response(geom.tx.azimuth, geom.tx.elevation, geom)
+    amp, a = geom.paths[1]
+    h_los = amp * np.exp(1j * eta) * a
     return h_los, eta
 
 
@@ -165,9 +183,8 @@ def gen_tx_ris_nlos(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[n
     S = geom.num_scatterers
     gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
     acc = np.zeros(geom.num_elements, dtype=complex)
-    for gamma, sc in zip(gammas, geom.scatterers):
-        amp = math.sqrt(radiation_gain(sc.elevation) * path_loss(sc.distance, geom.carrier_wavelength))
-        acc += gamma * amp * array_response(sc.azimuth, sc.elevation, geom)
+    for gamma, (amp, a) in zip(gammas, geom.paths[2:]):
+        acc += gamma * amp * a
     return acc / S, gammas
 
 

@@ -2,8 +2,8 @@
 
 All three algorithms run one round loop: sample m workers proportionally to
 the simplex weights lambda, run local SGD, take each sampled worker's dual
-loss on a fresh batch, lift its weight by ``dual_update``, average the
-models with ``ps_aggregate`` and renormalize lambda with ``normalize``.
+loss on a fresh batch, average the models with ``ps_aggregate``, and lift
+the sampled weights and renormalize lambda with ``dual_step``.
 The table ``DUAL_LOSS_AT`` holds the one fact that tells them apart, the
 iterate at which the dual loss is taken; the rest follows from it:
 
@@ -37,6 +37,10 @@ logger = logging.getLogger(__name__)
 # iterate, random "snapshot" iterate, or None (no dual variable).
 DUAL_LOSS_AT = {"fgdra": "final", "drfa": "snapshot", "fedavg": None}
 ALGORITHMS = tuple(DUAL_LOSS_AT)
+
+# Largest exponent of the dual step taken without a shift: math.exp overflows
+# just above 709.78, and the margin keeps the lifted vector's sum finite.
+_EXP_MAX = 700.0
 
 # Substream purpose tags; part of the reproducibility contract.
 _INIT, _SERVER, _PRIMAL, _DUAL, _SNAPSHOT = range(5)
@@ -173,11 +177,36 @@ def local_sgd(
     return theta, snapshot
 
 
-def dual_update(lambda_n: float, loss: float, gamma: float) -> float:
-    """Exponentiated-ascent factor: lambda_n * exp(gamma * loss)."""
+def dual_update(lambda_n: float, loss: float, gamma: float, shift: float = 0.0) -> float:
+    """Exponentiated-ascent factor: lambda_n * exp(gamma * loss - shift).
+
+    A zero weight is absorbing; its exponent is not evaluated, so it cannot
+    overflow.
+    """
     if lambda_n < 0.0:
         raise ValueError("lambda_n must be >= 0")
-    return lambda_n * math.exp(gamma * loss)
+    if lambda_n == 0.0:
+        return 0.0
+    return lambda_n * math.exp(gamma * loss - shift)
+
+
+def dual_step(lam: np.ndarray, losses: dict[int, float], gamma: float) -> np.ndarray:
+    """One round's dual step: lift each sampled entry n by ``dual_update`` on
+    its loss, then ``normalize``.
+
+    All entries share one shift s, the largest exponent gamma * L_n of a
+    sampled entry with positive weight when ``math.exp`` of it would
+    overflow, and 0 otherwise; the unsampled entries are scaled by exp(-s) to
+    match.  The shift cancels in the normalization, and s = 0 at ordinary
+    step sizes leaves every bit as in the unshifted update.  Zero-weight
+    entries stay zero whatever their loss, so they do not set the shift.
+    """
+    top = max((gamma * loss for n, loss in losses.items() if lam[n] > 0.0), default=0.0)
+    shift = top if top > _EXP_MAX else 0.0
+    new_lam = lam * math.exp(-shift)
+    for n, loss in losses.items():
+        new_lam[n] = dual_update(float(lam[n]), loss, gamma, shift)
+    return normalize(new_lam)
 
 
 def ps_aggregate(theta_list: list[mlp.ModelParams]) -> mlp.ModelParams:
@@ -220,7 +249,7 @@ def _run(
     at_snapshot = dual_at == "snapshot"
     comm_cost = 2 if at_snapshot else 1
     # importance weighting: the m sampled snapshot losses stand in for all N
-    dual_step = config.gamma * (config.N / config.m if at_snapshot else 1.0)
+    dual_gamma = config.gamma * (config.N / config.m if at_snapshot else 1.0)
     checkpoint_rounds = set(checkpoint_rounds or ())
 
     theta = mlp.init(_substream(seed, _INIT))
@@ -239,7 +268,6 @@ def _run(
         sampled = sample_workers(lam, config.m, _substream(seed, _SERVER, k))
         snapshot_at = int(_substream(seed, _SNAPSHOT, k).integers(0, config.tau)) if at_snapshot else None
 
-        new_lam = lam.copy()
         thetas: list[mlp.ModelParams] = []
         dual_losses: dict[int, float] = {}
         for n in sampled:  # ascending order; each worker owns its substreams
@@ -253,11 +281,10 @@ def _run(
             if dual_at:
                 batch = _draw_batch(train_sets[n], config.B, _substream(seed, _DUAL, n, k))
                 dual_losses[n] = mlp.loss(snapshot if at_snapshot else theta_n, batch)
-                new_lam[n] = dual_update(lam_n, dual_losses[n], dual_step)
 
         theta = ps_aggregate(thetas)
         if dual_at:
-            lam = normalize(new_lam)
+            lam = dual_step(lam, dual_losses, dual_gamma)
         lambda_history[k + 1] = lam
         dual_loss_history.append(dual_losses)
         comm += comm_cost

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from risfed import harness, labeling
 from risfed.channel import (
+    TWO_PI,
     Placement,
     ScenarioGeometry,
     array_response,
@@ -255,3 +258,85 @@ def test_make_worker_geometry_scatterer_cone():
     for sc in geom.scatterers:
         assert abs(sc.azimuth - tx.azimuth) <= math.radians(15.0) + 1e-12
         assert 1.05 * tx.distance <= sc.distance <= 1.30 * tx.distance
+
+
+def fresh_path(placement, geom):
+    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance, geom.carrier_wavelength))
+    return amp, array_response(placement.azimuth, placement.elevation, geom)
+
+
+def test_paths_cache_equals_fresh_factors_bit_for_bit():
+    geom = small_geometry()
+    placements = (geom.rx, geom.tx, *geom.scatterers)
+    assert len(geom.paths) == len(placements) == 2 + geom.num_scatterers
+    for (amp, a), placement in zip(geom.paths, placements):
+        fresh_amp, fresh_a = fresh_path(placement, geom)
+        assert amp == fresh_amp
+        assert a.tobytes() == fresh_a.tobytes()
+
+
+def test_paths_cache_is_read_only():
+    geom = small_geometry()
+    for _, a in geom.paths:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_replace_recomputes_paths():
+    geom = small_geometry()
+    wider = dataclasses.replace(geom, element_spacing=2 * geom.element_spacing)
+    for (_, old), (amp, a), placement in zip(geom.paths, wider.paths, (wider.rx, wider.tx, *wider.scatterers)):
+        fresh_amp, fresh_a = fresh_path(placement, wider)
+        assert amp == fresh_amp and a.tobytes() == fresh_a.tobytes()
+    assert wider.paths[0][1].tobytes() != geom.paths[0][1].tobytes()
+
+
+def test_eq_hash_and_repr_ignore_paths():
+    geom = small_geometry()
+    twin = dataclasses.replace(geom)
+    assert twin.paths[0][1] is not geom.paths[0][1]
+    assert twin == geom and hash(twin) == hash(geom)
+    assert "paths" not in repr(geom)
+
+
+def reference_dataset(profile, J, rng):
+    """gen_dataset with every geometric factor recomputed on every draw."""
+    geom, params = profile.geometry, profile.rate
+    tx_a = array_response(geom.tx.azimuth, geom.tx.elevation, geom)
+    codewords = []
+    for offset_deg in labeling.CODEBOOK_OFFSETS_DEG:
+        raw = np.conj(tx_a) * array_response(geom.rx.azimuth + math.radians(offset_deg), geom.rx.elevation, geom)
+        codewords.append(raw / np.abs(raw))
+    features, labels, rates = [], [], []
+    for _ in range(J):
+        eta_g = float(rng.uniform(0.0, TWO_PI))
+        amp, a = fresh_path(geom.rx, geom)
+        g = amp * np.exp(1j * eta_g) * a
+        eta_h = float(rng.uniform(0.0, TWO_PI))
+        amp, a = fresh_path(geom.tx, geom)
+        h_los = amp * np.exp(1j * eta_h) * a
+        S = geom.num_scatterers
+        gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
+        acc = np.zeros(geom.num_elements, dtype=complex)
+        for gamma, sc in zip(gammas, geom.scatterers):
+            amp, a = fresh_path(sc, geom)
+            acc += gamma * amp * a
+        h = h_los + acc / S
+        r = [labeling.rate(cw, h, g, params) for cw in codewords]
+        c = int(np.argmax(r))
+        features.append(np.concatenate([h.real, h.imag, g.real, g.imag]))
+        labels.append(c)
+        rates.append(r[c])
+    return np.array(features), np.array(labels, dtype=np.int64), np.array(rates)
+
+
+@pytest.mark.parametrize("worker", range(4))
+def test_gen_dataset_matches_per_draw_reference(worker):
+    profile = harness.build_profiles(harness.ExperimentConfig())[worker]
+    seed = np.random.SeedSequence(0, spawn_key=(worker,))
+    ds = labeling.gen_dataset(profile, 50, np.random.default_rng(seed))
+    features, labels, rates = reference_dataset(profile, 50, np.random.default_rng(seed))
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.rates.tobytes() == rates.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from risfed import fed, mlp
 from risfed.fed import (
     TrainConfig,
+    dual_step,
     dual_update,
     local_sgd,
     normalize,
@@ -120,6 +121,22 @@ def test_dual_update_direct_evaluation():
     got = dual_update(0.25, mlp.loss(theta, batch), 5e-3)
     assert got == pytest.approx(0.25 * math.exp(5e-3 * math.log(4.0)), rel=1e-12)
     assert got == pytest.approx(0.251736, abs=1e-5)
+
+
+def test_dual_step_shifts_only_when_exp_would_overflow():
+    lam = np.array([0.25, 0.25, 0.25, 0.25])
+    losses = {0: 1.2, 2: 1.5, 3: 0.9}
+    plain = lam.copy()
+    for n, ell in losses.items():
+        plain[n] = dual_update(0.25, ell, 5e-3)
+    assert dual_step(lam, losses, 5e-3).tobytes() == normalize(plain).tobytes()
+    # exp(1e4 * 1.5) overflows a float; the shifted step keeps the exact limit
+    big = dual_step(lam, losses, 1e4)
+    assert big.tolist() == [0.0, 0.0, 1.0, 0.0]
+    # a zero-weight entry stays zero and does not set the shift
+    out = dual_step(np.array([0.5, 0.0, 0.5, 0.0]), {0: 1.0, 1: 2.0, 2: 1.0 + 1e-3}, 1e4)
+    assert np.all(np.isfinite(out)) and out[1] == 0.0 and out[3] == 0.0
+    assert out[2] == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), rel=1e-12)
 
 
 def test_ps_aggregate_contracts():

@@ -258,6 +258,19 @@ def test_cli_subcommands(tmp_path):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
+def test_cli_train_survives_a_huge_dual_step(tmp_path):
+    out = str(tmp_path / "gamma")
+    assert cli.main(["train", "--out-dir", out, "--set", "K=2", "--set", "J=80",
+                     "--set", "gamma=1e4", "--seed-list", "0"]) == 0
+    header, *rows = open(os.path.join(out, "runs.csv")).read().strip().split("\n")
+    cols = [i for i, name in enumerate(header.split(",")) if name.startswith("lambda_")]
+    assert rows and len(cols) == 4
+    for row in rows:
+        fields = row.split(",")
+        lam = np.array([float(fields[i]) for i in cols])
+        assert np.all(np.isfinite(lam)) and abs(lam.sum() - 1.0) <= 1e-12
+
+
 def test_cli_config_file_and_overrides(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("K = 3\nJ = 120\neval_every = 1\nseeds = 0\n")
