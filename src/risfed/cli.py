@@ -87,8 +87,7 @@ def cmd_diagnose(args) -> int:
     path = os.path.join(config.out_dir, "diagnostics.csv")
     diagnostics.write_diagnostics_csv(trace, bound, path)
     rm = diagnostics.running_mean_trace(trace)
-    later = rm.t > 0  # the t = 0 checkpoint has no place on a log axis
-    slope = diagnostics.fit_loglog_slope(rm.t[later], rm.grad_norm_sq[later])
+    slope = diagnostics.slope_fit(rm)
     print(path)
     print(f"sigma_hat={est.sigma_hat:.4f} nu_hat={est.nu_hat:.4f} L_hat={est.L_hat:.4f} F0={est.F0:.4f}")
     print(f"T={sched.K * sched.tau} bound={bound:.6f} final_running_mean={rm.grad_norm_sq[-1]:.6f} "

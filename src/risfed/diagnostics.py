@@ -191,13 +191,15 @@ def fit_loglog_slope(t: np.ndarray, values: np.ndarray) -> float:
 def slope_fit(trace: ConvergenceTrace) -> float:
     """Log-log decay slope of a (running-mean) gradient-norm trace.
 
-    Requires at least five checkpoints.  The caller passes the statistic it
-    wants fitted; apply :func:`running_mean_trace` first to fit the decay of
-    the averaged trajectory.
+    Requires at least five checkpoints.  The t = 0 checkpoint has no place on
+    a log axis and is left out of the fit.  The caller passes the statistic
+    it wants fitted; apply :func:`running_mean_trace` first to fit the decay
+    of the averaged trajectory.
     """
     if len(trace.t) < 5:
         raise ValueError("need at least five checkpoints")
-    return fit_loglog_slope(trace.t, trace.grad_norm_sq)
+    later = trace.t > 0
+    return fit_loglog_slope(trace.t[later], trace.grad_norm_sq[later])
 
 
 def prescribed_schedule(K: int, N: int, est: TheoryEstimates, m: int | None = None) -> TrainConfig:

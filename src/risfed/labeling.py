@@ -132,7 +132,7 @@ def build_codebook(geom: ScenarioGeometry) -> Codebook:
     phi^c = conj(Omega(a_T, b_T)) * Omega(a_R + offset_c, b_R), renormalized
     to exactly unit modulus.  Deterministic per geometry.
     """
-    _, tx_response = geom.paths[1]  # the cached TX steering vector
+    tx_response = array_response(geom.tx.azimuth, geom.tx.elevation, geom)
     codewords = np.empty((NUM_CLASSES, geom.num_elements), dtype=complex)
     for c, offset_deg in enumerate(CODEBOOK_OFFSETS_DEG):
         steer = array_response(geom.rx.azimuth + math.radians(offset_deg), geom.rx.elevation, geom)

@@ -42,7 +42,8 @@ def test_theorem_bound_sqrt_T_scaling():
 def test_slope_fit_exact_power_laws():
     t = np.arange(1, 40, dtype=float)
     for exponent, expected in ((-0.5, -0.5), (0.0, 0.0), (-1.0, -1.0)):
-        trace = ConvergenceTrace(t=t, grad_norm_sq=3.7 * t ** exponent)
+        # the t = 0 checkpoint is left out of the fit, without a warning
+        trace = ConvergenceTrace(t=np.r_[0.0, t], grad_norm_sq=np.r_[9.0, 3.7 * t ** exponent])
         assert slope_fit(trace) == pytest.approx(expected, abs=1e-6)
 
 
@@ -55,9 +56,10 @@ def test_slope_fit_skips_nonpositive_with_warning():
 
 
 def test_slope_fit_needs_five_checkpoints():
-    trace = ConvergenceTrace(t=np.array([1.0, 2.0, 3.0]), grad_norm_sq=np.ones(3))
-    with pytest.raises(ValueError):
-        slope_fit(trace)
+    for t in (np.array([1.0, 2.0, 3.0]), np.array(round_checkpoints(3), dtype=float)):
+        trace = ConvergenceTrace(t=t, grad_norm_sq=np.ones(len(t)))
+        with pytest.raises(ValueError):
+            slope_fit(trace)
     with pytest.raises(ValueError):
         fit_loglog_slope(np.array([1.0]), np.array([1.0]))
 
