@@ -107,27 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="risfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="synthesize and export worker datasets")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="run the configured algorithms over all seeds")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", help="run the configured hyperparameter sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("diagnose", help="estimate theory constants and trace the gradient norm")
-    _add_common(p)
-    p.add_argument("--probes", type=int, default=150, help="probe count for constant estimation")
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("plot-data", help="emit per-figure mean/SE series from a runs.csv")
-    _add_common(p)
-    p.add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
-    p.set_defaults(func=cmd_plot_data)
+    commands = {}
+    for name, func, help_text in (
+        ("gen-data", cmd_gen_data, "synthesize and export worker datasets"),
+        ("train", cmd_train, "run the configured algorithms over all seeds"),
+        ("sweep", cmd_sweep, "run the configured hyperparameter sweep"),
+        ("diagnose", cmd_diagnose, "estimate theory constants and trace the gradient norm"),
+        ("plot-data", cmd_plot_data, "emit per-figure mean/SE series from a runs.csv"),
+    ):
+        commands[name] = sub.add_parser(name, help=help_text)
+        _add_common(commands[name])
+        commands[name].set_defaults(func=func)
+    commands["diagnose"].add_argument("--probes", type=int, default=150,
+                                      help="probe count for constant estimation")
+    commands["plot-data"].add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
 
     return parser
 

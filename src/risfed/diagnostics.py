@@ -51,17 +51,17 @@ class ConvergenceTrace:
             raise ValueError("grad_norm_sq entries must be nonnegative")
 
 
-def full_batch_grad(theta: mlp.ModelParams, ds: Dataset) -> mlp.ModelParams:
+def full_batch_grad(theta: np.ndarray, ds: Dataset) -> np.ndarray:
     """Gradient of a worker's loss over its entire training split."""
     return mlp.grad(theta, mlp.MiniBatch(inputs=ds.features, labels=ds.labels))
 
 
-def weighted_grad_norm_sq(theta: mlp.ModelParams, lam: np.ndarray, train_sets: list[Dataset]) -> float:
+def weighted_grad_norm_sq(theta: np.ndarray, lam: np.ndarray, train_sets: list[Dataset]) -> float:
     """|| sum_n lambda_n grad l_n(theta) ||^2, full batch per worker."""
     acc = np.zeros(mlp.PARAM_COUNT)
     for n, ds in enumerate(train_sets):
         if lam[n] != 0.0:
-            acc += lam[n] * mlp.to_vector(full_batch_grad(theta, ds))
+            acc += lam[n] * full_batch_grad(theta, ds)
     return float(acc @ acc)
 
 
@@ -120,15 +120,14 @@ def estimate_constants(
         take = min(batch_size, len(ds))
         idx = rng.choice(len(ds), size=take, replace=False)
         batch = mlp.MiniBatch(inputs=ds.features[idx], labels=ds.labels[idx])
-        g_stoch = mlp.to_vector(mlp.grad(theta, batch))
-        g_full = mlp.to_vector(full_batch_grad(theta, ds))
+        g_stoch = mlp.grad(theta, batch)
+        g_full = full_batch_grad(theta, ds)
         sigma_hat = max(sigma_hat, float(np.linalg.norm(g_stoch)))
         nu_hat = max(nu_hat, float(np.linalg.norm(g_stoch - g_full)))
         if i % 5 == 0:
-            vec = mlp.to_vector(theta)
-            delta = rng.standard_normal(vec.size)
-            delta *= pair_scale * np.linalg.norm(vec) / np.linalg.norm(delta)
-            g_full2 = mlp.to_vector(full_batch_grad(mlp.from_vector(vec + delta), ds))
+            delta = rng.standard_normal(theta.size)
+            delta *= pair_scale * np.linalg.norm(theta) / np.linalg.norm(delta)
+            g_full2 = full_batch_grad(theta + delta, ds)
             L_hat = max(L_hat, float(np.linalg.norm(g_full2 - g_full) / np.linalg.norm(delta)))
     return TheoryEstimates(sigma_hat=sigma_hat, nu_hat=nu_hat, L_hat=L_hat, F0=F0)
 

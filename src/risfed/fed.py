@@ -68,10 +68,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.N:
             raise ValueError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if self.tau < 1 or self.K < 1 or self.B < 1:
             raise ValueError("tau, K and B must be >= 1")
         if self.algorithm not in ALGORITHMS:
@@ -103,9 +103,9 @@ class RunResult:
     seed: int
     config: TrainConfig
     round_logs: list[RoundLog]
-    final_theta: mlp.ModelParams
+    final_theta: np.ndarray
     lambda_history: np.ndarray
-    theta_checkpoints: dict[int, mlp.ModelParams]
+    theta_checkpoints: dict[int, np.ndarray]
     dual_loss_history: list[dict[int, float]]
     communication_rounds_consumed: int
 
@@ -152,14 +152,14 @@ def sample_workers(lam: np.ndarray, m: int, rng: np.random.Generator) -> np.ndar
 
 def local_sgd(
     dataset: Dataset,
-    theta0: mlp.ModelParams,
+    theta0: np.ndarray,
     lambda_n: float,
     tau: int,
     alpha: float,
     B: int,
     rng: np.random.Generator,
     snapshot_at: int | None = None,
-) -> tuple[mlp.ModelParams, mlp.ModelParams | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run tau SGD steps theta <- theta - alpha * lambda_n * grad(theta; batch).
 
     Batches are uniform with replacement from the worker's training split.
@@ -209,7 +209,7 @@ def dual_step(lam: np.ndarray, losses: dict[int, float], gamma: float) -> np.nda
     return normalize(new_lam)
 
 
-def ps_aggregate(theta_list: list[mlp.ModelParams]) -> mlp.ModelParams:
+def ps_aggregate(theta_list: list[np.ndarray]) -> np.ndarray:
     """Unweighted mean of the sampled workers' models."""
     return mlp.average(theta_list)
 
@@ -256,7 +256,7 @@ def _run(
     lam = np.full(config.N, 1.0 / config.N)
     lambda_history = np.empty((config.K + 1, config.N))
     lambda_history[0] = lam
-    theta_checkpoints: dict[int, mlp.ModelParams] = {}
+    theta_checkpoints: dict[int, np.ndarray] = {}
     dual_loss_history: list[dict[int, float]] = []
     round_logs: list[RoundLog] = []
     comm = 0
@@ -268,7 +268,7 @@ def _run(
         sampled = sample_workers(lam, config.m, _substream(seed, _SERVER, k))
         snapshot_at = int(_substream(seed, _SNAPSHOT, k).integers(0, config.tau)) if at_snapshot else None
 
-        thetas: list[mlp.ModelParams] = []
+        thetas: list[np.ndarray] = []
         dual_losses: dict[int, float] = {}
         for n in sampled:  # ascending order; each worker owns its substreams
             n = int(n)

@@ -19,7 +19,8 @@ import numpy as np
 from . import diagnostics, fed
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult, TrainConfig
-from .labeling import Dataset, RateParams, WorkerProfile, gen_dataset, save_dataset, split
+from .labeling import (FEATURE_DIM, Dataset, RateParams, WorkerProfile, gen_dataset, save_dataset, split,
+                       train_count)
 
 SWEEP_AXES = ("none", "tau", "B", "m")
 
@@ -77,12 +78,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check_numbers(self)
         self.train_config()  # reuse its hyperparameter validation
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.J < 1:
-            raise ValueError("J must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+        for key in _POSITIVE_KEYS:
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
+        for key in ("scatter_cone_deg", "profile_seed", "dataset_seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        if self.ris_rows * self.ris_cols != FEATURE_DIM // 4:
+            raise ValueError(f"ris_rows x ris_cols must be {FEATURE_DIM // 4} (the {FEATURE_DIM} features are "
+                             f"h and g), got {self.ris_rows}x{self.ris_cols}")
+        if not -1.0 < self.scatter_extra_lo <= self.scatter_extra_hi:
+            raise ValueError(f"need -1 < scatter_extra_lo <= scatter_extra_hi, got "
+                             f"{self.scatter_extra_lo!r} and {self.scatter_extra_hi!r}")
+        train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if any(v <= 0 for v in self.sweep_values):
@@ -104,15 +112,17 @@ class ExperimentConfig:
         )
 
 
-_LIST_FIELDS = {"algorithms": str, "seeds": int, "spacings": float, "sweep_values": float}
+_POSITIVE_KEYS = ("eval_every", "J", "ris_rows", "ris_cols", "n_scatterers",
+                  "wavelength", "bandwidth", "tx_power", "noise_psd")
+_LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float, "sweep_values": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _check_numbers(config: ExperimentConfig) -> None:
     """Reject non-finite values of float keys and non-integers in int keys."""
     for key, ftype in _FIELD_TYPES.items():
-        kind = _LIST_FIELDS.get(key) or {"int": int, "float": float}.get(ftype)
-        values = getattr(config, key) if key in _LIST_FIELDS else (getattr(config, key),)
+        kind = _LIST_KEYS.get(key) or {"int": int, "float": float}.get(ftype)
+        values = getattr(config, key) if key in _LIST_KEYS else (getattr(config, key),)
         for v in values:
             if kind is float and not math.isfinite(v):
                 raise ValueError(f"{key} must be finite, got {v!r}")
@@ -121,8 +131,8 @@ def _check_numbers(config: ExperimentConfig) -> None:
 
 
 def _parse_value(key: str, text: str):
-    if key in _LIST_FIELDS:
-        conv = _LIST_FIELDS[key]
+    if key in _LIST_KEYS:
+        conv = _LIST_KEYS[key]
         items = [s.strip() for s in text.split(",") if s.strip()]
         return tuple(conv(s) for s in items)
     ftype = _FIELD_TYPES[key]

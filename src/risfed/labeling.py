@@ -194,16 +194,21 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
     return Dataset(worker_id=profile.worker_id, features=features, labels=labels, rates=rates)
 
 
+def train_count(J: int, ratio: float) -> int:
+    """Rows of a J-row dataset that :func:`split` puts in the training part;
+    ``ratio`` (the train_fraction key) must leave both parts nonempty."""
+    n_train = int(round(J * ratio))
+    if not 0.0 < ratio < 1.0 or n_train in (0, J):
+        raise ValueError(f"train_fraction={ratio!r} must split J={J} rows into nonempty train and test parts")
+    return n_train
+
+
 def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Seeded shuffle, partition at ``ratio``, then standardize both parts
     with statistics fitted on the training part alone."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
     J = len(ds)
+    n_train = train_count(J, ratio)
     order = rng.permutation(J)
-    n_train = int(round(J * ratio))
-    if n_train == 0 or n_train == J:
-        raise ValueError(f"ratio {ratio} leaves an empty split for J={J}")
     tr, te = order[:n_train], order[n_train:]
     scaler = fit_scaler(ds.features[tr])
     make = lambda idx: Dataset(

@@ -8,7 +8,7 @@ from . import mlp
 from .labeling import Dataset
 
 
-def per_worker_accuracy(theta: mlp.ModelParams, test_sets: list[Dataset]) -> np.ndarray:
+def per_worker_accuracy(theta: np.ndarray, test_sets: list[Dataset]) -> np.ndarray:
     """Percent of correctly classified samples on each worker's test split."""
     accs = np.empty(len(test_sets))
     for i, ds in enumerate(test_sets):

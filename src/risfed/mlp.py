@@ -1,12 +1,17 @@
 """A 400-64-32-4 multilayer perceptron with hand-written backprop.
 
+The parameters theta, and every gradient, are one contiguous float64 vector
+in checkpoint order W1, b1, W2, b2, W3, b3 (each row-major); W_l maps layer
+l-1 activations to layer l, and :func:`layers` gives the blocks as views.
 ReLU hidden layers, softmax output, mean cross-entropy (natural log) loss.
-Everything is double precision and purely functional: forward/loss/grad
-never mutate their inputs, so callers may evaluate batches concurrently.
+Everything is double precision and purely functional: nothing updates a
+theta in place, so a theta a caller holds (a checkpoint) never changes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -17,19 +22,10 @@ LAYER_SIZES = (400, 64, 32, 4)
 PARAM_COUNT = 27_876
 PROB_FLOOR = 1e-15
 
-_FIELDS = ("W1", "b1", "W2", "b2", "W3", "b3")
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Weights and biases; W_l maps layer l-1 activations to layer l."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
+# (slice of theta, shape) of W1, b1, W2, b2, W3, b3, with Python-int bounds
+_SHAPES = [s for d_in, d_out in zip(LAYER_SIZES, LAYER_SIZES[1:]) for s in ((d_out, d_in), (d_out,))]
+_OFFSETS = [0, *itertools.accumulate(math.prod(s) for s in _SHAPES)]
+_BLOCKS = [(slice(a, b), s) for a, b, s in zip(_OFFSETS, _OFFSETS[1:], _SHAPES)]
 
 
 @dataclass(frozen=True)
@@ -44,102 +40,97 @@ class MiniBatch:
             raise ValueError("batch needs matching, nonempty inputs and labels")
 
 
-def shapes() -> list[tuple[int, ...]]:
-    d0, d1, d2, d3 = LAYER_SIZES
-    return [(d1, d0), (d1,), (d2, d1), (d2,), (d3, d2), (d3,)]
+def layers(theta: np.ndarray) -> list[np.ndarray]:
+    """[W1, b1, W2, b2, W3, b3] as reshaped views of theta: writing a view
+    writes theta."""
+    return [theta[s].reshape(shape) for s, shape in _BLOCKS]
 
 
-def init(rng: np.random.Generator) -> ModelParams:
-    """He-normal weights (sd = sqrt(2 / fan_in)), zero biases."""
-    d0, d1, d2, d3 = LAYER_SIZES
-    return ModelParams(
-        W1=rng.standard_normal((d1, d0)) * np.sqrt(2.0 / d0),
-        b1=np.zeros(d1),
-        W2=rng.standard_normal((d2, d1)) * np.sqrt(2.0 / d1),
-        b2=np.zeros(d2),
-        W3=rng.standard_normal((d3, d2)) * np.sqrt(2.0 / d2),
-        b3=np.zeros(d3),
-    )
+def init(rng: np.random.Generator) -> np.ndarray:
+    """He-normal weights (sd = sqrt(2 / fan_in)), zero biases; W1, W2, W3
+    are drawn in that order."""
+    theta = np.zeros(PARAM_COUNT)
+    for W in layers(theta)[::2]:
+        W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[1])
+    return theta
 
 
-def _forward_pass(params: ModelParams, x: np.ndarray):
-    z1 = x @ params.W1.T + params.b1
+def _forward_pass(views: list[np.ndarray], x: np.ndarray):
+    W1, b1, W2, b2, W3, b3 = views
+    z1 = x @ W1.T + b1
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.W2.T + params.b2
+    z2 = a1 @ W2.T + b2
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ params.W3.T + params.b3
+    z3 = a2 @ W3.T + b3
     z3 = z3 - z3.max(axis=-1, keepdims=True)
     e = np.exp(z3)
     probs = e / e.sum(axis=-1, keepdims=True)
     return z1, a1, z2, a2, probs
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a single input (400,) or a batch (B, 400)."""
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    probs = _forward_pass(params, X)[-1]
-    return probs[0] if single else probs
+    probs = _forward_pass(layers(theta), np.atleast_2d(x))[-1]
+    return probs[0] if x.ndim == 1 else probs
 
 
-def loss(params: ModelParams, batch: MiniBatch) -> float:
+def loss(theta: np.ndarray, batch: MiniBatch) -> float:
     """Mean cross-entropy -ln p_label; probabilities floored at 1e-15."""
-    probs = _forward_pass(params, batch.inputs)[-1]
+    probs = _forward_pass(layers(theta), batch.inputs)[-1]
     picked = probs[np.arange(len(batch.labels)), batch.labels]
     return float(-np.mean(np.log(np.clip(picked, PROB_FLOOR, 1.0))))
 
 
-def grad(params: ModelParams, batch: MiniBatch) -> ModelParams:
-    """Backprop gradient of :func:`loss`; ReLU subgradient at 0 taken as 0."""
+def grad(theta: np.ndarray, batch: MiniBatch) -> np.ndarray:
+    """Backprop gradient of :func:`loss`, laid out like theta; ReLU
+    subgradient at 0 taken as 0."""
     X, y = batch.inputs, batch.labels
     B = len(y)
-    z1, a1, z2, a2, probs = _forward_pass(params, X)
-    delta3 = probs.copy()
+    views = layers(theta)
+    W2, W3 = views[2], views[4]
+    z1, a1, z2, a2, delta3 = _forward_pass(views, X)
+    g = np.empty(PARAM_COUNT)
+    gW1, gb1, gW2, gb2, gW3, gb3 = layers(g)
     delta3[np.arange(B), y] -= 1.0
     delta3 /= B
-    gW3 = delta3.T @ a2
-    gb3 = delta3.sum(axis=0)
-    delta2 = (delta3 @ params.W3) * (z2 > 0.0)
-    gW2 = delta2.T @ a1
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ params.W2) * (z1 > 0.0)
-    gW1 = delta1.T @ X
-    gb1 = delta1.sum(axis=0)
-    return ModelParams(W1=gW1, b1=gb1, W2=gW2, b2=gb2, W3=gW3, b3=gb3)
+    np.matmul(delta3.T, a2, out=gW3)
+    delta3.sum(axis=0, out=gb3)
+    delta2 = (delta3 @ W3) * (z2 > 0.0)
+    np.matmul(delta2.T, a1, out=gW2)
+    delta2.sum(axis=0, out=gb2)
+    delta1 = (delta2 @ W2) * (z1 > 0.0)
+    np.matmul(delta1.T, X, out=gW1)
+    delta1.sum(axis=0, out=gb1)
+    return g
 
 
-def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def predict(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Argmax class indices for a batch of inputs."""
-    return np.argmax(forward(params, x), axis=-1)
+    return np.argmax(forward(theta, x), axis=-1)
 
 
-def add_scaled(p: ModelParams, q: ModelParams, coeff: float) -> ModelParams:
-    """p + coeff * q, elementwise over every parameter array."""
-    return ModelParams(*(getattr(p, f) + coeff * getattr(q, f) for f in _FIELDS))
+def add_scaled(p: np.ndarray, q: np.ndarray, coeff: float) -> np.ndarray:
+    """p + coeff * q, as a new vector."""
+    return p + coeff * q
 
 
-def average(params_list: list[ModelParams]) -> ModelParams:
-    """Unweighted mean of a nonempty list of parameter sets."""
-    if not params_list:
+def average(thetas: list[np.ndarray]) -> np.ndarray:
+    """Unweighted mean of a nonempty list of parameter vectors."""
+    if not thetas:
         raise ValueError("cannot average an empty list")
-    n = len(params_list)
-    return ModelParams(*(sum(getattr(p, f) for p in params_list) / n for f in _FIELDS))
+    return sum(thetas) / len(thetas)
 
 
-def to_vector(params: ModelParams) -> np.ndarray:
-    """Flatten to the canonical order W1, b1, W2, b2, W3, b3 (row-major)."""
-    return np.concatenate([getattr(params, f).ravel() for f in _FIELDS])
+def to_vector(theta: np.ndarray) -> np.ndarray:
+    """The canonical flat form, which theta already is: returned unchanged."""
+    return theta
 
 
-def from_vector(vec: np.ndarray) -> ModelParams:
+def from_vector(vec: np.ndarray) -> np.ndarray:
+    """A float64 copy of a PARAM_COUNT-element vector, as a theta."""
     if vec.size != PARAM_COUNT:
         raise ValueError(f"expected {PARAM_COUNT} values, got {vec.size}")
-    out, offset = [], 0
-    for shape in shapes():
-        n = int(np.prod(shape))
-        out.append(vec[offset : offset + n].reshape(shape).copy())
-        offset += n
-    return ModelParams(*out)
+    return np.array(vec, dtype=np.float64).reshape(PARAM_COUNT)
 
 
 # Checkpoint format: one ASCII header line, then PARAM_COUNT little-endian
@@ -147,13 +138,13 @@ def from_vector(vec: np.ndarray) -> ModelParams:
 _CKPT_HEADER = f"risfed-mlp-v1 layers={','.join(map(str, LAYER_SIZES))} dtype=<f8 count={PARAM_COUNT}\n"
 
 
-def save_params(params: ModelParams, path: str) -> None:
+def save_params(theta: np.ndarray, path: str) -> None:
     with open(path, "wb") as f:
         f.write(_CKPT_HEADER.encode("ascii"))
-        f.write(to_vector(params).astype("<f8").tobytes())
+        f.write(to_vector(theta).astype("<f8").tobytes())
 
 
-def load_params(path: str) -> ModelParams:
+def load_params(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         header = f.readline().decode("ascii")
         if header != _CKPT_HEADER:
@@ -162,4 +153,4 @@ def load_params(path: str) -> ModelParams:
     expected = PARAM_COUNT * struct.calcsize("<d")
     if len(payload) != expected:
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, expected {expected}")
-    return from_vector(np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    return from_vector(np.frombuffer(payload, dtype="<f8"))

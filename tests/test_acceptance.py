@@ -91,13 +91,12 @@ def test_c01_gradient_correctness(tiny_fleet):
         params = mlp.init(rng)
         inputs = rng.standard_normal((rng.integers(2, 16), 400))
         batch = mlp.MiniBatch(inputs, rng.integers(0, 4, len(inputs)))
-        analytic = mlp.to_vector(mlp.grad(params, batch))
-        vec = mlp.to_vector(params)
-        for c in rng.choice(vec.size, size=20, replace=False):
-            plus, minus = vec.copy(), vec.copy()
+        analytic = mlp.grad(params, batch)
+        for c in rng.choice(params.size, size=20, replace=False):
+            plus, minus = params.copy(), params.copy()
             plus[c] += step
             minus[c] -= step
-            fd = (mlp.loss(mlp.from_vector(plus), batch) - mlp.loss(mlp.from_vector(minus), batch)) / (2 * step)
+            fd = (mlp.loss(plus, batch) - mlp.loss(minus, batch)) / (2 * step)
             denom = max(abs(fd), abs(analytic[c]), 1e-8)
             worst = max(worst, abs(fd - analytic[c]) / denom)
     elapsed = time.perf_counter() - t0
@@ -116,7 +115,7 @@ def test_c02_reduction_equivalence(config, cache):
     rf = fed.run_fgdra(cfg_f, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
     ra = fed.run_fedavg(cfg_a, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
     drift = sum(
-        float(np.linalg.norm(mlp.to_vector(rf.theta_checkpoints[k]) - mlp.to_vector(ra.theta_checkpoints[k])))
+        float(np.linalg.norm(rf.theta_checkpoints[k] - ra.theta_checkpoints[k]))
         for k in range(101)
     )
     elapsed = time.perf_counter() - t0

@@ -84,7 +84,7 @@ def test_grad_norm_trace_single_worker_oracle(tiny_fleet):
                            checkpoint_rounds={0, 3, 6})
     trace = grad_norm_trace(result, train_sets[:1], [0, 3, 6])
     for i, k in enumerate([0, 3, 6]):
-        g = mlp.to_vector(full_batch_grad(result.theta_checkpoints[k], train_sets[0]))
+        g = full_batch_grad(result.theta_checkpoints[k], train_sets[0])
         assert trace.grad_norm_sq[i] == pytest.approx(float(g @ g), rel=1e-12)
     assert trace.t.tolist() == [0, 9, 18]
 
@@ -95,7 +95,7 @@ def test_grad_norm_trace_recomposition(tiny_fleet):
     lam = np.array([0.4, 0.3, 0.2, 0.1])
     manual = np.zeros(mlp.PARAM_COUNT)
     for n in range(4):
-        manual += lam[n] * mlp.to_vector(full_batch_grad(theta, train_sets[n]))
+        manual += lam[n] * full_batch_grad(theta, train_sets[n])
     assert weighted_grad_norm_sq(theta, lam, train_sets) == pytest.approx(float(manual @ manual), rel=1e-12)
 
 

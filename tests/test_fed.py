@@ -30,6 +30,11 @@ def test_train_config_validation():
         TrainConfig(algorithm="sgd")
     with pytest.raises(ValueError):
         TrainConfig(seeds=())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha=bad)
+        with pytest.raises(ValueError, match="gamma"):
+            TrainConfig(gamma=bad)
     TrainConfig(gamma=0.0)  # gamma=0 admitted for the reduction checks
 
 
@@ -67,7 +72,7 @@ def test_local_sgd_zero_weight_is_identity(tiny_fleet):
     train_sets, _ = tiny_fleet
     theta0 = mlp.init(np.random.default_rng(3))
     theta, _ = local_sgd(train_sets[0], theta0, 0.0, 5, 2e-3, 10, np.random.default_rng(4))
-    assert mlp.to_vector(theta).tobytes() == mlp.to_vector(theta0).tobytes()
+    assert theta.tobytes() == theta0.tobytes()
 
 
 def test_local_sgd_single_step_oracle(tiny_fleet):
@@ -80,7 +85,7 @@ def test_local_sgd_single_step_oracle(tiny_fleet):
     idx = np.random.default_rng(6).integers(0, len(ds), size=B)
     batch = mlp.MiniBatch(ds.features[idx], ds.labels[idx])
     expected = mlp.add_scaled(theta0, mlp.grad(theta0, batch), -alpha * lam_n)
-    assert np.max(np.abs(mlp.to_vector(theta) - mlp.to_vector(expected))) <= 1e-15
+    assert np.max(np.abs(theta - expected)) <= 1e-15
 
 
 def test_local_sgd_product_invariance(tiny_fleet):
@@ -89,7 +94,7 @@ def test_local_sgd_product_invariance(tiny_fleet):
     theta0 = mlp.init(np.random.default_rng(7))
     a = local_sgd(ds, theta0, 0.5, 4, 4e-3, 8, np.random.default_rng(8))[0]
     b = local_sgd(ds, theta0, 1.0, 4, 2e-3, 8, np.random.default_rng(8))[0]
-    assert mlp.to_vector(a).tobytes() == mlp.to_vector(b).tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_local_sgd_snapshot_is_pre_step_iterate(tiny_fleet):
@@ -97,10 +102,10 @@ def test_local_sgd_snapshot_is_pre_step_iterate(tiny_fleet):
     ds = train_sets[0]
     theta0 = mlp.init(np.random.default_rng(9))
     _, snap0 = local_sgd(ds, theta0, 1.0, 3, 1e-3, 8, np.random.default_rng(10), snapshot_at=0)
-    assert mlp.to_vector(snap0).tobytes() == mlp.to_vector(theta0).tobytes()
+    assert snap0.tobytes() == theta0.tobytes()
     one_step, _ = local_sgd(ds, theta0, 1.0, 1, 1e-3, 8, np.random.default_rng(10))
     _, snap1 = local_sgd(ds, theta0, 1.0, 3, 1e-3, 8, np.random.default_rng(10), snapshot_at=1)
-    assert mlp.to_vector(snap1).tobytes() == mlp.to_vector(one_step).tobytes()
+    assert snap1.tobytes() == one_step.tobytes()
 
 
 def test_dual_update_gamma_zero_and_absorbing():
@@ -112,10 +117,7 @@ def test_dual_update_gamma_zero_and_absorbing():
 
 def test_dual_update_direct_evaluation():
     # zero params give exactly ln(4) loss, so the factor is exp(gamma ln 4)
-    theta = mlp.ModelParams(
-        W1=np.zeros((64, 400)), b1=np.zeros(64), W2=np.zeros((32, 64)),
-        b2=np.zeros(32), W3=np.zeros((4, 32)), b3=np.zeros(4),
-    )
+    theta = np.zeros(mlp.PARAM_COUNT)
     batch = mlp.MiniBatch(inputs=np.random.default_rng(0).standard_normal((10, 400)),
                           labels=np.random.default_rng(1).integers(0, 4, 10))
     got = dual_update(0.25, mlp.loss(theta, batch), 5e-3)
@@ -142,11 +144,11 @@ def test_dual_step_shifts_only_when_exp_would_overflow():
 def test_ps_aggregate_contracts():
     rng = np.random.default_rng(12)
     p = mlp.init(rng)
-    assert mlp.to_vector(ps_aggregate([p])).tobytes() == mlp.to_vector(p).tobytes()
+    assert ps_aggregate([p]).tobytes() == p.tobytes()
     same = ps_aggregate([p, p, p])
-    assert np.allclose(mlp.to_vector(same), mlp.to_vector(p))
+    assert np.allclose(same, p)
     neg = mlp.add_scaled(p, p, -2.0)
-    assert np.allclose(mlp.to_vector(ps_aggregate([p, neg])), 0.0, atol=1e-18)
+    assert np.allclose(ps_aggregate([p, neg]), 0.0, atol=1e-18)
     with pytest.raises(ValueError):
         ps_aggregate([])
 
@@ -186,7 +188,7 @@ def test_fgdra_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
     cfg_a = TrainConfig(N=4, m=4, K=25, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("fgdra", "fedavg", cfg_f, cfg_a, tiny_fleet)
     drift = sum(
-        float(np.linalg.norm(mlp.to_vector(ra.theta_checkpoints[k]) - mlp.to_vector(rb.theta_checkpoints[k])))
+        float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
         for k in range(26)
     )
     assert drift <= 1e-9
@@ -197,7 +199,7 @@ def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
     cfg_a = TrainConfig(N=4, m=3, K=20, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("drfa", "fedavg", cfg_d, cfg_a, tiny_fleet)
     drift = sum(
-        float(np.linalg.norm(mlp.to_vector(ra.theta_checkpoints[k]) - mlp.to_vector(rb.theta_checkpoints[k])))
+        float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
         for k in range(21)
     )
     assert drift <= 1e-9
@@ -213,7 +215,7 @@ def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
         theta, _ = local_sgd(train_sets[0], theta, 1.0, cfg.tau, cfg.alpha, cfg.B,
                              fed._substream(5, 2, 0, k))
         theta = ps_aggregate([theta])
-    assert mlp.to_vector(result.final_theta).tobytes() == mlp.to_vector(theta).tobytes()
+    assert result.final_theta.tobytes() == theta.tobytes()
     assert np.allclose(result.lambda_history, 1.0)
 
 
@@ -228,9 +230,9 @@ def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
     for n in range(4):
         idx = fed._substream(2, 2, n, 0).integers(0, len(train_sets[n]), size=J)
         batch = mlp.MiniBatch(train_sets[n].features[idx], train_sets[n].labels[idx])
-        grads.append(mlp.to_vector(mlp.grad(theta0, batch)))
-    expected = mlp.to_vector(theta0) - (cfg.alpha / 4) * np.sum(grads, axis=0)
-    assert np.max(np.abs(mlp.to_vector(result.theta_checkpoints[1]) - expected)) <= 1e-12
+        grads.append(mlp.grad(theta0, batch))
+    expected = theta0 - (cfg.alpha / 4) * np.sum(grads, axis=0)
+    assert np.max(np.abs(result.theta_checkpoints[1] - expected)) <= 1e-12
 
 
 def test_fedavg_logs_uniform_lambda(tiny_fleet):
@@ -304,7 +306,7 @@ def test_run_reproducibility(tiny_fleet):
     r1 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
     r2 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
     assert r1.lambda_history.tobytes() == r2.lambda_history.tobytes()
-    assert mlp.to_vector(r1.final_theta).tobytes() == mlp.to_vector(r2.final_theta).tobytes()
+    assert r1.final_theta.tobytes() == r2.final_theta.tobytes()
     assert [l.avg_acc for l in r1.round_logs] == [l.avg_acc for l in r2.round_logs]
 
 

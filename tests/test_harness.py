@@ -4,9 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from risfed import cli, harness, metrics, mlp
+from risfed import cli, fed, harness, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides, parse_config, serialize_config
 from risfed.labeling import Dataset
 
@@ -25,8 +25,7 @@ def constant_label_dataset(worker_id, frac_zero, n=50):
 
 
 def zero_model():
-    return mlp.ModelParams(W1=np.zeros((64, 400)), b1=np.zeros(64), W2=np.zeros((32, 64)),
-                           b2=np.zeros(32), W3=np.zeros((4, 32)), b3=np.zeros(4))
+    return np.zeros(mlp.PARAM_COUNT)
 
 
 def test_per_worker_accuracy_hand_case():
@@ -131,6 +130,26 @@ def test_build_profiles_design():
     ({"sweep_axis": "m", "sweep_values": (2.0, 9.0)}, "sweep_values"),
     ({"N": 5}, "spacings"),
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
+    ({"J": 1}, "train_fraction"),
+    ({"J": 2}, "train_fraction"),
+    ({"J": 50, "train_fraction": 0.99}, "train_fraction"),
+    ({"ris_rows": 5}, "ris_rows x ris_cols"),
+    ({"ris_cols": 20}, "ris_rows x ris_cols"),
+    ({"ris_rows": -10, "ris_cols": -10}, "ris_rows"),
+    ({"ris_rows": 0}, "ris_rows"),
+    ({"n_scatterers": 0}, "n_scatterers"),
+    ({"n_scatterers": -2}, "n_scatterers"),
+    ({"scatter_extra_lo": 0.4}, "scatter_extra_lo"),
+    ({"scatter_extra_lo": -1.0, "scatter_extra_hi": 0.3}, "scatter_extra_lo"),
+    ({"scatter_cone_deg": -1.0}, "scatter_cone_deg"),
+    ({"bandwidth": 0.0}, "bandwidth"),
+    ({"tx_power": -0.5}, "tx_power"),
+    ({"noise_psd": 0.0}, "noise_psd"),
+    ({"wavelength": 0.0}, "wavelength"),
+    ({"wavelength": -0.01}, "wavelength"),
+    ({"profile_seed": -1}, "profile_seed"),
+    ({"dataset_seed": -1}, "dataset_seed"),
+    ({"eval_every": 0}, "eval_every"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -146,6 +165,77 @@ def test_alias_geometry_rejected_at_config_or_buildable(N, spacings):
         assert "spacings" in str(exc) and f"N={N}" in str(exc)
         return
     assert len(harness.build_profiles(cfg)) == N
+
+
+GRID_ROWS = [1, 2, 4, 5, 10, 20, 25, 50, 100]  # divisors of the 100-element grid
+VALID = {
+    "J": st.integers(2, 40),
+    "train_fraction": st.floats(0.05, 0.95),
+    "n_scatterers": st.integers(1, 6),
+    "scatter_extra_lo": st.floats(-0.9, 0.5),
+    "scatter_extra_hi": st.floats(0.5, 2.0),
+    "scatter_cone_deg": st.floats(0.0, 90.0),
+    "bandwidth": st.floats(1e5, 1e9),
+    "tx_power": st.floats(1e-3, 10.0),
+    "noise_psd": st.floats(1e-22, 1e-18),
+    "wavelength": st.floats(1e-3, 0.1),
+    "profile_seed": st.integers(0, 10_000),
+    "dataset_seed": st.integers(0, 10_000),
+}
+INVALID = {
+    "J": st.integers(-2, 1),
+    "train_fraction": st.sampled_from([-0.3, 0.0, 0.99, 1.0, 1.5]),
+    "ris_rows": st.sampled_from([-10, 0, 3, 7, 30]),
+    "ris_cols": st.sampled_from([-10, 0, 3, 7, 30]),
+    "n_scatterers": st.integers(-3, 0),
+    "scatter_extra_lo": st.sampled_from([-5.0, -1.0, 2.5]),
+    "scatter_cone_deg": st.floats(-90.0, -1e-6),
+    "bandwidth": st.floats(-1e7, 0.0),
+    "tx_power": st.floats(-1.0, 0.0),
+    "noise_psd": st.floats(-1e-20, 0.0),
+    "wavelength": st.floats(-0.1, 0.0),
+    "profile_seed": st.integers(-100, -1),
+    "dataset_seed": st.integers(-100, -1),
+}
+
+
+@st.composite
+def config_overrides(draw):
+    """Valid values for every key, then at most two keys set invalid."""
+    N = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from(GRID_ROWS))
+    overrides = {"N": N, "m": draw(st.integers(1, N)), "ris_rows": rows, "ris_cols": 100 // rows,
+                 # worker 0's spacing is the smallest, so every worker can alias to it
+                 "spacings": (0.125, *draw(st.lists(st.floats(0.15, 2.0), min_size=N - 1, max_size=N - 1)))}
+    overrides.update({key: draw(strategy) for key, strategy in VALID.items()})
+    bad = draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=2, unique=True))
+    overrides.update({key: draw(INVALID[key]) for key in bad})
+    return overrides, bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_overrides())
+def test_parsed_configs_build_and_run_one_round(drawn):
+    # every config is either refused at construction, naming a key it sets
+    # wrong, or synthesizes its data and trains one fgdra round to finite
+    # outputs
+    overrides, bad = drawn
+    try:
+        cfg = ExperimentConfig(K=1, seeds=(0,), algorithms=("fgdra",), **overrides)
+    except ValueError as exc:
+        J, fraction = overrides["J"], overrides["train_fraction"]
+        culprits = set(bad) | ({"train_fraction"} if J >= 1 and round(J * fraction) in (0, J) else set())
+        assert any(key in str(exc) for key in culprits), str(exc)
+        event("refused")
+        return
+    assert not bad
+    event("ran")
+    train_sets, test_sets, _ = harness.generate_data(cfg)
+    result = fed.run_fgdra(cfg.train_config(), train_sets, test_sets, eval_every=1)
+    acc = result.round_logs[-1].per_worker_acc
+    assert acc.shape == (cfg.N,) and np.all((0.0 <= acc) & (acc <= 100.0))
+    lam = result.lambda_history[-1]
+    assert np.all(np.isfinite(lam)) and abs(lam.sum() - 1.0) <= 1e-12
 
 
 def test_run_experiment_row_count_and_rerun_identical(tmp_path):

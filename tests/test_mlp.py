@@ -1,18 +1,17 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risfed import mlp
+from risfed import fed, mlp
+
+LAYER_SHAPES = [(64, 400), (64,), (32, 64), (32,), (4, 32), (4,)]
 
 
 def zero_params():
-    return mlp.ModelParams(
-        W1=np.zeros((64, 400)), b1=np.zeros(64),
-        W2=np.zeros((32, 64)), b2=np.zeros(32),
-        W3=np.zeros((4, 32)), b3=np.zeros(4),
-    )
+    return np.zeros(mlp.PARAM_COUNT)
 
 
 def random_batch(rng, B=8):
@@ -21,20 +20,21 @@ def random_batch(rng, B=8):
 
 def test_param_count():
     params = mlp.init(np.random.default_rng(0))
-    assert mlp.to_vector(params).size == mlp.PARAM_COUNT == 27_876
+    assert params.shape == (mlp.PARAM_COUNT,) and mlp.PARAM_COUNT == 27_876
+    assert params.dtype == np.float64 and params.flags.c_contiguous
 
 
 def test_init_biases_zero_and_seeded():
     p1 = mlp.init(np.random.default_rng(5))
     p2 = mlp.init(np.random.default_rng(5))
-    for b in (p1.b1, p1.b2, p1.b3):
+    for b in mlp.layers(p1)[1::2]:
         assert np.all(b == 0)
-    assert mlp.to_vector(p1).tobytes() == mlp.to_vector(p2).tobytes()
+    assert p1.tobytes() == p2.tobytes()
 
 
 def test_init_he_scale():
     p = mlp.init(np.random.default_rng(6))
-    assert p.W1.std() == pytest.approx(math.sqrt(2.0 / 400), rel=0.05)
+    assert mlp.layers(p)[0].std() == pytest.approx(math.sqrt(2.0 / 400), rel=0.05)
 
 
 def test_forward_zero_params_uniform():
@@ -56,7 +56,8 @@ def test_softmax_shift_invariance_via_b3():
     params = mlp.init(rng)
     x = rng.standard_normal(400)
     base = mlp.forward(params, x)
-    shifted = mlp.ModelParams(params.W1, params.b1, params.W2, params.b2, params.W3, params.b3 + 7.5)
+    shifted = params.copy()
+    mlp.layers(shifted)[5][:] += 7.5
     assert np.allclose(mlp.forward(shifted, x), base, atol=1e-12)
 
 
@@ -67,9 +68,8 @@ def test_loss_uniform_is_ln4():
 
 
 def test_loss_perfect_prediction_near_zero():
-    params = zero_params()
-    boosted = mlp.ModelParams(params.W1, params.b1, params.W2, params.b2, params.W3,
-                              np.array([200.0, -200.0, -200.0, -200.0]))
+    boosted = zero_params()
+    mlp.layers(boosted)[5][:] = [200.0, -200.0, -200.0, -200.0]
     batch = mlp.MiniBatch(inputs=np.zeros((4, 400)), labels=np.zeros(4, dtype=np.int64))
     assert mlp.loss(boosted, batch) == pytest.approx(0.0, abs=1e-12)
 
@@ -101,7 +101,7 @@ def test_grad_b3_closed_form_at_zero_params():
     g = mlp.grad(zero_params(), batch)
     expected = np.full(4, 0.25)
     expected[2] -= 1.0
-    assert np.allclose(g.b3, expected, atol=1e-15)
+    assert np.allclose(mlp.layers(g)[5], expected, atol=1e-15)
 
 
 def test_grad_zero_input_gives_zero_W1_grad():
@@ -109,19 +109,18 @@ def test_grad_zero_input_gives_zero_W1_grad():
     params = mlp.init(rng)
     batch = mlp.MiniBatch(inputs=np.zeros((3, 400)), labels=np.array([0, 1, 2]))
     g = mlp.grad(params, batch)
-    assert np.all(g.W1 == 0)
+    assert np.all(mlp.layers(g)[0] == 0)
 
 
 def finite_difference_check(params, batch, rng, n_coords=10, step=1e-5):
-    analytic = mlp.to_vector(mlp.grad(params, batch))
-    vec = mlp.to_vector(params)
-    coords = rng.choice(vec.size, size=n_coords, replace=False)
+    analytic = mlp.grad(params, batch)
+    coords = rng.choice(params.size, size=n_coords, replace=False)
     worst = 0.0
     for c in coords:
-        plus, minus = vec.copy(), vec.copy()
+        plus, minus = params.copy(), params.copy()
         plus[c] += step
         minus[c] -= step
-        fd = (mlp.loss(mlp.from_vector(plus), batch) - mlp.loss(mlp.from_vector(minus), batch)) / (2 * step)
+        fd = (mlp.loss(plus, batch) - mlp.loss(minus, batch)) / (2 * step)
         denom = max(abs(fd), abs(analytic[c]), 1e-8)
         worst = max(worst, abs(fd - analytic[c]) / denom)
     return worst
@@ -138,19 +137,23 @@ def test_forward_loss_grad_pure():
     rng = np.random.default_rng(13)
     params = mlp.init(rng)
     batch = random_batch(rng, B=5)
+    before = params.tobytes()
     l1, l2 = mlp.loss(params, batch), mlp.loss(params, batch)
     g1, g2 = mlp.grad(params, batch), mlp.grad(params, batch)
     assert l1 == l2
-    assert mlp.to_vector(g1).tobytes() == mlp.to_vector(g2).tobytes()
+    assert g1.tobytes() == g2.tobytes()
+    assert params.tobytes() == before
 
 
 def test_vector_round_trip_and_add_scaled():
     rng = np.random.default_rng(14)
     p = mlp.init(rng)
     q = mlp.init(rng)
-    assert np.array_equal(mlp.to_vector(mlp.from_vector(mlp.to_vector(p))), mlp.to_vector(p))
+    assert mlp.to_vector(p) is p
+    copy = mlp.from_vector(p)
+    assert copy is not p and np.array_equal(copy, p)
     combo = mlp.add_scaled(p, q, -0.5)
-    assert np.allclose(mlp.to_vector(combo), mlp.to_vector(p) - 0.5 * mlp.to_vector(q))
+    assert np.allclose(combo, p - 0.5 * q)
     with pytest.raises(ValueError):
         mlp.from_vector(np.zeros(10))
 
@@ -160,8 +163,8 @@ def test_average_params():
     p = mlp.init(rng)
     neg = mlp.add_scaled(p, p, -2.0)
     avg = mlp.average([p, neg])
-    assert np.allclose(mlp.to_vector(avg), 0.0, atol=1e-18)
-    assert np.array_equal(mlp.to_vector(mlp.average([p])), mlp.to_vector(p))
+    assert np.allclose(avg, 0.0, atol=1e-18)
+    assert np.array_equal(mlp.average([p]), p)
     with pytest.raises(ValueError):
         mlp.average([])
 
@@ -172,7 +175,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "model.bin")
     mlp.save_params(p, path)
     loaded = mlp.load_params(path)
-    assert mlp.to_vector(loaded).tobytes() == mlp.to_vector(p).tobytes()
+    assert loaded.tobytes() == p.tobytes()
 
 
 def test_checkpoint_rejects_bad_header(tmp_path):
@@ -188,3 +191,65 @@ def test_minibatch_validation():
         mlp.MiniBatch(inputs=np.zeros((0, 400)), labels=np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         mlp.MiniBatch(inputs=np.zeros((2, 400)), labels=np.zeros(3, dtype=int))
+
+
+def test_layers_are_views_that_alias_theta():
+    theta = mlp.init(np.random.default_rng(17))
+    views = mlp.layers(theta)
+    assert [v.shape for v in views] == LAYER_SHAPES
+    assert all(np.shares_memory(v, theta) for v in views)
+    views[3][5] = 42.0
+    views[4][1, 2] = -7.0
+    assert theta[64 * 400 + 64 + 32 * 64 + 5] == 42.0
+    assert theta[64 * 400 + 64 + 32 * 64 + 32 + 1 * 32 + 2] == -7.0
+
+
+def test_layers_order_is_checkpoint_payload_order(tmp_path):
+    theta = np.random.default_rng(18).standard_normal(mlp.PARAM_COUNT)
+    path = tmp_path / "model.bin"
+    mlp.save_params(theta, str(path))
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    blocks = np.concatenate([v.ravel() for v in mlp.layers(theta)])
+    assert blocks.astype("<f8").tobytes() == payload
+
+
+def reference_grad(theta, batch):
+    """Per-layer backprop on copies of the blocks, with plain @."""
+    W1, b1, W2, b2, W3, b3 = (v.copy() for v in mlp.layers(theta))
+    X, y = batch.inputs, batch.labels
+    z1 = X @ W1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ W2.T + b2
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ W3.T + b3
+    e = np.exp(z3 - z3.max(axis=-1, keepdims=True))
+    delta3 = e / e.sum(axis=-1, keepdims=True)
+    delta3[np.arange(len(y)), y] -= 1.0
+    delta3 /= len(y)
+    delta2 = (delta3 @ W3) * (z2 > 0.0)
+    delta1 = (delta2 @ W2) * (z1 > 0.0)
+    return np.concatenate([(delta1.T @ X).ravel(), delta1.sum(axis=0), (delta2.T @ a1).ravel(),
+                           delta2.sum(axis=0), (delta3.T @ a2).ravel(), delta3.sum(axis=0)])
+
+
+@pytest.mark.parametrize("B", [1, 7, 50, 400])
+def test_grad_equals_per_layer_reference_bit_for_bit(B):
+    rng = np.random.default_rng(19 + B)
+    theta = mlp.init(rng)
+    mlp.layers(theta)[1][:] = rng.standard_normal(64)  # nonzero biases
+    batch = random_batch(rng, B=B)
+    assert mlp.grad(theta, batch).tobytes() == reference_grad(theta, batch).tobytes()
+
+
+def test_run_checkpoints_stay_distinct_and_unmodified(tiny_fleet):
+    train_sets, test_sets = tiny_fleet
+    cfg = fed.TrainConfig(K=3, tau=2, B=10)
+    result = fed.run_fgdra(cfg, train_sets, test_sets, seed=4, eval_every=3, checkpoint_rounds={0, 1, 2})
+    ckpts = result.theta_checkpoints
+    assert sorted(ckpts) == [0, 1, 2]
+    for a, b in combinations([*ckpts.values(), result.final_theta], 2):
+        assert not np.shares_memory(a, b) and a.tobytes() != b.tobytes()
+    assert ckpts[0].tobytes() == mlp.init(fed._substream(4, fed._INIT)).tobytes()
+    for k in (1, 2):  # a run that stops at round k ends where checkpoint k was taken
+        shorter = fed.run_fgdra(fed.TrainConfig(K=k, tau=2, B=10), train_sets, test_sets, seed=4, eval_every=k)
+        assert ckpts[k].tobytes() == shorter.final_theta.tobytes()
