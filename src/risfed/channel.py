@@ -96,7 +96,8 @@ class ScenarioGeometry:
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """One CSI draw: channel vectors plus the random draws that produced them.
+    """One CSI draw, or J draws stacked on a leading axis: channel vectors
+    plus the random draws that produced them.
 
     ``h`` is the TX-RIS channel (LoS + scatterer part), ``g`` the RIS-RX
     channel, both of length Q.  The retained draws (``eta_h``, ``eta_g``,
@@ -105,8 +106,8 @@ class ChannelSample:
 
     h: np.ndarray
     g: np.ndarray
-    eta_g: float
-    eta_h: float
+    eta_g: float | np.ndarray
+    eta_h: float | np.ndarray
     gammas: np.ndarray
 
 
@@ -155,49 +156,46 @@ def _path(placement: Placement, geom: ScenarioGeometry) -> tuple[float, np.ndarr
     return amp, steering
 
 
-def gen_ris_rx_channel(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Draw the RIS-RX channel: a scaled steering vector under a random phase.
+def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) -> ChannelSample:
+    """Draw J CSI samples, stacked on a leading axis.
 
-    g = sqrt(G(b_R) L(d_R)) * exp(i eta) * Omega(a_R, b_R), eta ~ U[0, 2pi).
+    Per sample, in this order: (eta_g, eta_h) ~ U[0, 2pi) and the real then
+    imaginary parts of gamma_s ~ CN(0, 1), one per scatterer.  Then
+
+        g = sqrt(G(b_R) L(d_R)) exp(i eta_g) Omega(a_R, b_R)
+        h = sqrt(G(b_T) L(d_T)) exp(i eta_h) Omega(a_T, b_T)
+            + (1/S) sum_s gamma_s sqrt(G(b_s) L(d_s)) Omega(a_s, b_s)
+
+    The draw order is part of the determinism contract: identical
+    (geometry, rng state) yields bit-identical samples, whatever J the draws
+    are split into.
     """
-    eta = float(rng.uniform(0.0, TWO_PI))
-    amp, a = geom.paths[0]
-    g = amp * np.exp(1j * eta) * a
-    return g, eta
-
-
-def gen_tx_ris_los(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Draw the LoS part of the TX-RIS channel (mirror of the RIS-RX draw)."""
-    eta = float(rng.uniform(0.0, TWO_PI))
-    amp, a = geom.paths[1]
-    h_los = amp * np.exp(1j * eta) * a
-    return h_los, eta
-
-
-def gen_tx_ris_nlos(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the scatterer (NLoS) part of the TX-RIS channel.
-
-    h_nlos = (1/S) * sum_s gamma_s sqrt(G(b_s) L(d_s)) Omega(a_s, b_s) with
-    gamma_s ~ CN(0, 1) drawn independently per scatterer per call.
-    """
+    if J <= 0:
+        raise ValueError("J must be > 0")
     S = geom.num_scatterers
-    gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
-    acc = np.zeros(geom.num_elements, dtype=complex)
-    for gamma, (amp, a) in zip(gammas, geom.paths[2:]):
-        acc += gamma * amp * a
-    return acc / S, gammas
+    etas = np.empty((J, 2))
+    parts = np.empty((J, 2 * S))
+    for j in range(J):
+        etas[j] = rng.uniform(0.0, TWO_PI, 2)
+        parts[j] = rng.standard_normal(2 * S)
+    eta_g, eta_h = etas.T
+    gammas = (parts[:, :S] + 1j * parts[:, S:]) / math.sqrt(2.0)
+    (amp_g, a_g), (amp_h, a_h), *scatter_paths = geom.paths
+    g = (amp_g * np.exp(1j * eta_g))[:, None] * a_g
+    h = np.zeros((J, geom.num_elements), dtype=complex)
+    for gamma, (amp, a) in zip(gammas.T, scatter_paths):
+        h += (gamma * amp)[:, None] * a
+    h /= S
+    h += (amp_h * np.exp(1j * eta_h))[:, None] * a_h
+    return ChannelSample(h=h, g=g, eta_g=eta_g, eta_h=eta_h, gammas=gammas)
 
 
 def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> ChannelSample:
-    """Draw a full CSI sample (g first, then LoS h, then NLoS h).
-
-    The draw order is part of the determinism contract: identical
-    (geometry, rng state) yields a bit-identical sample.
-    """
-    g, eta_g = gen_ris_rx_channel(geom, rng)
-    h_los, eta_h = gen_tx_ris_los(geom, rng)
-    h_nlos, gammas = gen_tx_ris_nlos(geom, rng)
-    return ChannelSample(h=h_los + h_nlos, g=g, eta_g=eta_g, eta_h=eta_h, gammas=gammas)
+    """Draw one CSI sample: :func:`gen_channel_pairs` with J = 1."""
+    batch = gen_channel_pairs(geom, rng, 1)
+    return ChannelSample(
+        h=batch.h[0], g=batch.g[0], eta_g=float(batch.eta_g[0]), eta_h=float(batch.eta_h[0]), gammas=batch.gammas[0]
+    )
 
 
 def make_worker_geometry(

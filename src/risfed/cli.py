@@ -22,7 +22,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     if args.seed_list:
@@ -40,16 +40,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", help="output directory")
 
 
-def cmd_gen_data(args) -> int:
-    config = _load_config(args)
+def cmd_gen_data(config: harness.ExperimentConfig, args) -> int:
     written = harness.export_datasets(config, config.out_dir)
     for path in written:
         print(path)
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
+def cmd_train(config: harness.ExperimentConfig, args) -> int:
     result = harness.run_experiment(config)
     print(result.csv_path)
     for alg in config.algorithms:
@@ -60,8 +58,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args)
+def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
     cells = harness.run_sweep(config)
     print(os.path.join(config.out_dir, "sweep.csv"))
     for c in cells:
@@ -69,9 +66,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     """Instrument one run under the rate-matched schedule and emit the trace."""
-    config = _load_config(args)
     train_sets, test_sets, _ = harness.generate_data(config)
     est = diagnostics.estimate_constants(
         train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
@@ -95,12 +91,18 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def cmd_plot_data(args) -> int:
-    config = _load_config(args)
+def cmd_plot_data(config: harness.ExperimentConfig, args) -> int:
     run_csv = args.run_csv or os.path.join(config.out_dir, "runs.csv")
     for path in harness.emit_plot_data(run_csv, config.out_dir):
         print(path)
     return 0
+
+
+def _probe_count(text: str) -> int:
+    n = int(text)
+    if n < diagnostics.MIN_PROBES:
+        raise argparse.ArgumentTypeError(f"must be >= {diagnostics.MIN_PROBES}, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,16 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name] = sub.add_parser(name, help=help_text)
         _add_common(commands[name])
         commands[name].set_defaults(func=func)
-    commands["diagnose"].add_argument("--probes", type=int, default=150,
-                                      help="probe count for constant estimation")
+    commands["diagnose"].add_argument("--probes", type=_probe_count, default=150,
+                                      help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
     commands["plot-data"].add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a refused config exits 2 with a one-line message."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        config = _load_config(args)
+    except (ValueError, OSError) as exc:
+        print(f"risfed: error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(config, args)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,9 @@ from . import mlp
 from .fed import RunResult, TrainConfig
 from .labeling import Dataset
 
+# Fewest probes estimate_constants accepts.
+MIN_PROBES = 100
+
 
 @dataclass(frozen=True)
 class TheoryEstimates:
@@ -100,8 +103,8 @@ def estimate_constants(
     difference ratio (for L_hat).  Maxima over probe supersets are
     monotone, so enlarging n_probes never shrinks the estimates.
     """
-    if n_probes < 100:
-        raise ValueError("n_probes must be >= 100")
+    if n_probes < MIN_PROBES:
+        raise ValueError(f"n_probes must be >= {MIN_PROBES}")
     rng = np.random.default_rng(0) if rng is None else rng
     N = len(train_sets)
 

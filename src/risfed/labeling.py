@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSample, ScenarioGeometry, array_response, gen_channel_pair
+from .channel import ChannelSample, ScenarioGeometry, array_response, gen_channel_pairs
+from .channel import gen_channel_pair  # noqa: F401  (perfbench's tracer patches it through this module)
 
 NUM_CLASSES = 4
 FEATURE_DIM = 400
@@ -120,7 +121,13 @@ def rate(phi: np.ndarray, h: np.ndarray, g: np.ndarray, params: RateParams) -> f
     if not (phi.shape == h.shape == g.shape):
         raise ValueError(f"shape mismatch: phi {phi.shape}, h {h.shape}, g {g.shape}")
     cascade = np.vdot(g, phi * h)  # vdot conjugates its first argument
-    snr = (abs(cascade) ** 2) * params.tx_power / (params.bandwidth * params.noise_psd)
+    return _rate_of_modulus(float(abs(cascade)), params)
+
+
+def _rate_of_modulus(modulus: float, params: RateParams) -> float:
+    """:func:`rate` given |g^H diag(phi) h|, in Python floats: numpy's array
+    square and log2 can differ from these in the last bit."""
+    snr = (modulus ** 2) * params.tx_power / (params.bandwidth * params.noise_psd)
     return params.bandwidth * math.log2(1.0 + snr)
 
 
@@ -148,10 +155,12 @@ def label(sample: ChannelSample, codebook: Codebook, params: RateParams) -> int:
 
 
 def raw_features(sample: ChannelSample) -> np.ndarray:
-    """Unscaled 400-dim encoding [Re h, Im h, Re g, Im g] of a CSI sample."""
-    if 4 * sample.h.size != FEATURE_DIM:
-        raise ValueError(f"expected {FEATURE_DIM // 4} elements per channel vector, got {sample.h.size}")
-    return np.concatenate([sample.h.real, sample.h.imag, sample.g.real, sample.g.imag])
+    """Unscaled 400-dim encoding [Re h, Im h, Re g, Im g] of a CSI sample,
+    one row per draw when the sample is a stack of draws."""
+    q = sample.h.shape[-1]
+    if 4 * q != FEATURE_DIM:
+        raise ValueError(f"expected {FEATURE_DIM // 4} elements per channel vector, got {q}")
+    return np.concatenate([sample.h.real, sample.h.imag, sample.g.real, sample.g.imag], axis=-1)
 
 
 def encode_features(sample: ChannelSample, scaler: FeatureScaler | None = None) -> np.ndarray:
@@ -176,21 +185,24 @@ def decode_features(features: np.ndarray, scaler: FeatureScaler | None = None) -
 def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dataset:
     """Draw J channel samples and label each by exhaustive codebook search.
 
+    Each label is the first rate-maximizing codeword, and ``rates`` holds its
+    rate.  Every cascade is one ``np.vdot`` and every rate goes through
+    :func:`_rate_of_modulus`, so the dataset is bit-identical to calling
+    :func:`label` and :func:`rate` on each sample of :func:`gen_channel_pair`.
     Features are left raw; standardization happens in :func:`split`, on the
     training portion only.
     """
-    if J <= 0:
-        raise ValueError("J must be > 0")
+    batch = gen_channel_pairs(profile.geometry, rng, J)
     codebook = build_codebook(profile.geometry)
-    features = np.empty((J, FEATURE_DIM))
-    labels = np.empty(J, dtype=np.int64)
-    rates = np.empty(J)
-    for j in range(J):
-        sample = gen_channel_pair(profile.geometry, rng)
-        c = label(sample, codebook, profile.rate)
-        features[j] = raw_features(sample)
-        labels[j] = c
-        rates[j] = rate(codebook.codewords[c], sample.h, sample.g, profile.rate)
+    features = raw_features(batch)
+    h, g = batch.h, batch.g
+    cascades = np.empty((J, NUM_CLASSES), dtype=complex)
+    for c, phi in enumerate(codebook.codewords):
+        cascades[:, c] = list(map(np.vdot, g, phi * h))
+    moduli = np.hypot(cascades.real, cascades.imag)
+    all_rates = np.array([[_rate_of_modulus(x, profile.rate) for x in row] for row in moduli.tolist()])
+    labels = all_rates.argmax(axis=1)
+    rates = all_rates[np.arange(J), labels]
     return Dataset(worker_id=profile.worker_id, features=features, labels=labels, rates=rates)
 
 

@@ -13,31 +13,38 @@ from risfed.channel import (
     ScenarioGeometry,
     array_response,
     gen_channel_pair,
-    gen_ris_rx_channel,
-    gen_tx_ris_los,
-    gen_tx_ris_nlos,
+    gen_channel_pairs,
     make_worker_geometry,
     path_loss,
     radiation_gain,
 )
 
-from conftest import WAVELENGTH, small_geometry
+from conftest import RATE, WAVELENGTH, small_geometry
 
 
 class FixedGammaRng:
-    """Stand-in rng that forces the scatterer gains and uniform draws."""
+    """Stand-in rng that forces the scatterer gains and zeroes the phases.
+
+    It answers the two calls a sample draws: ``uniform(lo, hi, 2)`` for
+    (eta_g, eta_h) and ``standard_normal(2 S)`` for the real then imaginary
+    parts of the S gains.
+    """
 
     def __init__(self, gamma_complex):
         self.gamma = complex(gamma_complex)
-        self.normal_calls = 0
 
     def standard_normal(self, size):
-        self.normal_calls += 1
-        part = self.gamma.real if self.normal_calls == 1 else self.gamma.imag
-        return np.full(size, part * math.sqrt(2.0))
+        S = size // 2
+        return np.concatenate([np.full(S, self.gamma.real), np.full(S, self.gamma.imag)]) * math.sqrt(2.0)
 
-    def uniform(self, lo, hi):
-        return 0.0
+    def uniform(self, lo, hi, size):
+        return np.zeros(size)
+
+
+def without_los(geom):
+    """The geometry with its TX at grazing elevation: the LoS part of h is
+    exactly zero, so h is the scatterer sum alone."""
+    return dataclasses.replace(geom, tx=Placement(geom.tx.distance, geom.tx.azimuth, math.pi / 2))
 
 
 def test_radiation_gain_boresight():
@@ -109,10 +116,10 @@ def test_array_response_unit_modulus(a, b):
 
 def test_ris_rx_magnitude_flat():
     geom = small_geometry()
-    g, eta = gen_ris_rx_channel(geom, np.random.default_rng(0))
-    mags = np.abs(g)
+    sample = gen_channel_pair(geom, np.random.default_rng(0))
+    mags = np.abs(sample.g)
     assert mags.max() - mags.min() < 1e-12
-    assert 0.0 <= eta < 2 * math.pi
+    assert 0.0 <= sample.eta_g < 2 * math.pi
 
 
 def test_ris_rx_zero_at_grazing_elevation():
@@ -123,21 +130,20 @@ def test_ris_rx_zero_at_grazing_elevation():
         tx=geom.tx, rx=Placement(geom.rx.distance, geom.rx.azimuth, math.pi / 2),
         scatterers=geom.scatterers,
     )
-    g, _ = gen_ris_rx_channel(grazing, np.random.default_rng(0))
-    assert np.all(g == 0)
+    assert np.all(gen_channel_pair(grazing, np.random.default_rng(0)).g == 0)
 
 
 def test_ris_rx_phase_uniform_ks():
     geom = small_geometry()
-    rng = np.random.default_rng(1234)
-    phases = np.array([np.angle(gen_ris_rx_channel(geom, rng)[0][0]) % (2 * math.pi) for _ in range(10_000)])
+    g = gen_channel_pairs(geom, np.random.default_rng(1234), 10_000).g
+    phases = np.angle(g[:, 0]) % (2 * math.pi)
     p = stats.kstest(phases / (2 * math.pi), "uniform").pvalue
     assert p > 0.01
 
 
 def test_tx_ris_los_magnitude_flat_and_distance_scaling():
     geom = small_geometry()
-    h, _ = gen_tx_ris_los(geom, np.random.default_rng(3))
+    h = gen_channel_pair(geom, FixedGammaRng(0.0)).h
     mags = np.abs(h)
     assert mags.max() - mags.min() < 1e-12
 
@@ -147,29 +153,28 @@ def test_tx_ris_los_magnitude_flat_and_distance_scaling():
         tx=Placement(2 * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
-    h2, _ = gen_tx_ris_los(doubled, np.random.default_rng(3))
+    h2 = gen_channel_pair(doubled, FixedGammaRng(0.0)).h
     assert np.abs(h2[0]) == pytest.approx(np.abs(h[0]) / 2.0, rel=1e-9)
 
 
 def test_eta_h_eta_g_independent():
     geom = small_geometry()
     rng = np.random.default_rng(77)
-    etas = np.array([[s.eta_g, s.eta_h] for s in (gen_channel_pair(geom, rng) for _ in range(10_000))])
-    corr = np.corrcoef(etas[:, 0], etas[:, 1])[0, 1]
+    batch = gen_channel_pairs(geom, rng, 10_000)
+    corr = np.corrcoef(batch.eta_g, batch.eta_h)[0, 1]
     assert abs(corr) < 0.05
 
 
 def test_nlos_zero_when_gamma_zero():
     geom = small_geometry()
-    h_nlos, gammas = gen_tx_ris_nlos(geom, FixedGammaRng(0.0))
-    assert np.all(gammas == 0)
-    assert np.all(h_nlos == 0)
+    sample = gen_channel_pair(without_los(geom), FixedGammaRng(0.0))
+    assert np.all(sample.gammas == 0)
+    assert np.all(sample.h == 0)
 
 
 def test_nlos_zero_mean():
     geom = small_geometry()
-    rng = np.random.default_rng(5)
-    draws = np.array([gen_tx_ris_nlos(geom, rng)[0] for _ in range(10_000)])
+    draws = gen_channel_pairs(without_los(geom), np.random.default_rng(5), 10_000).h
     for part in (draws.real, draws.imag):
         mean = part.mean(axis=0)
         sd = part.std(axis=0)
@@ -178,8 +183,7 @@ def test_nlos_zero_mean():
 
 def test_nlos_power_matches_closed_form():
     geom = small_geometry()
-    rng = np.random.default_rng(6)
-    draws = np.array([gen_tx_ris_nlos(geom, rng)[0] for _ in range(10_000)])
+    draws = gen_channel_pairs(without_los(geom), np.random.default_rng(6), 10_000).h
     measured = np.mean(np.abs(draws) ** 2)
     S = geom.num_scatterers
     expected = sum(
@@ -198,6 +202,39 @@ def test_channel_pair_deterministic_bytes():
     assert s1.eta_g == s2.eta_g and s1.eta_h == s2.eta_h
     s3 = gen_channel_pair(geom, np.random.default_rng(43))
     assert s3.h.tobytes() != s1.h.tobytes()
+
+
+@pytest.mark.parametrize("J", [1, 7, 2000])
+def test_batched_draw_consumes_the_rng_like_four_scalar_calls(J):
+    geom = small_geometry()
+    S = geom.num_scatterers
+    batch_rng, scalar_rng = np.random.default_rng(21), np.random.default_rng(21)
+    batch = gen_channel_pairs(geom, batch_rng, J)
+    for j in range(J):
+        assert batch.eta_g[j] == scalar_rng.uniform(0.0, TWO_PI)
+        assert batch.eta_h[j] == scalar_rng.uniform(0.0, TWO_PI)
+        re, im = scalar_rng.standard_normal(S), scalar_rng.standard_normal(S)
+        assert batch.gammas[j].tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
+    assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_draws_do_not_depend_on_how_they_are_batched():
+    geom = small_geometry()
+    whole = gen_channel_pairs(geom, np.random.default_rng(22), 7)
+    rng = np.random.default_rng(22)
+    parts = [gen_channel_pairs(geom, rng, 3), gen_channel_pairs(geom, rng, 4)]
+    rng = np.random.default_rng(22)
+    singles = [gen_channel_pair(geom, rng) for _ in range(7)]
+    for field in ("h", "g", "eta_g", "eta_h", "gammas"):
+        expected = getattr(whole, field)
+        assert np.concatenate([getattr(p, field) for p in parts]).tobytes() == expected.tobytes()
+        assert np.array([getattr(s, field) for s in singles]).tobytes() == expected.tobytes()
+
+
+def test_gen_channel_pairs_rejects_nonpositive_count():
+    for J in (0, -1):
+        with pytest.raises(ValueError):
+            gen_channel_pairs(small_geometry(), np.random.default_rng(0), J)
 
 
 def test_channel_pair_scatterers_on_los_direction():
@@ -225,8 +262,8 @@ def test_los_power_scales_inverse_square_with_distance():
         tx=Placement(kappa * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
-    h1, _ = gen_tx_ris_los(geom, np.random.default_rng(9))
-    h2, _ = gen_tx_ris_los(scaled, np.random.default_rng(9))
+    h1 = gen_channel_pair(geom, FixedGammaRng(0.0)).h
+    h2 = gen_channel_pair(scaled, FixedGammaRng(0.0)).h
     assert np.abs(h2[0]) ** 2 == pytest.approx(np.abs(h1[0]) ** 2 / kappa ** 2, rel=1e-9)
 
 
@@ -331,12 +368,37 @@ def reference_dataset(profile, J, rng):
     return np.array(features), np.array(labels, dtype=np.int64), np.array(rates)
 
 
-@pytest.mark.parametrize("worker", range(4))
-def test_gen_dataset_matches_per_draw_reference(worker):
-    profile = harness.build_profiles(harness.ExperimentConfig())[worker]
-    seed = np.random.SeedSequence(0, spawn_key=(worker,))
-    ds = labeling.gen_dataset(profile, 50, np.random.default_rng(seed))
-    features, labels, rates = reference_dataset(profile, 50, np.random.default_rng(seed))
+def assert_matches_reference(profile, J, seed):
+    ds = labeling.gen_dataset(profile, J, np.random.default_rng(seed))
+    features, labels, rates = reference_dataset(profile, J, np.random.default_rng(seed))
     assert ds.features.tobytes() == features.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
     assert ds.rates.tobytes() == rates.tobytes()
+    return ds
+
+
+@pytest.mark.parametrize("worker", range(4))
+def test_gen_dataset_matches_per_draw_reference(worker):
+    profile = harness.build_profiles(harness.ExperimentConfig())[worker]
+    for J in (1, 7, 500):
+        assert_matches_reference(profile, J, np.random.SeedSequence(J, spawn_key=(worker,)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_scatterers=st.integers(min_value=1, max_value=8),
+    spacing_wl=st.floats(min_value=0.05, max_value=2.0),
+    cone_deg=st.floats(min_value=0.0, max_value=60.0),
+    grazing_rx=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    J=st.integers(min_value=1, max_value=12),
+)
+def test_gen_dataset_matches_reference_over_scenario_geometry(n_scatterers, spacing_wl, cone_deg, grazing_rx, seed, J):
+    tx = Placement(30.0, math.radians(-22.0), 0.0)
+    rx = Placement(20.0, math.radians(28.0), math.pi / 2 if grazing_rx else math.radians(2.0))
+    geom = make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, n_scatterers,
+                                np.random.default_rng(seed), cone_halfwidth=math.radians(cone_deg))
+    ds = assert_matches_reference(labeling.WorkerProfile(0, geom, RATE), J, seed)
+    if grazing_rx:
+        # a grazing RX receives nothing: every codeword's rate is 0 and the tie goes to codeword 0
+        assert np.all(ds.rates == 0.0) and np.all(ds.labels == 0)

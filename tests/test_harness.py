@@ -348,6 +348,28 @@ def test_cli_subcommands(tmp_path):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
+@pytest.mark.parametrize("overrides, named", [
+    (["--set", "K=1", "--set", "J=1"], "train_fraction"),
+    (["--set", "bogus=1"], "'bogus'"),
+    (["--set", "K"], "'K'"),
+    (["--set", "alpha=nan"], "alpha"),
+])
+def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, overrides, named):
+    assert cli.main(["train", "--out-dir", str(tmp_path)] + overrides) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("risfed: error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_diagnose_refuses_too_few_probes_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diagnose", "--probes", "99"])
+    assert exc.value.code == 2
+    assert "--probes: must be >= 100, got 99" in capsys.readouterr().err
+
+
 def test_cli_train_survives_a_huge_dual_step(tmp_path):
     out = str(tmp_path / "gamma")
     assert cli.main(["train", "--out-dir", out, "--set", "K=2", "--set", "J=80",
