@@ -28,7 +28,7 @@ def main() -> int:
         cells = harness.run_sweep(config)
         print(f"=== sweep over {axis} (cells are avg/worst %) -> {out_dir}/sweep.csv ===")
         for alg in config.algorithms:
-            row = "  ".join(f"{axis}={c.value:g}: {c.cell}" for c in cells if c.algorithm == alg)
+            row = "  ".join(f"{axis}={c.value:g}: {c.cell}" for c in cells if c.summary.algorithm == alg)
             print(f"{alg:7s} {row}")
     return 0
 

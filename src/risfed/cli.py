@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, fed, harness
+from . import diagnostics, harness
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -30,6 +30,12 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.out_dir:
         overrides["out_dir"] = args.out_dir
     return harness.apply_overrides(config, overrides)
+
+
+def _refuse(message: str) -> int:
+    """Report a config or command that cannot run as one stderr line; exit status 2."""
+    print(f"risfed: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -59,40 +65,41 @@ def cmd_train(config: harness.ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
+    if config.sweep_axis == "none":
+        return _refuse(f"sweep needs sweep_axis set to one of {', '.join(harness.SWEEP_AXES[1:])}, got 'none'")
     cells = harness.run_sweep(config)
     print(os.path.join(config.out_dir, "sweep.csv"))
     for c in cells:
-        print(f"{c.axis}={c.value:g} {c.algorithm}: {c.cell}")
+        print(f"{c.axis}={c.value:g} {c.summary.algorithm}: {c.cell}")
     return 0
 
 
 def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     """Instrument one run under the rate-matched schedule and emit the trace."""
+    n_ckpts = len(diagnostics.round_checkpoints(config.K))
+    if n_ckpts < diagnostics.MIN_CHECKPOINTS:
+        return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
+                       f"fewer than the {diagnostics.MIN_CHECKPOINTS} a slope fit takes")
     train_sets, test_sets, _ = harness.generate_data(config)
     est = diagnostics.estimate_constants(
         train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
         batch_size=config.B,
     )
-    sched = diagnostics.prescribed_schedule(config.K, config.N, est)
-    ckpts = diagnostics.round_checkpoints(config.K)
-    result = fed.run_fgdra(sched, train_sets, test_sets, seed=config.seeds[0],
-                           eval_every=max(1, config.K // 10), checkpoint_rounds=set(ckpts))
-    trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)
-    bound = diagnostics.theorem_bound(est, sched.m, sched.K * sched.tau)
-    os.makedirs(config.out_dir, exist_ok=True)
+    T, trace, bound = harness.schedule_matched_trace(est, train_sets, test_sets, config.K, config.seeds[0])
     path = os.path.join(config.out_dir, "diagnostics.csv")
-    diagnostics.write_diagnostics_csv(trace, bound, path)
+    harness.write_diagnostics_csv(trace, bound, path)
     rm = diagnostics.running_mean_trace(trace)
     slope = diagnostics.slope_fit(rm)
     print(path)
     print(f"sigma_hat={est.sigma_hat:.4f} nu_hat={est.nu_hat:.4f} L_hat={est.L_hat:.4f} F0={est.F0:.4f}")
-    print(f"T={sched.K * sched.tau} bound={bound:.6f} final_running_mean={rm.grad_norm_sq[-1]:.6f} "
-          f"slope={slope:.3f}")
+    print(f"T={T} bound={bound:.6f} final_running_mean={rm.grad_norm_sq[-1]:.6f} slope={slope:.3f}")
     return 0
 
 
 def cmd_plot_data(config: harness.ExperimentConfig, args) -> int:
     run_csv = args.run_csv or os.path.join(config.out_dir, "runs.csv")
+    if not os.path.isfile(run_csv):
+        return _refuse(f"no runs file at {run_csv}: run 'risfed train' first, or pass --run-csv")
     for path in harness.emit_plot_data(run_csv, config.out_dir):
         print(path)
     return 0
@@ -133,8 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
     except (ValueError, OSError) as exc:
-        print(f"risfed: error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(str(exc))
     return args.func(config, args)
 
 

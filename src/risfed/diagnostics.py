@@ -21,6 +21,8 @@ from .labeling import Dataset
 
 # Fewest probes estimate_constants accepts.
 MIN_PROBES = 100
+# Fewest checkpoints slope_fit accepts.
+MIN_CHECKPOINTS = 5
 
 
 @dataclass(frozen=True)
@@ -193,13 +195,13 @@ def fit_loglog_slope(t: np.ndarray, values: np.ndarray) -> float:
 def slope_fit(trace: ConvergenceTrace) -> float:
     """Log-log decay slope of a (running-mean) gradient-norm trace.
 
-    Requires at least five checkpoints.  The t = 0 checkpoint has no place on
-    a log axis and is left out of the fit.  The caller passes the statistic
-    it wants fitted; apply :func:`running_mean_trace` first to fit the decay
-    of the averaged trajectory.
+    Requires at least ``MIN_CHECKPOINTS`` checkpoints.  The t = 0 checkpoint
+    has no place on a log axis and is left out of the fit.  The caller passes
+    the statistic it wants fitted; apply :func:`running_mean_trace` first to
+    fit the decay of the averaged trajectory.
     """
-    if len(trace.t) < 5:
-        raise ValueError("need at least five checkpoints")
+    if len(trace.t) < MIN_CHECKPOINTS:
+        raise ValueError(f"need at least {MIN_CHECKPOINTS} checkpoints")
     later = trace.t > 0
     return fit_loglog_slope(trace.t[later], trace.grad_norm_sq[later])
 
@@ -222,13 +224,3 @@ def prescribed_schedule(K: int, N: int, est: TheoryEstimates, m: int | None = No
         alpha=1.0 / (est.L_hat * math.sqrt(T)),
         gamma=1.0 / (math.sqrt(N) * T),
     )
-
-
-def write_diagnostics_csv(trace: ConvergenceTrace, bound: float, path: str) -> None:
-    """Emit (t, grad_norm_sq, running_mean, bound) rows with a header."""
-    rm = running_mean_trace(trace)
-    with open(path, "w") as f:
-        f.write("t,grad_norm_sq,running_mean,bound\n")
-        for i in range(len(trace.t)):
-            f.write(f"{int(trace.t[i])},{float(trace.grad_norm_sq[i])!r},"
-                    f"{float(rm.grad_norm_sq[i])!r},{float(bound)!r}\n")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -102,6 +103,8 @@ class ExperimentConfig:
             if alg not in fed.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if self.sweep_axis != "none":
+            if not self.sweep_values:
+                raise ValueError(f"sweep_values must list the values of sweep_axis={self.sweep_axis!r}, got none")
             for value in self.sweep_values:
                 sweep_config(self, self.sweep_axis, value)
 
@@ -144,11 +147,27 @@ def _parse_value(key: str, text: str):
 
 
 def _format_value(value) -> str:
+    """Text of a config value or CSV cell.  A float is written as the repr of
+    a Python float, which round-trips exactly; numpy's own scalar repr
+    carries a type prefix."""
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows``, every cell through :func:`_format_value`.
+
+    The file is line buffered: each row reaches it as soon as it is written,
+    so the rows of a long computation survive an interruption.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", buffering=1) as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -222,7 +241,7 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
     Scatterer constellations are drawn once per worker from profile_seed
     and stay fixed.
     """
-    rate = RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
+    rate = _rate_params(config)
     profiles = []
     for w, (rx_az, tx_az, rx_el) in enumerate(_worker_angles(config)):
         spacing = config.spacings[w % len(config.spacings)]
@@ -246,19 +265,25 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
     return profiles
 
 
+def _rate_params(config: ExperimentConfig) -> RateParams:
+    return RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
+
+
+def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: int,
+                key: int) -> tuple[Dataset, Dataset]:
+    """One worker's J samples from substream (dataset_seed, key), split into
+    train and test by the same generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(key,)))
+    return split(gen_dataset(profile, config.J, rng), config.train_fraction, rng)
+
+
 def generate_data(config: ExperimentConfig,
                   dataset_seed: int | None = None) -> tuple[list[Dataset], list[Dataset], list[WorkerProfile]]:
     """Synthesize and split every worker's dataset for one data draw."""
     profiles = build_profiles(config)
     seed = config.dataset_seed if dataset_seed is None else dataset_seed
-    train_sets, test_sets = [], []
-    for profile in profiles:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(profile.worker_id,)))
-        ds = gen_dataset(profile, config.J, rng)
-        train, test = split(ds, config.train_fraction, rng)
-        train_sets.append(train)
-        test_sets.append(test)
-    return train_sets, test_sets, profiles
+    train_sets, test_sets = zip(*(_draw_split(config, p, seed, p.worker_id) for p in profiles))
+    return list(train_sets), list(test_sets), profiles
 
 
 class SeedDataCache:
@@ -312,32 +337,6 @@ def _standard_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _run_one(config: ExperimentConfig, algorithm: str, seed: int,
-             train_sets: list[Dataset], test_sets: list[Dataset]) -> RunResult:
-    runner = fed.RUNNERS[algorithm]
-    return runner(config.train_config(algorithm), train_sets, test_sets, seed=seed,
-                  eval_every=config.eval_every)
-
-
-def _csv_header(N: int) -> str:
-    cols = ["algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd"]
-    cols += [f"acc_w{i}" for i in range(N)]
-    cols += [f"lambda_{i}" for i in range(N)]
-    return ",".join(cols)
-
-
-def _csv_rows(result: RunResult) -> list[str]:
-    rows = []
-    for log in result.round_logs:
-        parts = [result.algorithm, str(result.seed), str(log.round),
-                 str(log.communication_rounds_consumed),
-                 repr(log.avg_acc), repr(log.worst_acc), repr(log.acc_sd)]
-        parts += [repr(float(a)) for a in log.per_worker_acc]
-        parts += [repr(float(l)) for l in log.lam]
-        rows.append(",".join(parts))
-    return rows
-
-
 def summarize_runs(runs: dict[tuple[str, int], RunResult], algorithms, seeds) -> RunSummary:
     per_algorithm = {}
     for alg in algorithms:
@@ -357,57 +356,67 @@ def summarize_runs(runs: dict[tuple[str, int], RunResult], algorithms, seeds) ->
     return RunSummary(per_algorithm=per_algorithm)
 
 
-def run_experiment(config: ExperimentConfig,
-                   data: SeedDataCache | None = None) -> ExperimentResult:
-    """Run every (algorithm, seed) pair and stream per-round rows to CSV.
+def run_grid(config: ExperimentConfig,
+             data: SeedDataCache | None = None) -> Iterator[tuple[tuple[str, int], RunResult]]:
+    """Run every (algorithm, seed) pair of ``config`` and yield
+    ``((algorithm, seed), result)`` in canonical order: algorithm, then seed.
 
     Run seed s trains on data draw dataset_seed + s (shared across the
-    algorithms, so per-seed comparisons stay paired).  Rows are written in
-    canonical (algorithm, seed, round) order and flushed after every run,
-    so partial results survive an interruption.  The x-axis column
-    ``comm_rounds`` counts communication exchanges (DRFA advances by two
-    per round).
+    algorithms, so per-seed comparisons stay paired).  Every run of the
+    harness is made here.  A run draws only from its own (seed, purpose,
+    worker, round) substreams, so the order in which runs execute does not
+    change them.
     """
     cache = data if data is not None else SeedDataCache(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    csv_path = os.path.join(config.out_dir, "runs.csv")
+    for alg in config.algorithms:
+        for seed in config.seeds:
+            yield (alg, seed), fed.RUNNERS[alg](config.train_config(alg), *cache.for_seed(seed), seed=seed,
+                                                eval_every=config.eval_every)
+
+
+def run_experiment(config: ExperimentConfig,
+                   data: SeedDataCache | None = None) -> ExperimentResult:
+    """Run the :func:`run_grid` of ``config`` and write ``runs.csv`` and
+    ``summary.csv``.
+
+    Each run's per-round rows are written as the run finishes, in canonical
+    (algorithm, seed, round) order, so the rows of finished runs survive an
+    interruption.  The x-axis column ``comm_rounds`` counts communication
+    exchanges (DRFA advances by two per round).
+    """
     runs: dict[tuple[str, int], RunResult] = {}
-    with open(csv_path, "w") as f:
-        f.write(_csv_header(config.N) + "\n")
-        for alg in config.algorithms:
-            for seed in config.seeds:
-                train_sets, test_sets = cache.for_seed(seed)
-                result = _run_one(config, alg, seed, train_sets, test_sets)
-                runs[(alg, seed)] = result
-                for row in _csv_rows(result):
-                    f.write(row + "\n")
-                f.flush()
+
+    def rows():
+        for key, result in run_grid(config, data):
+            runs[key] = result
+            for log in result.round_logs:
+                yield (result.algorithm, result.seed, log.round, log.communication_rounds_consumed, log.avg_acc,
+                       log.worst_acc, log.acc_sd, *log.per_worker_acc, *log.lam)
+
+    csv_path = os.path.join(config.out_dir, "runs.csv")
+    write_csv(csv_path, ["algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd",
+                         *[f"acc_w{i}" for i in range(config.N)], *[f"lambda_{i}" for i in range(config.N)]],
+              rows())
     summary = summarize_runs(runs, config.algorithms, config.seeds)
-    summary_path = os.path.join(config.out_dir, "summary.csv")
-    with open(summary_path, "w") as f:
-        f.write("algorithm,avg_acc_mean,avg_acc_se,worst_acc_mean,worst_acc_se,acc_sd_mean,comm_rounds\n")
-        for alg in config.algorithms:
-            s = summary.per_algorithm[alg]
-            f.write(f"{alg},{s.avg_acc_mean!r},{s.avg_acc_se!r},{s.worst_acc_mean!r},"
-                    f"{s.worst_acc_se!r},{s.acc_sd_mean!r},{s.communication_rounds_consumed}\n")
+    write_csv(os.path.join(config.out_dir, "summary.csv"),
+              ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
+               "comm_rounds"],
+              [astuple(s) for s in summary.per_algorithm.values()])
     return ExperimentResult(runs=runs, summary=summary, csv_path=csv_path)
 
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One sweep-table entry: 5-run mean accuracies at the final round."""
+    """One sweep-table entry: an algorithm's final-round summary with the
+    swept key set to ``value``."""
 
     axis: str
     value: float
-    algorithm: str
-    avg_acc_mean: float
-    avg_acc_se: float
-    worst_acc_mean: float
-    worst_acc_se: float
+    summary: AlgorithmSummary
 
     @property
     def cell(self) -> str:
-        return f"{self.avg_acc_mean:.2f}/{self.worst_acc_mean:.2f}"
+        return f"{self.summary.avg_acc_mean:.2f}/{self.summary.worst_acc_mean:.2f}"
 
 
 def sweep_config(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -430,30 +439,18 @@ def run_sweep(config: ExperimentConfig,
     Reports a two-decimal "average/worst" percent pair per cell and writes
     one CSV row per cell to ``sweep.csv``.
     """
-    if config.sweep_axis == "none" or not config.sweep_values:
-        raise ValueError("config must set sweep_axis and sweep_values")
+    if config.sweep_axis == "none":
+        raise ValueError("sweep_axis must name the key to sweep, got 'none'")
     cache = data if data is not None else SeedDataCache(config)
     cells = []
     for value in config.sweep_values:
         cfg_v = sweep_config(config, config.sweep_axis, value)
-        runs = {(alg, seed): _run_one(cfg_v, alg, seed, *cache.for_seed(seed))
-                for alg in cfg_v.algorithms for seed in cfg_v.seeds}
-        for s in summarize_runs(runs, cfg_v.algorithms, cfg_v.seeds).per_algorithm.values():
-            cells.append(SweepCell(
-                axis=config.sweep_axis,
-                value=value,
-                algorithm=s.algorithm,
-                avg_acc_mean=s.avg_acc_mean,
-                avg_acc_se=s.avg_acc_se,
-                worst_acc_mean=s.worst_acc_mean,
-                worst_acc_se=s.worst_acc_se,
-            ))
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "sweep.csv"), "w") as f:
-        f.write("axis,value,algorithm,avg_acc_mean,avg_acc_se,worst_acc_mean,worst_acc_se,cell\n")
-        for c in cells:
-            f.write(f"{c.axis},{_format_value(c.value)},{c.algorithm},{c.avg_acc_mean!r},"
-                    f"{c.avg_acc_se!r},{c.worst_acc_mean!r},{c.worst_acc_se!r},{c.cell}\n")
+        summary = summarize_runs(dict(run_grid(cfg_v, cache)), cfg_v.algorithms, cfg_v.seeds)
+        cells += [SweepCell(config.sweep_axis, value, s) for s in summary.per_algorithm.values()]
+    write_csv(os.path.join(config.out_dir, "sweep.csv"),
+              ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
+              # the summary's first five fields: algorithm and the four accuracy statistics
+              [(c.axis, c.value, *astuple(c.summary)[:5], c.cell) for c in cells])
     return cells
 
 
@@ -470,7 +467,6 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
         rows = [line.strip().split(",") for line in f if line.strip()]
     col = {name: i for i, name in enumerate(header)}
     paths = []
-    os.makedirs(out_dir, exist_ok=True)
     for metric, fname in (("avg_acc", "fig_avg.csv"), ("worst_acc", "fig_worst.csv"), ("acc_sd", "fig_sd.csv")):
         series: dict[tuple[str, int], list[float]] = {}
         comm: dict[tuple[str, int], int] = {}
@@ -479,11 +475,9 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
             series.setdefault(key, []).append(float(r[col[metric]]))
             comm[key] = int(r[col["comm_rounds"]])
         path = os.path.join(out_dir, fname)
-        with open(path, "w") as f:
-            f.write("algorithm,round,comm_rounds,mean,se\n")
-            for (alg, rnd) in sorted(series, key=lambda k: (k[0], k[1])):
-                vals = np.array(series[(alg, rnd)])
-                f.write(f"{alg},{rnd},{comm[(alg, rnd)]},{float(vals.mean())!r},{_standard_error(vals)!r}\n")
+        write_csv(path, ["algorithm", "round", "comm_rounds", "mean", "se"],
+                  [(*key, comm[key], np.mean(series[key]), _standard_error(np.array(series[key])))
+                   for key in sorted(series)])
         paths.append(path)
     return paths
 
@@ -507,15 +501,37 @@ def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
     return written
 
 
+def write_diagnostics_csv(trace: diagnostics.ConvergenceTrace, bound: float, path: str) -> None:
+    """Emit (t, grad_norm_sq, running_mean, bound) rows with a header."""
+    rm = diagnostics.running_mean_trace(trace)
+    write_csv(path, ["t", "grad_norm_sq", "running_mean", "bound"],
+              [(int(t), g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm.grad_norm_sq)])
+
+
+def schedule_matched_trace(est: diagnostics.TheoryEstimates, train_sets: list[Dataset], test_sets: list[Dataset],
+                           K: int, seed: int) -> tuple[int, diagnostics.ConvergenceTrace, float]:
+    """An fgdra run of K rounds under :func:`diagnostics.prescribed_schedule`
+    for ``est``, evaluated at its last round only.
+
+    Returns T (the iteration count), the weighted gradient-norm trace at the
+    :func:`diagnostics.round_checkpoints` of K, and the theorem bound at T.
+    """
+    sched = diagnostics.prescribed_schedule(K, len(train_sets), est)
+    ckpts = diagnostics.round_checkpoints(K)
+    result = fed.run_fgdra(sched, train_sets, test_sets, seed=seed, eval_every=K, checkpoint_rounds=set(ckpts))
+    T = sched.K * sched.tau
+    return T, diagnostics.grad_norm_trace(result, train_sets, ckpts), diagnostics.theorem_bound(est, sched.m, T)
+
+
 THEORY_KS = (50, 100, 200, 400, 800)
+THEORY_STREAM = 3  # substream key of the convergence-check worker's scatterers and data
 
 
 def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
     """Single well-conditioned worker for the convergence-rate check: a
     full-wavelength array at a small azimuth with distant scatterers, which
     trains to interpolation under the rate-matched schedule."""
-    rate = RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
-    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(3,)))
+    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(THEORY_STREAM,)))
     geom = make_worker_geometry(
         config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
@@ -523,9 +539,7 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
         n_scatterers=config.n_scatterers, rng=rng,
         extra_travel_lo=0.25, extra_travel_hi=0.5,
     )
-    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(3,)))
-    ds = gen_dataset(WorkerProfile(0, geom, rate), config.J, rng)
-    train, test = split(ds, config.train_fraction, rng)
+    train, test = _draw_split(config, WorkerProfile(0, geom, _rate_params(config)), dataset_seed, THEORY_STREAM)
     return [train], [test]
 
 
@@ -533,8 +547,8 @@ def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
     """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``.
 
     Seed s trains on :func:`theory_worker_data` drawn from dataset_seed + s,
-    under :func:`diagnostics.prescribed_schedule` with constants estimated
-    from ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
+    through :func:`schedule_matched_trace` with constants estimated from
+    ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
     iteration count), the final iteration-weighted running mean of the
     squared gradient norm and the theorem bound.
     """
@@ -546,16 +560,11 @@ def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
             batch_size=config.B, pair_scale=1e-3,
         )
         for K in THEORY_KS:
-            sched = diagnostics.prescribed_schedule(K, 1, est)
-            T = sched.K * sched.tau
-            ckpts = diagnostics.round_checkpoints(K)
-            result = fed.run_fgdra(sched, train_sets, test_sets, seed=s, eval_every=K,
-                                   checkpoint_rounds=set(ckpts))
-            trace = diagnostics.grad_norm_trace(result, train_sets, ckpts)
+            T, trace, bound = schedule_matched_trace(est, train_sets, test_sets, K, s)
             records.append({
                 "seed": s, "K": K, "T": T,
                 "running_mean": float(diagnostics.running_mean_trace(trace).grad_norm_sq[-1]),
-                "bound": diagnostics.theorem_bound(est, sched.m, T),
+                "bound": bound,
             })
     return records
 

@@ -8,6 +8,7 @@ under ``pytest -s``); a failure shows up as the test failing.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,26 +17,6 @@ from risfed import fed, harness, mlp
 from risfed.fed import ALGORITHMS, TrainConfig
 from risfed.harness import ExperimentConfig, SeedDataCache
 from risfed.labeling import build_codebook, decode_features, rate
-
-SEEDS = (0, 1, 2, 3, 4)
-
-
-def final_stats(runs):
-    """Final-round mean and standard error per algorithm over SEEDS."""
-    return harness.summarize_runs(runs, ALGORITHMS, SEEDS).per_algorithm
-
-
-def run_battery(config, cache, eval_every, **cfg_overrides):
-    runs = {}
-    for alg in ALGORITHMS:
-        base = config.train_config(alg)
-        cfg = TrainConfig(**{**base.__dict__, **cfg_overrides, "algorithm": alg})
-        for seed in SEEDS:
-            train_sets, test_sets = cache.for_seed(seed)
-            runs[(alg, seed)] = fed.RUNNERS[alg](cfg, train_sets, test_sets, seed=seed,
-                                                 eval_every=eval_every)
-    return runs
-
 
 @pytest.fixture(scope="module")
 def config():
@@ -48,31 +29,32 @@ def cache(config):
 
 
 @pytest.fixture(scope="module")
-def default_battery(config, cache):
+def default_battery(config, cache, tmp_path_factory):
+    out_dir = str(tmp_path_factory.mktemp("default"))
     t0 = time.perf_counter()
-    runs = run_battery(config, cache, eval_every=10)
-    return runs, time.perf_counter() - t0
+    result = harness.run_experiment(replace(config, out_dir=out_dir), cache)
+    return result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def m2_battery(config, cache):
-    return run_battery(config, cache, eval_every=config.K, m=2)
+def m2_battery(config, cache, tmp_path_factory):
+    out_dir = str(tmp_path_factory.mktemp("m2"))
+    return harness.run_experiment(replace(config, m=2, eval_every=config.K, out_dir=out_dir), cache)
 
 
 @pytest.fixture(scope="module")
-def sweep_cells(config, cache, default_battery):
-    """Final-round stats per (axis value, algorithm); the tau=10 / B=50 cell
-    is the default battery."""
-    default_runs, _ = default_battery
+def sweep_cells(config, cache, default_battery, tmp_path_factory):
+    """Final-round summary per (axis, value, algorithm); the tau=10 / B=50
+    cell is the default battery."""
+    default, _ = default_battery
     cells = {}
-    for alg, stats in final_stats(default_runs).items():
-        cells[("tau", 10, alg)] = cells[("B", 50, alg)] = stats
-    for tau in (1, 5):
-        for alg, stats in final_stats(run_battery(config, cache, eval_every=config.K, tau=tau)).items():
-            cells[("tau", tau, alg)] = stats
-    for B in (10, 30):
-        for alg, stats in final_stats(run_battery(config, cache, eval_every=config.K, B=B)).items():
-            cells[("B", B, alg)] = stats
+    for alg, summary in default.summary.per_algorithm.items():
+        cells[("tau", 10, alg)] = cells[("B", 50, alg)] = summary
+    for axis, values in (("tau", (1.0, 5.0)), ("B", (10.0, 30.0))):
+        sweep = replace(config, eval_every=config.K, sweep_axis=axis, sweep_values=values,
+                        out_dir=str(tmp_path_factory.mktemp(axis)))
+        for c in harness.run_sweep(sweep, cache):
+            cells[(axis, c.value, c.summary.algorithm)] = c.summary
     return cells
 
 
@@ -126,8 +108,8 @@ def test_c02_reduction_equivalence(config, cache):
 
 def test_c03_simplex_invariant(default_battery):
     """lambda >= 0 and |sum - 1| <= 1e-12 after every round of a K=800 run."""
-    runs, _ = default_battery
-    lam = runs[("fgdra", 0)].lambda_history
+    result, _ = default_battery
+    lam = result.runs[("fgdra", 0)].lambda_history
     assert lam.shape[0] == 801
     assert np.all(lam >= 0.0)
     worst_dev = float(np.max(np.abs(lam.sum(axis=1) - 1.0)))
@@ -154,8 +136,8 @@ def test_c04_label_oracle_equality(config, cache):
 
 def test_c05_robustness_ordering(default_battery):
     """Worst-accuracy means: FGDRA >= DRFA >= FedAvg, FGDRA - FedAvg >= 5."""
-    runs, elapsed = default_battery
-    stats = final_stats(runs)
+    result, elapsed = default_battery
+    stats = result.summary.per_algorithm
     fg, dr, fa = (stats[alg].worst_acc_mean for alg in ("fgdra", "drfa", "fedavg"))
     assert fg >= dr >= fa
     assert fg - fa >= 5.0
@@ -166,21 +148,22 @@ def test_c05_robustness_ordering(default_battery):
 
 def test_c06_fairness_gap_at_m2(m2_battery):
     """(average - worst) gaps at m=2: FGDRA < DRFA < FedAvg, >= 4 pt margin."""
-    gaps = {alg: s.avg_acc_mean - s.worst_acc_mean for alg, s in final_stats(m2_battery).items()}
+    gaps = {alg: s.avg_acc_mean - s.worst_acc_mean for alg, s in m2_battery.summary.per_algorithm.items()}
     assert gaps["fgdra"] < gaps["drfa"] < gaps["fedavg"]
     assert gaps["fedavg"] - gaps["fgdra"] >= 4.0
     print(f"\nCRITERION 6 PASS: m=2 gaps fgdra {gaps['fgdra']:.2f} < drfa {gaps['drfa']:.2f} "
           f"< fedavg {gaps['fedavg']:.2f}")
 
 
-def test_c07_communication_efficiency(default_battery):
+def test_c07_communication_efficiency(config, default_battery):
     """FGDRA reaches DRFA's final worst accuracy in <= 0.7x the exchanges."""
-    runs, _ = default_battery
-    drfa_final = final_stats(runs)["drfa"].worst_acc_mean
+    result, _ = default_battery
+    runs = result.runs
+    drfa_final = result.summary.per_algorithm["drfa"].worst_acc_mean
     drfa_comm = runs[("drfa", 0)].round_logs[-1].communication_rounds_consumed
     grid = [log.communication_rounds_consumed for log in runs[("fgdra", 0)].round_logs]
     mean_curve = np.mean(
-        [[log.worst_acc for log in runs[("fgdra", s)].round_logs] for s in SEEDS], axis=0)
+        [[log.worst_acc for log in runs[("fgdra", s)].round_logs] for s in config.seeds], axis=0)
     crossing = next((c for c, v in zip(grid, mean_curve) if v >= drfa_final), None)
     assert crossing is not None, "FGDRA never reached DRFA's final worst accuracy"
     assert crossing <= 0.7 * drfa_comm

@@ -17,8 +17,8 @@ from risfed.diagnostics import (
     slope_fit,
     theorem_bound,
     weighted_grad_norm_sq,
-    write_diagnostics_csv,
 )
+from risfed.harness import write_diagnostics_csv
 
 
 def test_theorem_bound_zero_constants():

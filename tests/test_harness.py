@@ -128,6 +128,7 @@ def test_build_profiles_design():
     ({"sweep_axis": "tau", "sweep_values": (2.7,)}, "sweep_values"),
     ({"sweep_axis": "B", "sweep_values": (math.nan,)}, "sweep_values"),
     ({"sweep_axis": "m", "sweep_values": (2.0, 9.0)}, "sweep_values"),
+    ({"sweep_axis": "tau"}, "sweep_values"),
     ({"N": 5}, "spacings"),
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
     ({"J": 1}, "train_fraction"),
@@ -261,6 +262,22 @@ def test_run_experiment_summary_matches_final_rows(tmp_path):
         assert result.summary.per_algorithm[alg].avg_acc_mean == pytest.approx(float(np.mean(finals)))
 
 
+def test_run_experiment_writes_each_runs_rows_before_the_next_run_starts(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, eval_every=3)
+    seen = []
+
+    def read_rows_and_stop(*args, **kwargs):
+        seen.append(open(os.path.join(cfg.out_dir, "runs.csv")).read())
+        raise RuntimeError("stop")
+
+    monkeypatch.setitem(fed.RUNNERS, "drfa", read_rows_and_stop)
+    with pytest.raises(RuntimeError, match="stop"):
+        harness.run_experiment(cfg)
+    header, *rows = seen[0].strip().split("\n")
+    assert header.startswith("algorithm,seed,round,")
+    assert [row.split(",")[:3] for row in rows] == [["fgdra", str(s), str(k)] for s in cfg.seeds for k in (3, 6)]
+
+
 def test_run_experiment_comm_round_axis(tmp_path):
     cfg = small_config(tmp_path, algorithms=("fgdra", "drfa"), seeds=(0,), eval_every=3)
     result = harness.run_experiment(cfg)
@@ -283,7 +300,7 @@ def test_run_sweep_layout_and_cells(tmp_path):
     cfg = small_config(tmp_path, sweep_axis="tau", sweep_values=(1.0, 2.0, 3.0))
     cells = harness.run_sweep(cfg)
     assert len(cells) == 9  # 3 algorithms x 3 values
-    assert {c.algorithm for c in cells} == {"fgdra", "drfa", "fedavg"}
+    assert {c.summary.algorithm for c in cells} == {"fgdra", "drfa", "fedavg"}
     for c in cells:
         assert re.fullmatch(r"\d+\.\d{2}/\d+\.\d{2}", c.cell)
     assert os.path.exists(os.path.join(cfg.out_dir, "sweep.csv"))
@@ -348,14 +365,24 @@ def test_cli_subcommands(tmp_path):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
+# each case is a risfed command line: a config the parser refuses, or a
+# command that cannot run on its config or inputs
 @pytest.mark.parametrize("overrides, named", [
-    (["--set", "K=1", "--set", "J=1"], "train_fraction"),
-    (["--set", "bogus=1"], "'bogus'"),
-    (["--set", "K"], "'K'"),
-    (["--set", "alpha=nan"], "alpha"),
+    (["train", "--set", "K=1", "--set", "J=1"], "train_fraction"),
+    (["train", "--set", "bogus=1"], "'bogus'"),
+    (["train", "--set", "K"], "'K'"),
+    (["train", "--set", "alpha=nan"], "alpha"),
+    (["train", "--set", "sweep_axis=tau", "--set", "K=1", "--set", "J=40"], "sweep_values"),
+    (["sweep", "--set", "K=1", "--set", "J=40"], "sweep_axis"),
+    (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3"),
+    (["plot-data"], "runs"),
 ])
-def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, overrides, named):
-    assert cli.main(["train", "--out-dir", str(tmp_path)] + overrides) == 2
+def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "generate_data", no_work)  # refused before any work
+    assert cli.main(overrides + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("risfed: error: ") and captured.err.count("\n") == 1
