@@ -362,10 +362,10 @@ def run_grid(config: ExperimentConfig,
     ``((algorithm, seed), result)`` in canonical order: algorithm, then seed.
 
     Run seed s trains on data draw dataset_seed + s (shared across the
-    algorithms, so per-seed comparisons stay paired).  Every run of the
-    harness is made here.  A run draws only from its own (seed, purpose,
-    worker, round) substreams, so the order in which runs execute does not
-    change them.
+    algorithms, so per-seed comparisons stay paired).  Every run of
+    :func:`run_experiment` and :func:`run_sweep` is made here.  A run draws
+    only from its own (seed, purpose, worker, round) substreams, so the
+    order in which runs execute does not change them.
     """
     cache = data if data is not None else SeedDataCache(config)
     for alg in config.algorithms:
