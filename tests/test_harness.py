@@ -128,7 +128,6 @@ def test_build_profiles_design():
     ({"sweep_axis": "tau", "sweep_values": (2.7,)}, "sweep_values"),
     ({"sweep_axis": "B", "sweep_values": (math.nan,)}, "sweep_values"),
     ({"sweep_axis": "m", "sweep_values": (2.0, 9.0)}, "sweep_values"),
-    ({"sweep_axis": "tau"}, "sweep_values"),
     ({"N": 5}, "spacings"),
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
     ({"J": 1}, "train_fraction"),
@@ -151,6 +150,7 @@ def test_build_profiles_design():
     ({"profile_seed": -1}, "profile_seed"),
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
+    ({"sweep_axis": "tau"}, "sweep_values"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
