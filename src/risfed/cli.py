@@ -18,18 +18,15 @@ from . import diagnostics, harness
 
 
 def _load_config(args) -> harness.ExperimentConfig:
-    config = harness.parse_config(args.config) if args.config else harness.ExperimentConfig()
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+    """The config file's settings, overridden by each ``--set`` item, then
+    ``--seed-list`` and ``--out-dir``; parsed and validated once."""
+    settings = harness.read_settings(args.config) if args.config else {}
+    settings.update(harness.split_setting(item, "--set") for item in args.set or [])
     if args.seed_list:
-        overrides["seeds"] = args.seed_list
+        settings["seeds"] = args.seed_list
     if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    return harness.apply_overrides(config, overrides)
+        settings["out_dir"] = args.out_dir
+    return harness.apply_overrides(harness.ExperimentConfig(), settings)
 
 
 def _refuse(message: str) -> int:
@@ -85,7 +82,8 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
         train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
         batch_size=config.B,
     )
-    T, trace, bound = harness.schedule_matched_trace(est, train_sets, test_sets, config.K, config.seeds[0])
+    T, trace, bound = harness.schedule_matched_trace(config.train_config(), est, train_sets, test_sets, config.K,
+                                                     config.seeds[0])
     path = os.path.join(config.out_dir, "diagnostics.csv")
     harness.write_diagnostics_csv(trace, bound, path)
     rm = diagnostics.running_mean_trace(trace)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,21 +206,15 @@ def slope_fit(trace: ConvergenceTrace) -> float:
     return fit_loglog_slope(trace.t[later], trace.grad_norm_sq[later])
 
 
-def prescribed_schedule(K: int, N: int, est: TheoryEstimates, m: int | None = None) -> TrainConfig:
+def prescribed_schedule(base: TrainConfig, K: int, est: TheoryEstimates) -> TrainConfig:
     """Step sizes and local-iteration count matched to the rate guarantee.
 
     tau = T^(1/4) with T = K * tau, i.e. tau = round(K^(1/3)); then
-    alpha = 1 / (L_hat sqrt(T)) and gamma = 1 / (sqrt(N) T).
+    alpha = 1 / (L_hat sqrt(T)) and gamma = 1 / (sqrt(N) T).  Every other
+    field (N, m, B, ...) is kept from ``base``.
     """
     tau = max(1, int(round(K ** (1.0 / 3.0))))
     T = K * tau
     if est.L_hat <= 0.0:
         raise ValueError("L_hat must be positive to set the primal step")
-    return TrainConfig(
-        N=N,
-        m=min(3, N) if m is None else m,
-        K=K,
-        tau=tau,
-        alpha=1.0 / (est.L_hat * math.sqrt(T)),
-        gamma=1.0 / (math.sqrt(N) * T),
-    )
+    return replace(base, K=K, tau=tau, alpha=1.0 / (est.L_hat * math.sqrt(T)), gamma=1.0 / (math.sqrt(base.N) * T))

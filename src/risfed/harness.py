@@ -1,11 +1,13 @@
 """Experiment orchestration: configs, data generation, multi-seed runs,
-hyperparameter sweeps and plot-ready CSV emission.
+hyperparameter sweeps, and every text format risfed reads or writes.
 
-The config file is a flat ``key = value`` text format ('#' starts a
-comment).  Every key is optional; omitted keys fall back to the default
-experiment: four heterogeneous workers whose RIS designs differ in element
-spacing (1/8 to 1 wavelength), trained with alpha=2e-3, gamma=5e-3, B=50,
-tau=10, m=3 for K=800 rounds over five seeds.
+Config files, ``--set`` items and dataset ``.meta`` files are flat
+``key = value`` text ('#' starts a comment), read by :func:`read_settings`
+and written by :func:`format_settings`; every table, datasets included, is
+written by :func:`write_csv`.  Every config key is optional; omitted keys
+fall back to the default experiment: four heterogeneous workers whose RIS
+designs differ in element spacing (1/8 to 1 wavelength), trained with
+alpha=2e-3, gamma=5e-3, B=50, tau=10, m=3 for K=800 rounds over five seeds.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import diagnostics, fed
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult, TrainConfig
-from .labeling import (FEATURE_DIM, Dataset, RateParams, WorkerProfile, gen_dataset, save_dataset, split,
+from .labeling import (FEATURE_DIM, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset, split,
                        train_count)
 
 SWEEP_AXES = ("none", "tau", "B", "m")
@@ -147,12 +149,14 @@ def _parse_value(key: str, text: str):
 
 
 def _format_value(value) -> str:
-    """Text of a config value or CSV cell.  A float is written as the repr of
-    a Python float, which round-trips exactly; numpy's own scalar repr
-    carries a type prefix."""
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, (float, np.floating)):
+    """Text of a setting or CSV cell.  A float is written as the repr of a
+    Python float, which round-trips exactly; numpy's own scalar repr
+    carries a type prefix.  A tuple or list is comma-joined."""
+    if type(value) is float:  # most cells of a dataset file
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(_format_value, value))
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 
@@ -167,44 +171,63 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     with open(path, "w", buffering=1) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_format_value(v) for v in row) + "\n")
+            f.write(",".join(map(_format_value, row)) + "\n")
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read a flat key=value file; unknown keys and bad values are fatal."""
-    overrides = {}
+def split_setting(text: str, where: str) -> tuple[str, str]:
+    """Key and value of one ``key = value`` item, both stripped; an item
+    without '=' is refused, named by ``where``."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), value.strip()
+
+
+def read_settings(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a text file, in file order.  '#' starts a
+    comment and blank lines are skipped; a line without '=' is refused with
+    ``path:lineno``."""
+    settings = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _parse_value(key, text.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**overrides)
+            if line:
+                key, value = split_setting(line, f"{path}:{lineno}")
+                settings[key] = value
+    return settings
+
+
+def format_settings(settings: dict) -> str:
+    """One ``key = value`` line per item, every value through :func:`_format_value`."""
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in settings.items())
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    """Read a config file; unknown keys and bad values are fatal, and the
+    message names the file and the key."""
+    settings = read_settings(path)
+    try:
+        return apply_overrides(ExperimentConfig(), settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Apply 'key=value' style overrides (CLI flags) on top of a config."""
+    """Parse ``key = value`` settings and apply them on top of a config."""
     parsed = {}
     for key, text in overrides.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        parsed[key] = _parse_value(key, text)
+        try:
+            parsed[key] = _parse_value(key, text)
+        except ValueError as exc:
+            raise ValueError(f"invalid value for {key!r}: {exc}") from exc
     return replace(config, **parsed)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form: every key, declaration order, one per line."""
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}" for f in fields(ExperimentConfig)]
-    return "\n".join(lines) + "\n"
+    return format_settings(asdict(config))
 
 
 def _worker_angles(config: ExperimentConfig) -> list[tuple[float, float, float]]:
@@ -482,17 +505,87 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
     return paths
 
 
+DATASET_FORMAT_VERSION = "risfed-dataset-v1"
+_DATASET_COLUMNS = [f"f{i:03d}" for i in range(FEATURE_DIM)] + ["label", "rate"]
+_DATASET_META_KEYS = ("worker_id", "num_samples", "scaler_mean", "scaler_sd")
+
+
+def save_dataset(ds: Dataset, stem: str, extra_meta: dict | None = None) -> tuple[str, str]:
+    """Write ``<stem>.csv`` plus a ``<stem>.meta`` header file.
+
+    CSV: header row, then one row per sample: f000..f399 (floats, shortest
+    round-trip decimal), label (int), rate (float, diagnostic).  Meta file:
+    ``key = value`` lines with the format version, worker id, sample count
+    and the standardization vectors (empty when the dataset is unscaled),
+    then ``extra_meta``.
+    """
+    csv_path, meta_path = stem + ".csv", stem + ".meta"
+    write_csv(csv_path, _DATASET_COLUMNS,
+              ([*f, label, r] for f, label, r in zip(ds.features.tolist(), ds.labels.tolist(), ds.rates.tolist())))
+    meta = {
+        "format": DATASET_FORMAT_VERSION,
+        "worker_id": ds.worker_id,
+        "num_samples": len(ds),
+        "scaler_mean": ds.scaler.mean.tolist() if ds.scaler else (),
+        "scaler_sd": ds.scaler.sd.tolist() if ds.scaler else (),
+        **(extra_meta or {}),
+    }
+    with open(meta_path, "w") as f:
+        f.write(format_settings(meta))
+    return csv_path, meta_path
+
+
+def load_dataset(stem: str) -> Dataset:
+    """Read a dataset written by :func:`save_dataset`.
+
+    A wrong format version, a missing meta key, a header other than
+    f000..f399,label,rate, a row count other than ``num_samples`` or a
+    scaler vector of other than 400 values is refused, naming the file.
+    """
+    csv_path, meta_path = stem + ".csv", stem + ".meta"
+    meta = read_settings(meta_path)
+    if meta.get("format") != DATASET_FORMAT_VERSION:
+        raise ValueError(f"{meta_path}: unsupported dataset format: {meta.get('format')!r}")
+    missing = [key for key in _DATASET_META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
+    try:
+        worker_id, n = int(meta["worker_id"]), int(meta["num_samples"])
+        mean, sd = ([float(x) for x in meta[key].split(",") if x] for key in ("scaler_mean", "scaler_sd"))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    if (mean or sd) and not len(mean) == len(sd) == FEATURE_DIM:
+        raise ValueError(f"{meta_path}: scaler_mean and scaler_sd need {FEATURE_DIM} values each, "
+                         f"got {len(mean)} and {len(sd)}")
+    with open(csv_path) as f:
+        header, *rows = f.read().splitlines() or [""]
+    if header.split(",") != _DATASET_COLUMNS:
+        raise ValueError(f"{csv_path}: header is not f000..f{FEATURE_DIM - 1},label,rate")
+    if len(rows) != n:
+        raise ValueError(f"{csv_path}: {len(rows)} rows, but num_samples = {n}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from exc
+    return Dataset(
+        worker_id=worker_id,
+        features=data[:, :FEATURE_DIM],
+        labels=data[:, FEATURE_DIM].astype(np.int64),
+        rates=data[:, FEATURE_DIM + 1],
+        scaler=FeatureScaler(mean=np.array(mean), sd=np.array(sd)) if mean else None,
+    )
+
+
 def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
-    """Write every worker's train/test split via the dataset file format."""
+    """Write every worker's train/test split with :func:`save_dataset`."""
     train_sets, test_sets, profiles = generate_data(config)
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     for profile, train, test in zip(profiles, train_sets, test_sets):
         meta = {
-            "dataset_seed": str(config.dataset_seed),
-            "profile_seed": str(config.profile_seed),
-            "element_spacing_m": repr(profile.geometry.element_spacing),
-            "carrier_wavelength_m": repr(profile.geometry.carrier_wavelength),
+            "dataset_seed": config.dataset_seed,
+            "profile_seed": config.profile_seed,
+            "element_spacing_m": profile.geometry.element_spacing,
+            "carrier_wavelength_m": profile.geometry.carrier_wavelength,
         }
         for name, ds in (("train", train), ("test", test)):
             stem = os.path.join(out_dir, f"worker{profile.worker_id}_{name}")
@@ -508,15 +601,17 @@ def write_diagnostics_csv(trace: diagnostics.ConvergenceTrace, bound: float, pat
               [(int(t), g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm.grad_norm_sq)])
 
 
-def schedule_matched_trace(est: diagnostics.TheoryEstimates, train_sets: list[Dataset], test_sets: list[Dataset],
-                           K: int, seed: int) -> tuple[int, diagnostics.ConvergenceTrace, float]:
+def schedule_matched_trace(base: TrainConfig, est: diagnostics.TheoryEstimates, train_sets: list[Dataset],
+                           test_sets: list[Dataset], K: int,
+                           seed: int) -> tuple[int, diagnostics.ConvergenceTrace, float]:
     """An fgdra run of K rounds under :func:`diagnostics.prescribed_schedule`
-    for ``est``, evaluated at its last round only.
+    for ``est`` (every other setting from ``base``), evaluated at its last
+    round only.
 
     Returns T (the iteration count), the weighted gradient-norm trace at the
     :func:`diagnostics.round_checkpoints` of K, and the theorem bound at T.
     """
-    sched = diagnostics.prescribed_schedule(K, len(train_sets), est)
+    sched = diagnostics.prescribed_schedule(base, K, est)
     ckpts = diagnostics.round_checkpoints(K)
     result = fed.run_fgdra(sched, train_sets, test_sets, seed=seed, eval_every=K, checkpoint_rounds=set(ckpts))
     T = sched.K * sched.tau
@@ -550,8 +645,10 @@ def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
     through :func:`schedule_matched_trace` with constants estimated from
     ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
     iteration count), the final iteration-weighted running mean of the
-    squared gradient norm and the theorem bound.
+    squared gradient norm and the theorem bound.  The runs train the one
+    worker (N = m = 1) with the config's batch size B.
     """
+    base = replace(config.train_config(), N=1, m=1)
     records = []
     for s in seeds:
         train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)
@@ -560,7 +657,7 @@ def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
             batch_size=config.B, pair_scale=1e-3,
         )
         for K in THEORY_KS:
-            T, trace, bound = schedule_matched_trace(est, train_sets, test_sets, K, s)
+            T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
             records.append({
                 "seed": s, "K": K, "T": T,
                 "running_mean": float(diagnostics.running_mean_trace(trace).grad_norm_sq[-1]),

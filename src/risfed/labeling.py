@@ -24,9 +24,6 @@ FEATURE_DIM = 400
 # Azimuth offsets (degrees) of the four steering codewords around the RX.
 CODEBOOK_OFFSETS_DEG = (-20.0, -7.0, 7.0, 20.0)
 
-DATASET_FORMAT_VERSION = "risfed-dataset-v1"
-
-
 @dataclass(frozen=True)
 class RateParams:
     """Link constants of the rate expression: bandwidth (Hz), transmit power
@@ -163,14 +160,9 @@ def raw_features(sample: ChannelSample) -> np.ndarray:
     return np.concatenate([sample.h.real, sample.h.imag, sample.g.real, sample.g.imag], axis=-1)
 
 
-def encode_features(sample: ChannelSample, scaler: FeatureScaler | None = None) -> np.ndarray:
-    """Encode a sample; standardize when a fitted scaler is supplied."""
-    raw = raw_features(sample)
-    return raw if scaler is None else scaler.transform(raw)
-
-
 def decode_features(features: np.ndarray, scaler: FeatureScaler | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`encode_features` back to the channel pair (h, g)."""
+    """Invert :func:`raw_features` back to the channel pair (h, g); with a
+    scaler, first undo its standardization."""
     raw = np.asarray(features, dtype=float)
     if raw.shape[-1] != FEATURE_DIM:
         raise ValueError(f"expected {FEATURE_DIM} features, got {raw.shape[-1]}")
@@ -231,66 +223,3 @@ def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> tuple[Dataset,
         scaler=scaler,
     )
     return make(tr), make(te)
-
-
-def save_dataset(ds: Dataset, stem: str, extra_meta: dict[str, str] | None = None) -> tuple[str, str]:
-    """Write ``<stem>.csv`` plus a ``<stem>.meta`` header file.
-
-    CSV: header row, then one row per sample: f000..f399 (floats, shortest
-    round-trip decimal), label (int), rate (float, diagnostic).  Meta file:
-    flat ``key = value`` lines with the format version, worker id, sample
-    count and the standardization vectors (comma-joined, empty when the
-    dataset is unscaled).
-    """
-    csv_path, meta_path = stem + ".csv", stem + ".meta"
-    cols = [f"f{i:03d}" for i in range(FEATURE_DIM)] + ["label", "rate"]
-    with open(csv_path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for j in range(len(ds)):
-            row = [repr(float(v)) for v in ds.features[j]]
-            row.append(str(int(ds.labels[j])))
-            row.append(repr(float(ds.rates[j])))
-            f.write(",".join(row) + "\n")
-    meta = {
-        "format": DATASET_FORMAT_VERSION,
-        "worker_id": str(ds.worker_id),
-        "num_samples": str(len(ds)),
-        "scaler_mean": ",".join(repr(float(v)) for v in ds.scaler.mean) if ds.scaler else "",
-        "scaler_sd": ",".join(repr(float(v)) for v in ds.scaler.sd) if ds.scaler else "",
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(meta_path, "w") as f:
-        for k, v in meta.items():
-            f.write(f"{k} = {v}\n")
-    return csv_path, meta_path
-
-
-def load_dataset(stem: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    meta: dict[str, str] = {}
-    with open(stem + ".meta") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
-    if meta.get("format") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format: {meta.get('format')!r}")
-    data = np.loadtxt(stem + ".csv", delimiter=",", skiprows=1, ndmin=2)
-    features = data[:, :FEATURE_DIM]
-    labels = data[:, FEATURE_DIM].astype(np.int64)
-    rates = data[:, FEATURE_DIM + 1]
-    scaler = None
-    if meta.get("scaler_mean"):
-        mean = np.array([float(x) for x in meta["scaler_mean"].split(",")])
-        sd = np.array([float(x) for x in meta["scaler_sd"].split(",")])
-        scaler = FeatureScaler(mean=mean, sd=sd)
-    return Dataset(
-        worker_id=int(meta["worker_id"]),
-        features=features,
-        labels=labels,
-        rates=rates,
-        scaler=scaler,
-    )

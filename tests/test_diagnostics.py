@@ -149,15 +149,17 @@ def test_theory_estimates_validation():
 
 def test_prescribed_schedule_shapes():
     est = TheoryEstimates(sigma_hat=1.0, nu_hat=1.0, L_hat=2.0, F0=1.0)
-    sched = prescribed_schedule(800, 4, est)
+    base = fed.TrainConfig(B=10, m=2)
+    sched = prescribed_schedule(base, 800, est)
     assert sched.tau == 9  # round(800^(1/3))
     T = sched.K * sched.tau
     assert sched.alpha == pytest.approx(1.0 / (2.0 * math.sqrt(T)))
     assert sched.gamma == pytest.approx(1.0 / (2.0 * T))
-    one = prescribed_schedule(50, 1, est)
+    assert (sched.N, sched.m, sched.B) == (4, 2, 10)  # everything but K, tau, alpha, gamma is kept
+    one = prescribed_schedule(fed.TrainConfig(N=1, m=1), 50, est)
     assert one.m == 1 and one.N == 1
     with pytest.raises(ValueError):
-        prescribed_schedule(50, 4, TheoryEstimates(1.0, 1.0, 0.0, 1.0))
+        prescribed_schedule(base, 50, TheoryEstimates(1.0, 1.0, 0.0, 1.0))
 
 
 def test_write_diagnostics_csv(tmp_path):

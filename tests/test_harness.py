@@ -1,6 +1,8 @@
 import math
 import os
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from risfed import cli, fed, harness, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides, parse_config, serialize_config
-from risfed.labeling import Dataset
+from risfed.labeling import Dataset, FeatureScaler
 
 
 def small_config(tmp_path, **kw):
@@ -93,6 +95,37 @@ def test_config_round_trip_canonical(tmp_path):
     cfg2 = parse_config(str(path2))
     assert cfg2 == cfg
     assert serialize_config(cfg2) == canonical
+
+
+def test_read_settings_refuses_a_line_without_equals(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\nK 12\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected 'key = value', got 'K 12'")):
+        harness.read_settings(str(path))
+
+
+def test_parse_config_names_the_file_and_the_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("K = 12\nB = many\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: invalid value for 'B'")):
+        parse_config(str(path))
+
+
+def test_examples_cfg_names_every_key_at_its_default():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "examples.cfg")
+    assert sorted(harness.read_settings(path)) == sorted(f.name for f in fields(ExperimentConfig))
+    assert parse_config(path) == ExperimentConfig()
+
+
+def test_cli_config_file_and_set_items_are_validated_together(tmp_path):
+    # N = 2 alone is refused (m defaults to 3); with --set m=2 the merged settings are valid
+    path = tmp_path / "two.cfg"
+    path.write_text("N = 2\nK = 5\n")
+    args = cli.build_parser().parse_args(["train", "--config", str(path), "--set", "m=2", "--set", "K = 7"])
+    cfg = cli._load_config(args)
+    assert (cfg.N, cfg.m, cfg.K) == (2, 2, 7)
+    with pytest.raises(ValueError, match="m=3"):
+        parse_config(str(path))
 
 
 def test_apply_overrides():
@@ -344,12 +377,65 @@ def test_emit_plot_data(tmp_path):
 
 
 def test_export_datasets_round_trip(tmp_path):
-    from risfed.labeling import load_dataset
     cfg = small_config(tmp_path, J=80)
     written = harness.export_datasets(cfg, cfg.out_dir)
     assert len(written) == 8  # 4 workers x train/test
-    ds = load_dataset(written[0][:-4])
+    ds = harness.load_dataset(written[0][:-4])
     assert len(ds) == 64
+
+
+def _saved_dataset(tmp_path, n=32):
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((n, 400))
+    scaler = FeatureScaler(mean=raw.mean(axis=0), sd=raw.std(axis=0))
+    ds = Dataset(worker_id=1, features=scaler.transform(raw), labels=rng.integers(0, 4, n),
+                 rates=rng.uniform(1e7, 2e7, n), scaler=scaler)
+    stem = str(tmp_path / "worker1_train")
+    harness.save_dataset(ds, stem)
+    return stem
+
+
+def _keep_rows(path, keep):
+    lines = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text("".join(lines[:1 + keep]))
+
+
+def _edit_meta(path, key, value):
+    meta = harness.read_settings(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    Path(path).write_text(harness.format_settings(meta))
+
+
+@pytest.mark.parametrize("damage, file, message", [
+    (lambda stem: _keep_rows(stem + ".csv", 9), ".csv", "9 rows, but num_samples = 32"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_sd", None), ".meta", "missing scaler_sd"),
+    (lambda stem: _edit_meta(stem + ".meta", "num_samples", None), ".meta", "missing num_samples"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_mean", "1.0,2.0"), ".meta", "400 values each, got 2 and 400"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_mean", ""), ".meta", "400 values each, got 0 and 400"),
+    (lambda stem: Path(stem + ".csv").write_text("f000,label,rate\n"), ".csv", "header is not f000..f399,label,rate"),
+])
+def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, file, message):
+    stem = _saved_dataset(tmp_path)
+    damage(stem)
+    with pytest.raises(ValueError, match=re.escape(f"{stem}{file}: ") + ".*" + re.escape(message)):
+        harness.load_dataset(stem)
+
+
+def test_cli_diagnose_runs_the_configured_batch_and_sampling_sizes(tmp_path, monkeypatch):
+    seen = []
+    real = fed.run_fgdra
+
+    def run_fgdra(config, *args, **kwargs):
+        seen.append((config.N, config.m, config.B))
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(fed, "run_fgdra", run_fgdra)
+    assert cli.main(["diagnose", "--out-dir", str(tmp_path), "--probes", "100", "--set", "K=4", "--set", "J=120",
+                     "--set", "B=10", "--set", "m=2"]) == 0
+    assert seen == [(4, 2, 10)]
 
 
 def test_cli_subcommands(tmp_path):
@@ -376,6 +462,7 @@ def test_cli_subcommands(tmp_path):
     (["sweep", "--set", "K=1", "--set", "J=40"], "sweep_axis"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3"),
     (["plot-data"], "runs"),
+    (["train", "--set", "tau=abc"], "'tau'"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     def no_work(*args, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from risfed.channel import ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
+from risfed.harness import load_dataset, save_dataset
 from risfed.labeling import (
     CODEBOOK_OFFSETS_DEG,
     Codebook,
@@ -13,14 +14,11 @@ from risfed.labeling import (
     WorkerProfile,
     build_codebook,
     decode_features,
-    encode_features,
     fit_scaler,
     gen_dataset,
     label,
-    load_dataset,
     rate,
     raw_features,
-    save_dataset,
     split,
 )
 
@@ -166,7 +164,7 @@ def test_feature_round_trip():
     geom = small_geometry()
     sample = gen_channel_pair(geom, np.random.default_rng(12))
     scaler = FeatureScaler(mean=np.full(400, 0.3), sd=np.full(400, 2.0))
-    encoded = encode_features(sample, scaler)
+    encoded = scaler.transform(raw_features(sample))
     h, g = decode_features(encoded, scaler)
     assert np.allclose(h, sample.h, atol=1e-9)
     assert np.allclose(g, sample.g, atol=1e-9)
