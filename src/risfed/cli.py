@@ -72,18 +72,20 @@ def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
 
 
 def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
-    """Instrument one run under the rate-matched schedule and emit the trace."""
+    """Instrument one run under the rate-matched schedule and emit the trace.
+    The run takes the first seed s of the seed list and trains on its data
+    draw, dataset_seed + s."""
     n_ckpts = len(diagnostics.round_checkpoints(config.K))
     if n_ckpts < diagnostics.MIN_CHECKPOINTS:
         return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
                        f"fewer than the {diagnostics.MIN_CHECKPOINTS} a slope fit takes")
-    train_sets, test_sets, _ = harness.generate_data(config)
+    seed = config.seeds[0]
+    train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
     est = diagnostics.estimate_constants(
         train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
         batch_size=config.B,
     )
-    T, trace, bound = harness.schedule_matched_trace(config.train_config(), est, train_sets, test_sets, config.K,
-                                                     config.seeds[0])
+    T, trace, bound = harness.schedule_matched_trace(config, est, train_sets, test_sets, config.K, seed)
     path = os.path.join(config.out_dir, "diagnostics.csv")
     harness.write_diagnostics_csv(trace, bound, path)
     rm = diagnostics.running_mean_trace(trace)

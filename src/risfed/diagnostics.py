@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import mlp
-from .fed import RunResult, TrainConfig
+from .fed import RunResult
 from .labeling import Dataset
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 # Fewest probes estimate_constants accepts.
 MIN_PROBES = 100
@@ -206,7 +210,7 @@ def slope_fit(trace: ConvergenceTrace) -> float:
     return fit_loglog_slope(trace.t[later], trace.grad_norm_sq[later])
 
 
-def prescribed_schedule(base: TrainConfig, K: int, est: TheoryEstimates) -> TrainConfig:
+def prescribed_schedule(base: ExperimentConfig, K: int, est: TheoryEstimates) -> ExperimentConfig:
     """Step sizes and local-iteration count matched to the rate guarantee.
 
     tau = T^(1/4) with T = K * tau, i.e. tau = round(K^(1/3)); then

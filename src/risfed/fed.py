@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import metrics, mlp
 from .labeling import Dataset
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
@@ -44,40 +48,6 @@ _EXP_MAX = 700.0
 
 # Substream purpose tags; part of the reproducibility contract.
 _INIT, _SERVER, _PRIMAL, _DUAL, _SNAPSHOT = range(5)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Federation hyperparameters.
-
-    ``tau`` is the number of local SGD steps between exchanges (the total
-    iteration count is K * tau).  ``gamma`` may be zero, which freezes the
-    dual vector and is used by the FedAvg-reduction checks.
-    """
-
-    N: int = 4
-    m: int = 3
-    K: int = 800
-    tau: int = 10
-    alpha: float = 2e-3
-    gamma: float = 5e-3
-    B: int = 50
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    algorithm: str = "fgdra"
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.N:
-            raise ValueError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if self.tau < 1 or self.K < 1 or self.B < 1:
-            raise ValueError("tau, K and B must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.seeds or any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be a nonempty list of nonnegative ints")
 
 
 @dataclass(frozen=True)
@@ -101,7 +71,7 @@ class RunResult:
 
     algorithm: str
     seed: int
-    config: TrainConfig
+    config: ExperimentConfig
     round_logs: list[RoundLog]
     final_theta: np.ndarray
     lambda_history: np.ndarray
@@ -235,7 +205,8 @@ def _should_eval(k: int, K: int, eval_every: int) -> bool:
 
 
 def _run(
-    config: TrainConfig,
+    config: ExperimentConfig,
+    algorithm: str,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
     seed: int | None,
@@ -245,7 +216,7 @@ def _run(
     if len(train_sets) != config.N or len(test_sets) != config.N:
         raise ValueError(f"expected {config.N} train and test sets")
     seed = config.seeds[0] if seed is None else seed
-    dual_at = DUAL_LOSS_AT[config.algorithm]
+    dual_at = DUAL_LOSS_AT[algorithm]
     at_snapshot = dual_at == "snapshot"
     comm_cost = 2 if at_snapshot else 1
     # importance weighting: the m sampled snapshot losses stand in for all N
@@ -306,7 +277,7 @@ def _run(
         theta_checkpoints[config.K] = theta
 
     return RunResult(
-        algorithm=config.algorithm,
+        algorithm=algorithm,
         seed=seed,
         config=config,
         round_logs=round_logs,
@@ -319,7 +290,7 @@ def _run(
 
 
 def run_fgdra(
-    config: TrainConfig,
+    config: ExperimentConfig,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
     seed: int | None = None,
@@ -336,11 +307,11 @@ def run_fgdra(
     entries keep their previous values).  Costs one communication round per
     algorithmic round.
     """
-    return _run(replace(config, algorithm="fgdra"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
+    return _run(config, "fgdra", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 def run_fedavg(
-    config: TrainConfig,
+    config: ExperimentConfig,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
     seed: int | None = None,
@@ -349,11 +320,11 @@ def run_fedavg(
 ) -> RunResult:
     """Plain federated averaging: uniform sampling, unweighted local SGD
     with step alpha.  The logged lambda stays the uniform vector."""
-    return _run(replace(config, algorithm="fedavg"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
+    return _run(config, "fedavg", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 def run_drfa(
-    config: TrainConfig,
+    config: ExperimentConfig,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
     seed: int | None = None,
@@ -368,7 +339,7 @@ def run_drfa(
     requires a second exchange, so each round consumes two communication
     rounds.
     """
-    return _run(replace(config, algorithm="drfa"), train_sets, test_sets, seed, eval_every, checkpoint_rounds)
+    return _run(config, "drfa", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
 
 
 RUNNERS = {"fgdra": run_fgdra, "drfa": run_drfa, "fedavg": run_fedavg}

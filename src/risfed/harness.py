@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import diagnostics, fed
 from .channel import Placement, make_worker_geometry
-from .fed import RunResult, TrainConfig
+from .fed import RunResult
 from .labeling import (FEATURE_DIM, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset, split,
                        train_count)
 
@@ -47,7 +47,9 @@ RX_DISTANCE_M = 20.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment description; field names double as config-file keys."""
+    """Full experiment description, read directly by the fed runners; field
+    names double as config-file keys.  Each setting is defaulted here and
+    checked in ``__post_init__``, nowhere else."""
 
     algorithms: tuple[str, ...] = ("fgdra", "drfa", "fedavg")
     alpha: float = 2e-3
@@ -80,13 +82,21 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_numbers(self)
-        self.train_config()  # reuse its hyperparameter validation
+        if not 1 <= self.m <= self.N:
+            raise ValueError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
         for key in _POSITIVE_KEYS:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
-        for key in ("scatter_cone_deg", "profile_seed", "dataset_seed"):
+        # gamma = 0 freezes lambda; the FedAvg-reduction checks rely on it
+        for key in ("gamma", "scatter_cone_deg", "profile_seed", "dataset_seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        if not self.seeds or any(s < 0 for s in self.seeds) or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of distinct nonnegative ints, got {self.seeds!r}")
+        if (not self.algorithms or len(set(self.algorithms)) < len(self.algorithms)
+                or not set(self.algorithms) <= set(fed.ALGORITHMS)):
+            raise ValueError(f"algorithms must be a nonempty list of distinct names from {fed.ALGORITHMS}, "
+                             f"got {self.algorithms!r}")
         if self.ris_rows * self.ris_cols != FEATURE_DIM // 4:
             raise ValueError(f"ris_rows x ris_cols must be {FEATURE_DIM // 4} (the {FEATURE_DIM} features are "
                              f"h and g), got {self.ris_rows}x{self.ris_cols}")
@@ -101,23 +111,18 @@ class ExperimentConfig:
         if not self.spacings or any(s <= 0 for s in self.spacings):
             raise ValueError("spacings must be a nonempty list of positive values")
         _worker_angles(self)  # the alias geometry must be feasible
-        for alg in self.algorithms:
-            if alg not in fed.ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}")
         if self.sweep_axis != "none":
             if not self.sweep_values:
                 raise ValueError(f"sweep_values must list the values of sweep_axis={self.sweep_axis!r}, got none")
             for value in self.sweep_values:
                 sweep_config(self, self.sweep_axis, value)
 
-    def train_config(self, algorithm: str = "fgdra") -> TrainConfig:
-        return TrainConfig(
-            N=self.N, m=self.m, K=self.K, tau=self.tau, alpha=self.alpha,
-            gamma=self.gamma, B=self.B, seeds=self.seeds, algorithm=algorithm,
-        )
+    def train_config(self, algorithm: str) -> ExperimentConfig:
+        """This config narrowed to one algorithm; only perfbench/workloads.py calls it."""
+        return replace(self, algorithms=(algorithm,))
 
 
-_POSITIVE_KEYS = ("eval_every", "J", "ris_rows", "ris_cols", "n_scatterers",
+_POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J", "ris_rows", "ris_cols", "n_scatterers",
                   "wavelength", "bandwidth", "tx_power", "noise_psd")
 _LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float, "sweep_values": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -202,16 +207,6 @@ def format_settings(settings: dict) -> str:
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in settings.items())
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read a config file; unknown keys and bad values are fatal, and the
-    message names the file and the key."""
-    settings = read_settings(path)
-    try:
-        return apply_overrides(ExperimentConfig(), settings)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
     """Parse ``key = value`` settings and apply them on top of a config."""
     parsed = {}
@@ -223,11 +218,6 @@ def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> Expe
         except ValueError as exc:
             raise ValueError(f"invalid value for {key!r}: {exc}") from exc
     return replace(config, **parsed)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form: every key, declaration order, one per line."""
-    return format_settings(asdict(config))
 
 
 def _worker_angles(config: ExperimentConfig) -> list[tuple[float, float, float]]:
@@ -393,8 +383,7 @@ def run_grid(config: ExperimentConfig,
     cache = data if data is not None else SeedDataCache(config)
     for alg in config.algorithms:
         for seed in config.seeds:
-            yield (alg, seed), fed.RUNNERS[alg](config.train_config(alg), *cache.for_seed(seed), seed=seed,
-                                                eval_every=config.eval_every)
+            yield (alg, seed), fed.RUNNERS[alg](config, *cache.for_seed(seed), seed=seed, eval_every=config.eval_every)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -601,7 +590,7 @@ def write_diagnostics_csv(trace: diagnostics.ConvergenceTrace, bound: float, pat
               [(int(t), g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm.grad_norm_sq)])
 
 
-def schedule_matched_trace(base: TrainConfig, est: diagnostics.TheoryEstimates, train_sets: list[Dataset],
+def schedule_matched_trace(base: ExperimentConfig, est: diagnostics.TheoryEstimates, train_sets: list[Dataset],
                            test_sets: list[Dataset], K: int,
                            seed: int) -> tuple[int, diagnostics.ConvergenceTrace, float]:
     """An fgdra run of K rounds under :func:`diagnostics.prescribed_schedule`
@@ -646,9 +635,10 @@ def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
     ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
     iteration count), the final iteration-weighted running mean of the
     squared gradient norm and the theorem bound.  The runs train the one
-    worker (N = m = 1) with the config's batch size B.
+    worker (N = m = 1) with the config's batch size B; a configured sweep
+    is not run.
     """
-    base = replace(config.train_config(), N=1, m=1)
+    base = replace(config, N=1, m=1, sweep_axis="none", sweep_values=())
     records = []
     for s in seeds:
         train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)

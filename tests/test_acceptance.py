@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from risfed import fed, harness, mlp
-from risfed.fed import ALGORITHMS, TrainConfig
+from risfed.fed import ALGORITHMS
 from risfed.harness import ExperimentConfig, SeedDataCache
 from risfed.labeling import build_codebook, decode_features, rate
 
@@ -92,8 +92,8 @@ def test_c02_reduction_equivalence(config, cache):
     t0 = time.perf_counter()
     train_sets, test_sets = cache.for_seed(0)
     ckpts = set(range(101))
-    cfg_f = TrainConfig(N=4, m=4, K=100, tau=config.tau, alpha=config.alpha, gamma=0.0, B=config.B)
-    cfg_a = TrainConfig(N=4, m=4, K=100, tau=config.tau, alpha=config.alpha / 4, gamma=config.gamma, B=config.B)
+    cfg_f = replace(config, m=4, K=100, gamma=0.0)
+    cfg_a = replace(config, m=4, K=100, alpha=config.alpha / 4)
     rf = fed.run_fgdra(cfg_f, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
     ra = fed.run_fedavg(cfg_a, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
     drift = sum(

@@ -18,7 +18,7 @@ from risfed.diagnostics import (
     theorem_bound,
     weighted_grad_norm_sq,
 )
-from risfed.harness import write_diagnostics_csv
+from risfed.harness import ExperimentConfig, write_diagnostics_csv
 
 
 def test_theorem_bound_zero_constants():
@@ -79,7 +79,7 @@ def test_round_checkpoints_cover_transient_and_end():
 
 def test_grad_norm_trace_single_worker_oracle(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = fed.TrainConfig(N=1, m=1, K=6, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg = ExperimentConfig(N=1, m=1, K=6, tau=3, alpha=2e-3, gamma=0.0, B=10)
     result = fed.run_fgdra(cfg, train_sets[:1], test_sets[:1], seed=0, eval_every=6,
                            checkpoint_rounds={0, 3, 6})
     trace = grad_norm_trace(result, train_sets[:1], [0, 3, 6])
@@ -101,7 +101,7 @@ def test_grad_norm_trace_recomposition(tiny_fleet):
 
 def test_grad_norm_trace_missing_checkpoint_rejected(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = fed.TrainConfig(K=4, tau=2, B=10)
+    cfg = ExperimentConfig(K=4, tau=2, B=10)
     result = fed.run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=4, checkpoint_rounds={0, 4})
     with pytest.raises(ValueError):
         grad_norm_trace(result, train_sets, [0, 2, 4])
@@ -149,14 +149,14 @@ def test_theory_estimates_validation():
 
 def test_prescribed_schedule_shapes():
     est = TheoryEstimates(sigma_hat=1.0, nu_hat=1.0, L_hat=2.0, F0=1.0)
-    base = fed.TrainConfig(B=10, m=2)
+    base = ExperimentConfig(B=10, m=2)
     sched = prescribed_schedule(base, 800, est)
     assert sched.tau == 9  # round(800^(1/3))
     T = sched.K * sched.tau
     assert sched.alpha == pytest.approx(1.0 / (2.0 * math.sqrt(T)))
     assert sched.gamma == pytest.approx(1.0 / (2.0 * T))
     assert (sched.N, sched.m, sched.B) == (4, 2, 10)  # everything but K, tau, alpha, gamma is kept
-    one = prescribed_schedule(fed.TrainConfig(N=1, m=1), 50, est)
+    one = prescribed_schedule(ExperimentConfig(N=1, m=1), 50, est)
     assert one.m == 1 and one.N == 1
     with pytest.raises(ValueError):
         prescribed_schedule(base, 50, TheoryEstimates(1.0, 1.0, 0.0, 1.0))

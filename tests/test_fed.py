@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from risfed import fed, mlp
 from risfed.fed import (
-    TrainConfig,
     dual_step,
     dual_update,
     local_sgd,
@@ -17,25 +16,7 @@ from risfed.fed import (
     run_fgdra,
     sample_workers,
 )
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(N=4, m=5)
-    with pytest.raises(ValueError):
-        TrainConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(algorithm="sgd")
-    with pytest.raises(ValueError):
-        TrainConfig(seeds=())
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="alpha"):
-            TrainConfig(alpha=bad)
-        with pytest.raises(ValueError, match="gamma"):
-            TrainConfig(gamma=bad)
-    TrainConfig(gamma=0.0)  # gamma=0 admitted for the reduction checks
+from risfed.harness import ExperimentConfig
 
 
 def test_sample_workers_degenerate_and_full():
@@ -184,8 +165,8 @@ def run_pair(algorithm_a, algorithm_b, cfg_a, cfg_b, fleet, seed=0, K=None):
 
 
 def test_fgdra_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
-    cfg_f = TrainConfig(N=4, m=4, K=25, tau=3, alpha=2e-3, gamma=0.0, B=10)
-    cfg_a = TrainConfig(N=4, m=4, K=25, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
+    cfg_f = ExperimentConfig(N=4, m=4, K=25, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg_a = ExperimentConfig(N=4, m=4, K=25, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("fgdra", "fedavg", cfg_f, cfg_a, tiny_fleet)
     drift = sum(
         float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
@@ -195,8 +176,8 @@ def test_fgdra_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
 
 
 def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
-    cfg_d = TrainConfig(N=4, m=3, K=20, tau=3, alpha=2e-3, gamma=0.0, B=10)
-    cfg_a = TrainConfig(N=4, m=3, K=20, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
+    cfg_d = ExperimentConfig(N=4, m=3, K=20, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg_a = ExperimentConfig(N=4, m=3, K=20, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("drfa", "fedavg", cfg_d, cfg_a, tiny_fleet)
     drift = sum(
         float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
@@ -208,7 +189,7 @@ def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
 
 def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(N=1, m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
+    cfg = ExperimentConfig(N=1, m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
     result = run_fgdra(cfg, train_sets[:1], test_sets[:1], seed=5, eval_every=8)
     theta = mlp.init(fed._substream(5, 0))
     for k in range(cfg.K):
@@ -222,7 +203,7 @@ def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
 def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     J = len(train_sets[0])
-    cfg = TrainConfig(N=4, m=4, K=1, tau=1, alpha=1e-3, gamma=5e-3, B=J)
+    cfg = ExperimentConfig(N=4, m=4, K=1, tau=1, alpha=1e-3, gamma=5e-3, B=J)
     result = run_fedavg(cfg, train_sets, test_sets, seed=2, eval_every=1,
                         checkpoint_rounds={0, 1})
     theta0 = result.theta_checkpoints[0]
@@ -237,7 +218,7 @@ def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
 
 def test_fedavg_logs_uniform_lambda(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=5, tau=2, B=10)
+    cfg = ExperimentConfig(K=5, tau=2, B=10)
     result = run_fedavg(cfg, train_sets, test_sets, seed=0, eval_every=1)
     for log in result.round_logs:
         assert np.allclose(log.lam, 0.25)
@@ -245,7 +226,7 @@ def test_fedavg_logs_uniform_lambda(tiny_fleet):
 
 def test_communication_accounting(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=7, tau=2, B=10)
+    cfg = ExperimentConfig(K=7, tau=2, B=10)
     r_f = run_fgdra(cfg, train_sets, test_sets, seed=1, eval_every=1)
     r_a = run_fedavg(cfg, train_sets, test_sets, seed=1, eval_every=1)
     r_d = run_drfa(cfg, train_sets, test_sets, seed=1, eval_every=1)
@@ -257,7 +238,7 @@ def test_communication_accounting(tiny_fleet):
 
 def test_simplex_invariant_every_round(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=40, tau=2, B=10)
+    cfg = ExperimentConfig(K=40, tau=2, B=10)
     for runner in (run_fgdra, run_drfa):
         result = runner(cfg, train_sets, test_sets, seed=3, eval_every=40)
         lam = result.lambda_history
@@ -267,7 +248,7 @@ def test_simplex_invariant_every_round(tiny_fleet):
 
 def test_monotone_dual_pressure(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=12, tau=2, B=10)
+    cfg = ExperimentConfig(K=12, tau=2, B=10)
     result = run_fgdra(cfg, train_sets, test_sets, seed=4, eval_every=12)
     for k, losses in enumerate(result.dual_loss_history):
         if len(losses) < 2:
@@ -282,7 +263,7 @@ def test_lambda_history_replays_the_dual_step(tiny_fleet, algorithm, loss_scale)
     # every round: sampled entries lifted by dual_update on the recorded loss
     # (drfa's scaled by N/m), then the vector renormalized
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=6, tau=2, B=10)
+    cfg = ExperimentConfig(K=6, tau=2, B=10)
     result = fed.RUNNERS[algorithm](cfg, train_sets, test_sets, seed=6, eval_every=6)
     for k, losses in enumerate(result.dual_loss_history):
         assert len(losses) == cfg.m
@@ -295,14 +276,15 @@ def test_lambda_history_replays_the_dual_step(tiny_fleet, algorithm, loss_scale)
 @pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
 def test_run_result_names_its_algorithm(tiny_fleet, algorithm):
     train_sets, test_sets = tiny_fleet
-    result = fed.RUNNERS[algorithm](TrainConfig(K=1, tau=1, B=10), train_sets, test_sets)
-    assert result.algorithm == result.config.algorithm == algorithm
+    cfg = ExperimentConfig(K=1, tau=1, B=10)
+    result = fed.RUNNERS[algorithm](cfg, train_sets, test_sets)
+    assert result.algorithm == algorithm and result.config is cfg
     assert result.seed == 0
 
 
 def test_run_reproducibility(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=10, tau=2, B=10)
+    cfg = ExperimentConfig(K=10, tau=2, B=10)
     r1 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
     r2 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
     assert r1.lambda_history.tobytes() == r2.lambda_history.tobytes()
@@ -312,14 +294,14 @@ def test_run_reproducibility(tiny_fleet):
 
 def test_eval_every_thinning(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=10, tau=1, B=10)
+    cfg = ExperimentConfig(K=10, tau=1, B=10)
     result = run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=4)
     assert [log.round for log in result.round_logs] == [4, 8, 10]
 
 
 def test_round_log_invariants(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = TrainConfig(K=4, tau=2, B=10)
+    cfg = ExperimentConfig(K=4, tau=2, B=10)
     result = run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=1)
     for log in result.round_logs:
         assert log.worst_acc <= log.avg_acc

@@ -1,7 +1,7 @@
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +9,13 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from risfed import cli, fed, harness, metrics, mlp
-from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides, parse_config, serialize_config
+from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides
 from risfed.labeling import Dataset, FeatureScaler
+
+
+def config_from_file(path):
+    """A config file's settings over the defaults, read as the CLI reads them."""
+    return apply_overrides(ExperimentConfig(), harness.read_settings(path))
 
 
 def small_config(tmp_path, **kw):
@@ -59,7 +64,7 @@ def test_summarize_accuracy_identical_workers():
 def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("# nothing here\n")
-    cfg = parse_config(str(path))
+    cfg = config_from_file(str(path))
     assert (cfg.alpha, cfg.gamma, cfg.B, cfg.N, cfg.tau, cfg.m) == (2e-3, 5e-3, 50, 4, 10, 3)
     assert cfg.K == 800 and cfg.seeds == (0, 1, 2, 3, 4)
 
@@ -68,33 +73,33 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("learning_rate = 0.1\n")
     with pytest.raises(ValueError, match="learning_rate"):
-        parse_config(str(path))
+        config_from_file(str(path))
 
 
 def test_parse_config_rejects_invalid_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("tau = abc\n")
     with pytest.raises(ValueError, match="tau"):
-        parse_config(str(path))
+        config_from_file(str(path))
 
 
 def test_parse_config_rejects_m_greater_than_N(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("N = 2\nm = 3\n")
     with pytest.raises(ValueError):
-        parse_config(str(path))
+        config_from_file(str(path))
 
 
 def test_config_round_trip_canonical(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("alpha = 0.004   # comment\nseeds = 3, 4,5\nsweep_axis = tau\nsweep_values = 1,5,10\n")
-    cfg = parse_config(str(path))
-    canonical = serialize_config(cfg)
+    cfg = config_from_file(str(path))
+    canonical = harness.format_settings(asdict(cfg))
     path2 = tmp_path / "c2.cfg"
     path2.write_text(canonical)
-    cfg2 = parse_config(str(path2))
+    cfg2 = config_from_file(str(path2))
     assert cfg2 == cfg
-    assert serialize_config(cfg2) == canonical
+    assert harness.format_settings(asdict(cfg2)) == canonical
 
 
 def test_read_settings_refuses_a_line_without_equals(tmp_path):
@@ -104,17 +109,10 @@ def test_read_settings_refuses_a_line_without_equals(tmp_path):
         harness.read_settings(str(path))
 
 
-def test_parse_config_names_the_file_and_the_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("K = 12\nB = many\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: invalid value for 'B'")):
-        parse_config(str(path))
-
-
 def test_examples_cfg_names_every_key_at_its_default():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "examples.cfg")
     assert sorted(harness.read_settings(path)) == sorted(f.name for f in fields(ExperimentConfig))
-    assert parse_config(path) == ExperimentConfig()
+    assert config_from_file(path) == ExperimentConfig()
 
 
 def test_cli_config_file_and_set_items_are_validated_together(tmp_path):
@@ -125,7 +123,7 @@ def test_cli_config_file_and_set_items_are_validated_together(tmp_path):
     cfg = cli._load_config(args)
     assert (cfg.N, cfg.m, cfg.K) == (2, 2, 7)
     with pytest.raises(ValueError, match="m=3"):
-        parse_config(str(path))
+        config_from_file(str(path))
 
 
 def test_apply_overrides():
@@ -184,10 +182,30 @@ def test_build_profiles_design():
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
     ({"sweep_axis": "tau"}, "sweep_values"),
+    ({"m": 5}, "m=5"),
+    ({"m": 0}, "m=0"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": math.inf}, "alpha"),
+    ({"gamma": -1.0}, "gamma"),
+    ({"gamma": math.nan}, "gamma"),
+    ({"K": 0}, "K must be > 0"),
+    ({"tau": 0}, "tau must be > 0"),
+    ({"B": 0}, "B must be > 0"),
+    ({"seeds": ()}, "seeds"),
+    ({"seeds": (0, -1)}, "seeds"),
+    ({"seeds": (0, 0)}, "seeds"),
+    ({"algorithms": ()}, "algorithms"),
+    ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
+    ({"algorithms": ("sgd",)}, "algorithms"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(**overrides)
+
+
+def test_config_admits_gamma_zero():
+    # gamma = 0 freezes lambda; the FedAvg-reduction checks run at it
+    assert ExperimentConfig(gamma=0.0).gamma == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,6 +235,11 @@ VALID = {
     "dataset_seed": st.integers(0, 10_000),
 }
 INVALID = {
+    "alpha": st.sampled_from([-1e-3, 0.0, math.inf, math.nan]),
+    "gamma": st.sampled_from([-1.0, -1e-9, math.inf, math.nan]),
+    "B": st.integers(-3, 0),
+    "tau": st.integers(-3, 0),
+    "m": st.sampled_from([-1, 0, 9, 20]),  # N is at most 8
     "J": st.integers(-2, 1),
     "train_fraction": st.sampled_from([-0.3, 0.0, 0.99, 1.0, 1.5]),
     "ris_rows": st.sampled_from([-10, 0, 3, 7, 30]),
@@ -259,13 +282,14 @@ def test_parsed_configs_build_and_run_one_round(drawn):
     except ValueError as exc:
         J, fraction = overrides["J"], overrides["train_fraction"]
         culprits = set(bad) | ({"train_fraction"} if J >= 1 and round(J * fraction) in (0, J) else set())
-        assert any(key in str(exc) for key in culprits), str(exc)
+        # as a whole word, so one-letter keys such as m and B are not found inside others
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in culprits), str(exc)
         event("refused")
         return
     assert not bad
     event("ran")
     train_sets, test_sets, _ = harness.generate_data(cfg)
-    result = fed.run_fgdra(cfg.train_config(), train_sets, test_sets, eval_every=1)
+    result = fed.run_fgdra(cfg, train_sets, test_sets, eval_every=1)
     acc = result.round_logs[-1].per_worker_acc
     assert acc.shape == (cfg.N,) and np.all((0.0 <= acc) & (acc <= 100.0))
     lam = result.lambda_history[-1]
@@ -438,6 +462,32 @@ def test_cli_diagnose_runs_the_configured_batch_and_sampling_sizes(tmp_path, mon
     assert seen == [(4, 2, 10)]
 
 
+def test_cli_diagnose_trains_the_first_seed_on_its_own_data_draw(tmp_path, monkeypatch):
+    seen = []
+    real = fed.run_fgdra
+
+    def run_fgdra(config, train_sets, test_sets, seed=None, **kwargs):
+        seen.append((seed, train_sets[0].features))
+        return real(config, train_sets, test_sets, seed=seed, **kwargs)
+
+    monkeypatch.setattr(fed, "run_fgdra", run_fgdra)
+    settings = ["--set", "K=4", "--set", "J=120", "--set", "B=10"]
+    assert cli.main(["diagnose", "--out-dir", str(tmp_path), "--probes", "100", "--seed-list", "3", *settings]) == 0
+    (seed, features), = seen
+    cache = SeedDataCache(ExperimentConfig(K=4, J=120, B=10))
+    assert seed == 3
+    assert features.tobytes() == cache.for_seed(3)[0][0].features.tobytes()
+    assert features.tobytes() != cache.for_seed(0)[0][0].features.tobytes()
+
+
+def test_theory_check_runs_a_sweep_config_as_its_plain_config(monkeypatch):
+    # the single-worker runs (N = m = 1) leave out the configured m sweep
+    monkeypatch.setattr(harness, "THEORY_KS", (8,))
+    cfg = ExperimentConfig(J=120, B=10)
+    swept = replace(cfg, sweep_axis="m", sweep_values=(2.0, 3.0))
+    assert harness.theory_check(swept, (0,), 100) == harness.theory_check(cfg, (0,), 100)
+
+
 def test_cli_subcommands(tmp_path):
     out = str(tmp_path / "cli")
     base = ["--set", "K=4", "--set", "J=120", "--set", "eval_every=2", "--seed-list", "0"]
@@ -463,6 +513,10 @@ def test_cli_subcommands(tmp_path):
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3"),
     (["plot-data"], "runs"),
     (["train", "--set", "tau=abc"], "'tau'"),
+    (["train", "--set", "algorithms="], "algorithms"),
+    (["train", "--seed-list", "0,0"], "seeds"),
+    (["train", "--set", "algorithms=fgdra,fgdra"], "algorithms"),
+    (["train", "--set", "algorithms=sgd"], "algorithms"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     def no_work(*args, **kwargs):
