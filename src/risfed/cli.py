@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Subcommands: gen-data, train, sweep, diagnose, plot-data.  Each accepts an
-optional config file plus ``--set key=value`` overrides; ``--seed-list`` and
-``--out-dir`` are shorthands for the corresponding config keys.  All outputs
-are CSV files with a header row.
+Subcommands: gen-data, train, sweep, diagnose, theory, plot-data.  Each
+accepts an optional config file plus ``--set key=value`` overrides;
+``--seed-list`` and ``--out-dir`` are shorthands for the corresponding config
+keys.  All outputs are CSV files with a header row.
 """
 
 from __future__ import annotations
@@ -96,6 +96,25 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     return 0
 
 
+def cmd_theory(config: harness.ExperimentConfig, args) -> int:
+    """Run the convergence-rate check of :func:`harness.theory_check` over the
+    seed list and report each run against the theorem bound."""
+    records = harness.theory_check(config, args.probes)
+    columns = ("seed", "K", "T", "running_mean", "bound")
+    path = os.path.join(config.out_dir, "theory.csv")
+    harness.write_csv(path, columns, ([r[c] for c in columns] for r in records))
+    print(path)
+    held = 0
+    for r in records:
+        ok = r["running_mean"] <= r["bound"]
+        held += ok
+        print(f"seed {r['seed']} K={r['K']:4d} T={r['T']:5d} running mean {r['running_mean']:8.4f} "
+              f"bound {r['bound']:8.2f} {'ok' if ok else 'VIOLATED'}")
+    print(f"\nlog-log decay slope of the seed-mean running average: {harness.theory_decay_slope(records):.3f}")
+    print(f"bound held in {held}/{len(records)} runs")
+    return 0
+
+
 def cmd_plot_data(config: harness.ExperimentConfig, args) -> int:
     run_csv = args.run_csv or os.path.join(config.out_dir, "runs.csv")
     if not os.path.isfile(run_csv):
@@ -122,13 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", cmd_train, "run the configured algorithms over all seeds"),
         ("sweep", cmd_sweep, "run the configured hyperparameter sweep"),
         ("diagnose", cmd_diagnose, "estimate theory constants and trace the gradient norm"),
+        ("theory", cmd_theory, "check the convergence rate over a rate-matched K-sweep"),
         ("plot-data", cmd_plot_data, "emit per-figure mean/SE series from a runs.csv"),
     ):
         commands[name] = sub.add_parser(name, help=help_text)
         _add_common(commands[name])
         commands[name].set_defaults(func=func)
-    commands["diagnose"].add_argument("--probes", type=_probe_count, default=150,
-                                      help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
+    for name, default in (("diagnose", 150), ("theory", 120)):
+        commands[name].add_argument("--probes", type=_probe_count, default=default,
+                                    help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
     commands["plot-data"].add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
 
     return parser

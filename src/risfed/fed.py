@@ -80,7 +80,8 @@ class RunResult:
     communication_rounds_consumed: int
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Generator of substream ``key`` of ``seed``; its draws depend on nothing else."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -223,7 +224,7 @@ def _run(
     dual_gamma = config.gamma * (config.N / config.m if at_snapshot else 1.0)
     checkpoint_rounds = set(checkpoint_rounds or ())
 
-    theta = mlp.init(_substream(seed, _INIT))
+    theta = mlp.init(substream(seed, _INIT))
     lam = np.full(config.N, 1.0 / config.N)
     lambda_history = np.empty((config.K + 1, config.N))
     lambda_history[0] = lam
@@ -236,8 +237,8 @@ def _run(
         if k in checkpoint_rounds:
             theta_checkpoints[k] = theta
 
-        sampled = sample_workers(lam, config.m, _substream(seed, _SERVER, k))
-        snapshot_at = int(_substream(seed, _SNAPSHOT, k).integers(0, config.tau)) if at_snapshot else None
+        sampled = sample_workers(lam, config.m, substream(seed, _SERVER, k))
+        snapshot_at = int(substream(seed, _SNAPSHOT, k).integers(0, config.tau)) if at_snapshot else None
 
         thetas: list[np.ndarray] = []
         dual_losses: dict[int, float] = {}
@@ -246,11 +247,11 @@ def _run(
             lam_n = float(lam[n]) if dual_at else 1.0
             theta_n, snapshot = local_sgd(
                 train_sets[n], theta, lam_n, config.tau, config.alpha, config.B,
-                _substream(seed, _PRIMAL, n, k), snapshot_at=snapshot_at,
+                substream(seed, _PRIMAL, n, k), snapshot_at=snapshot_at,
             )
             thetas.append(theta_n)
             if dual_at:
-                batch = _draw_batch(train_sets[n], config.B, _substream(seed, _DUAL, n, k))
+                batch = _draw_batch(train_sets[n], config.B, substream(seed, _DUAL, n, k))
                 dual_losses[n] = mlp.loss(snapshot if at_snapshot else theta_n, batch)
 
         theta = ps_aggregate(thetas)

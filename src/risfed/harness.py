@@ -106,8 +106,8 @@ class ExperimentConfig:
         train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if any(v <= 0 for v in self.sweep_values):
-            raise ValueError("sweep values must be positive")
+        if any(v <= 0 for v in self.sweep_values) or len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ValueError(f"sweep_values must be distinct positive values, got {self.sweep_values!r}")
         if not self.spacings or any(s <= 0 for s in self.spacings):
             raise ValueError("spacings must be a nonempty list of positive values")
         _worker_angles(self)  # the alias geometry must be feasible
@@ -258,7 +258,7 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
     profiles = []
     for w, (rx_az, tx_az, rx_el) in enumerate(_worker_angles(config)):
         spacing = config.spacings[w % len(config.spacings)]
-        rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(w,)))
+        rng = fed.substream(config.profile_seed, w)
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
         geom = make_worker_geometry(
@@ -286,7 +286,7 @@ def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: 
                 key: int) -> tuple[Dataset, Dataset]:
     """One worker's J samples from substream (dataset_seed, key), split into
     train and test by the same generator."""
-    rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(key,)))
+    rng = fed.substream(dataset_seed, key)
     return split(gen_dataset(profile, config.J, rng), config.train_fraction, rng)
 
 
@@ -615,7 +615,7 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     """Single well-conditioned worker for the convergence-rate check: a
     full-wavelength array at a small azimuth with distant scatterers, which
     trains to interpolation under the rate-matched schedule."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.profile_seed, spawn_key=(THEORY_STREAM,)))
+    rng = fed.substream(config.profile_seed, THEORY_STREAM)
     geom = make_worker_geometry(
         config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
@@ -627,20 +627,24 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     return [train], [test]
 
 
-def theory_check(config: ExperimentConfig, seeds, n_probes: int) -> list[dict]:
-    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``.
+def theory_check(config: ExperimentConfig, n_probes: int) -> list[dict]:
+    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
+    per seed of ``config.seeds`` and K.
 
     Seed s trains on :func:`theory_worker_data` drawn from dataset_seed + s,
     through :func:`schedule_matched_trace` with constants estimated from
     ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
     iteration count), the final iteration-weighted running mean of the
-    squared gradient norm and the theorem bound.  The runs train the one
-    worker (N = m = 1) with the config's batch size B; a configured sweep
-    is not run.
+    squared gradient norm and the theorem bound.
+
+    The check overrides N and m (the one worker, N = m = 1) and K, tau,
+    alpha and gamma (the rate-matched schedule).  It ignores algorithms,
+    eval_every and the sweep keys.  Every other setting (B, J,
+    train_fraction, the two seeds, the geometry) comes from ``config``.
     """
     base = replace(config, N=1, m=1, sweep_axis="none", sweep_values=())
     records = []
-    for s in seeds:
+    for s in config.seeds:
         train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)
         est = diagnostics.estimate_constants(
             train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),

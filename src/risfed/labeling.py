@@ -106,9 +106,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def class_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=NUM_CLASSES)
-
 
 def rate(phi: np.ndarray, h: np.ndarray, g: np.ndarray, params: RateParams) -> float:
     """Downlink rate w * log2(1 + |g^H diag(phi) h|^2 p / (w N0)) in bit/s."""

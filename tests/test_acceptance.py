@@ -60,7 +60,7 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def theory_battery(config):
-    return harness.theory_check(config, seeds=(0, 1, 2, 3), n_probes=120)
+    return harness.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120)
 
 
 def test_c01_gradient_correctness(tiny_fleet):

@@ -1,9 +1,9 @@
 """Byte-identity of the program's outputs.
 
-A small gen-data, train, plot-data, sweep and diagnose run goes through the
-CLI in a subprocess with single-threaded OpenBLAS, and every file it writes
-must hash to the sha256 digest recorded in ``cli_digests.json``; so must an
-MLP checkpoint written by ``mlp.save_params``.  An intended output change
+A small gen-data, train, plot-data, sweep, diagnose and theory run goes
+through the CLI in a subprocess with single-threaded OpenBLAS, and every file
+it writes must hash to the sha256 digest recorded in ``cli_digests.json``; so
+must an MLP checkpoint written by ``mlp.save_params``.  An intended output change
 shows up as a changed digest, with its reason in CHANGES.md.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_digests.py
@@ -36,6 +36,7 @@ COMMANDS = (  # (output directory, risfed arguments), run in this order
     ("train", ["plot-data"]),
     ("sweep", ["sweep", *SMALL, *SEEDS, "--set", "sweep_axis=tau", "--set", "sweep_values=1,5"]),
     ("diagnose", ["diagnose", *SMALL, "--probes", "100"]),
+    ("theory", ["theory", "--set", "J=400", "--seed-list", "0", "--probes", "100"]),
 )
 
 

@@ -191,10 +191,10 @@ def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(N=1, m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
     result = run_fgdra(cfg, train_sets[:1], test_sets[:1], seed=5, eval_every=8)
-    theta = mlp.init(fed._substream(5, 0))
+    theta = mlp.init(fed.substream(5, 0))
     for k in range(cfg.K):
         theta, _ = local_sgd(train_sets[0], theta, 1.0, cfg.tau, cfg.alpha, cfg.B,
-                             fed._substream(5, 2, 0, k))
+                             fed.substream(5, 2, 0, k))
         theta = ps_aggregate([theta])
     assert result.final_theta.tobytes() == theta.tobytes()
     assert np.allclose(result.lambda_history, 1.0)
@@ -209,7 +209,7 @@ def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
     theta0 = result.theta_checkpoints[0]
     grads = []
     for n in range(4):
-        idx = fed._substream(2, 2, n, 0).integers(0, len(train_sets[n]), size=J)
+        idx = fed.substream(2, 2, n, 0).integers(0, len(train_sets[n]), size=J)
         batch = mlp.MiniBatch(train_sets[n].features[idx], train_sets[n].labels[idx])
         grads.append(mlp.grad(theta0, batch))
     expected = theta0 - (cfg.alpha / 4) * np.sum(grads, axis=0)

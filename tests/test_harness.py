@@ -197,6 +197,7 @@ def test_build_profiles_design():
     ({"algorithms": ()}, "algorithms"),
     ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
     ({"algorithms": ("sgd",)}, "algorithms"),
+    ({"sweep_axis": "tau", "sweep_values": (1.0, 1.0)}, "sweep_values"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -483,9 +484,24 @@ def test_cli_diagnose_trains_the_first_seed_on_its_own_data_draw(tmp_path, monke
 def test_theory_check_runs_a_sweep_config_as_its_plain_config(monkeypatch):
     # the single-worker runs (N = m = 1) leave out the configured m sweep
     monkeypatch.setattr(harness, "THEORY_KS", (8,))
-    cfg = ExperimentConfig(J=120, B=10)
+    cfg = ExperimentConfig(J=120, B=10, seeds=(0,))
     swept = replace(cfg, sweep_axis="m", sweep_values=(2.0, 3.0))
-    assert harness.theory_check(swept, (0,), 100) == harness.theory_check(cfg, (0,), 100)
+    assert harness.theory_check(swept, 100) == harness.theory_check(cfg, 100)
+
+
+def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "THEORY_KS", (4, 8))
+    settings = ["--set", "J=120", "--set", "B=10", "--set", "dataset_seed=5"]
+    assert cli.main(["theory", "--seed-list", "0", "--probes", "100", *settings, "--out-dir", str(tmp_path)]) == 0
+    records = harness.theory_check(ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5), 100)
+    path = tmp_path / "theory.csv"
+    header, *rows = path.read_text().splitlines()
+    assert header == "seed,K,T,running_mean,bound"
+    assert [[float(x) for x in row.split(",")] for row in rows] == [list(r.values()) for r in records]
+    held = sum(r["running_mean"] <= r["bound"] for r in records)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == str(path) and len(out) == len(records) + 4  # path, records, blank, slope, held
+    assert out[-1] == f"bound held in {held}/{len(records)} runs"
 
 
 def test_cli_subcommands(tmp_path):
@@ -517,6 +533,7 @@ def test_cli_subcommands(tmp_path):
     (["train", "--seed-list", "0,0"], "seeds"),
     (["train", "--set", "algorithms=fgdra,fgdra"], "algorithms"),
     (["train", "--set", "algorithms=sgd"], "algorithms"),
+    (["sweep", "--set", "sweep_axis=tau", "--set", "sweep_values=1,1"], "sweep_values"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     def no_work(*args, **kwargs):
@@ -531,9 +548,10 @@ def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsy
     assert not os.listdir(tmp_path)
 
 
-def test_cli_diagnose_refuses_too_few_probes_at_parse_time(capsys):
+@pytest.mark.parametrize("command", ["diagnose", "theory"])
+def test_cli_refuses_too_few_probes_at_parse_time(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["diagnose", "--probes", "99"])
+        cli.main([command, "--probes", "99"])
     assert exc.value.code == 2
     assert "--probes: must be >= 100, got 99" in capsys.readouterr().err
 

@@ -250,7 +250,7 @@ def test_run_checkpoints_stay_distinct_and_unmodified(tiny_fleet):
     assert sorted(ckpts) == [0, 1, 2]
     for a, b in combinations([*ckpts.values(), result.final_theta], 2):
         assert not np.shares_memory(a, b) and a.tobytes() != b.tobytes()
-    assert ckpts[0].tobytes() == mlp.init(fed._substream(4, fed._INIT)).tobytes()
+    assert ckpts[0].tobytes() == mlp.init(fed.substream(4, fed._INIT)).tobytes()
     for k in (1, 2):  # a run that stops at round k ends where checkpoint k was taken
         shorter = fed.run_fgdra(ExperimentConfig(K=k, tau=2, B=10), train_sets, test_sets, seed=4, eval_every=k)
         assert ckpts[k].tobytes() == shorter.final_theta.tobytes()
