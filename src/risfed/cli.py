@@ -119,7 +119,11 @@ def cmd_plot_data(config: harness.ExperimentConfig, args) -> int:
     run_csv = args.run_csv or os.path.join(config.out_dir, "runs.csv")
     if not os.path.isfile(run_csv):
         return _refuse(f"no runs file at {run_csv}: run 'risfed train' first, or pass --run-csv")
-    for path in harness.emit_plot_data(run_csv, config.out_dir):
+    try:
+        paths = harness.emit_plot_data(run_csv, config.out_dir)
+    except ValueError as exc:
+        return _refuse(str(exc))
+    for path in paths:
         print(path)
     return 0
 
@@ -156,13 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a refused config exits 2 with a one-line message."""
+    """Run one subcommand; a refused config or a diverged run exits 2 with a
+    one-line message."""
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
     except (ValueError, OSError) as exc:
         return _refuse(str(exc))
-    return args.func(config, args)
+    try:
+        return args.func(config, args)
+    except FloatingPointError as exc:  # raised by fed.run
+        return _refuse(str(exc))
 
 
 if __name__ == "__main__":

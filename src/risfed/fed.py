@@ -1,9 +1,10 @@
 """Federated min-max training: FGDRA and the DRFA / FedAvg baselines.
 
-All three algorithms run one round loop: sample m workers proportionally to
-the simplex weights lambda, run local SGD, take each sampled worker's dual
-loss on a fresh batch, average the models with ``ps_aggregate``, and lift
-the sampled weights and renormalize lambda with ``dual_step``.
+All three algorithms run one round loop, ``run``: sample m workers
+proportionally to the simplex weights lambda, run local SGD, take each
+sampled worker's dual loss on a fresh batch, average the models with
+``ps_aggregate``, and lift the sampled weights and renormalize lambda with
+``dual_step``.  ``RUNNERS`` binds ``run`` to each algorithm.
 The table ``DUAL_LOSS_AT`` holds the one fact that tells them apart, the
 iterate at which the dual loss is taken; the rest follows from it:
 
@@ -22,7 +23,7 @@ sequences can be replayed across algorithms for equivalence checks.
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -34,8 +35,6 @@ from .labeling import Dataset
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
-
-logger = logging.getLogger(__name__)
 
 # Where each algorithm takes the loss of its dual step: "final" local
 # iterate, random "snapshot" iterate, or None (no dual variable).
@@ -154,8 +153,6 @@ def dual_update(lambda_n: float, loss: float, gamma: float, shift: float = 0.0) 
     A zero weight is absorbing; its exponent is not evaluated, so it cannot
     overflow.
     """
-    if lambda_n < 0.0:
-        raise ValueError("lambda_n must be >= 0")
     if lambda_n == 0.0:
         return 0.0
     return lambda_n * math.exp(gamma * loss - shift)
@@ -171,6 +168,8 @@ def dual_step(lam: np.ndarray, losses: dict[int, float], gamma: float) -> np.nda
     match.  The shift cancels in the normalization, and s = 0 at ordinary
     step sizes leaves every bit as in the unshifted update.  Zero-weight
     entries stay zero whatever their loss, so they do not set the shift.
+    The lifted vector keeps a positive sum: at s = 0 no factor is below 1,
+    and at s > 0 the entry that set s keeps its positive weight.
     """
     top = max((gamma * loss for n, loss in losses.items() if lam[n] > 0.0), default=0.0)
     shift = top if top > _EXP_MAX else 0.0
@@ -186,34 +185,36 @@ def ps_aggregate(theta_list: list[np.ndarray]) -> np.ndarray:
 
 
 def normalize(lam: np.ndarray) -> np.ndarray:
-    """Project nonnegative weights back onto the simplex by rescaling.
-
-    An all-zero vector resets to uniform (logged); negative entries are
-    rejected.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError("dual weights must be nonnegative")
-    total = lam.sum()
-    if total <= 0.0:
-        logger.warning("all-zero dual vector; resetting to uniform")
-        return np.full(lam.size, 1.0 / lam.size)
-    return lam / total
+    """Project nonnegative weights with a positive sum back onto the simplex
+    by rescaling."""
+    return lam / lam.sum()
 
 
 def _should_eval(k: int, K: int, eval_every: int) -> bool:
     return (k + 1) % eval_every == 0 or k == K - 1
 
 
-def _run(
+# a diverging step overflows inside a round; run reports it once, at the round's end
+@np.errstate(over="ignore", invalid="ignore")
+def run(
     config: ExperimentConfig,
-    algorithm: str,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
-    seed: int | None,
-    eval_every: int,
-    checkpoint_rounds: set[int] | None,
+    seed: int | None = None,
+    eval_every: int = 1,
+    checkpoint_rounds: set[int] | None = None,
+    *,
+    algorithm: str,
 ) -> RunResult:
+    """Train ``algorithm`` for ``config.K`` rounds on one dataset per worker.
+
+    ``seed`` defaults to the config's first seed.  The model is evaluated
+    on the test sets every ``eval_every`` rounds and at the last round; the
+    model before each round in ``checkpoint_rounds`` (K for the final one)
+    is kept.  A round that leaves the model or lambda non-finite (a step
+    size alpha, or gamma, too large for the data) raises
+    ``FloatingPointError``.
+    """
     if len(train_sets) != config.N or len(test_sets) != config.N:
         raise ValueError(f"expected {config.N} train and test sets")
     seed = config.seeds[0] if seed is None else seed
@@ -257,6 +258,10 @@ def _run(
         theta = ps_aggregate(thetas)
         if dual_at:
             lam = dual_step(lam, dual_losses, dual_gamma)
+        if not (np.isfinite(theta).all() and np.isfinite(lam).all()):
+            steps = f"alpha={config.alpha:g}" + (f" or gamma={config.gamma:g}" if dual_at else "")
+            raise FloatingPointError(f"{algorithm} seed {seed}: round {k + 1} left the model or lambda "
+                                     f"non-finite; {steps} is too large a step")
         lambda_history[k + 1] = lam
         dual_loss_history.append(dual_losses)
         comm += comm_cost
@@ -290,57 +295,6 @@ def _run(
     )
 
 
-def run_fgdra(
-    config: ExperimentConfig,
-    train_sets: list[Dataset],
-    test_sets: list[Dataset],
-    seed: int | None = None,
-    eval_every: int = 1,
-    checkpoint_rounds: set[int] | None = None,
-) -> RunResult:
-    """Group-DRO federated averaging with locally updated dual weights.
-
-    Per round: the server samples m workers proportionally to lambda and
-    broadcasts (theta, lambda_n); each sampled worker runs tau lambda-scaled
-    SGD steps, lifts its own dual weight by exp(gamma * fresh-batch loss at
-    the final iterate), and returns both in a single exchange; the server
-    averages the models and renormalizes the full dual vector (unsampled
-    entries keep their previous values).  Costs one communication round per
-    algorithmic round.
-    """
-    return _run(config, "fgdra", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
-
-
-def run_fedavg(
-    config: ExperimentConfig,
-    train_sets: list[Dataset],
-    test_sets: list[Dataset],
-    seed: int | None = None,
-    eval_every: int = 1,
-    checkpoint_rounds: set[int] | None = None,
-) -> RunResult:
-    """Plain federated averaging: uniform sampling, unweighted local SGD
-    with step alpha.  The logged lambda stays the uniform vector."""
-    return _run(config, "fedavg", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
-
-
-def run_drfa(
-    config: ExperimentConfig,
-    train_sets: list[Dataset],
-    test_sets: list[Dataset],
-    seed: int | None = None,
-    eval_every: int = 1,
-    checkpoint_rounds: set[int] | None = None,
-) -> RunResult:
-    """Distributionally robust averaging with a server-side dual step.
-
-    Identical primal phase to FGDRA, but the dual update uses
-    importance-weighted (N/m) loss estimates taken at a uniformly random
-    local iterate snapshot (one index per round, drawn by the server) and
-    requires a second exchange, so each round consumes two communication
-    rounds.
-    """
-    return _run(config, "drfa", train_sets, test_sets, seed, eval_every, checkpoint_rounds)
-
-
-RUNNERS = {"fgdra": run_fgdra, "drfa": run_drfa, "fedavg": run_fedavg}
+RUNNERS = {alg: functools.partial(run, algorithm=alg) for alg in ALGORITHMS}
+# the names perfbench's tracer binds
+run_fgdra, run_drfa, run_fedavg = RUNNERS["fgdra"], RUNNERS["drfa"], RUNNERS["fedavg"]

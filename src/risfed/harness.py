@@ -386,6 +386,10 @@ def run_grid(config: ExperimentConfig,
             yield (alg, seed), fed.RUNNERS[alg](config, *cache.for_seed(seed), seed=seed, eval_every=config.eval_every)
 
 
+# the leading columns of runs.csv; per-worker accuracy and lambda columns follow
+RUNS_COLUMNS = ("algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd")
+
+
 def run_experiment(config: ExperimentConfig,
                    data: SeedDataCache | None = None) -> ExperimentResult:
     """Run the :func:`run_grid` of ``config`` and write ``runs.csv`` and
@@ -406,9 +410,8 @@ def run_experiment(config: ExperimentConfig,
                        log.worst_acc, log.acc_sd, *log.per_worker_acc, *log.lam)
 
     csv_path = os.path.join(config.out_dir, "runs.csv")
-    write_csv(csv_path, ["algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd",
-                         *[f"acc_w{i}" for i in range(config.N)], *[f"lambda_{i}" for i in range(config.N)]],
-              rows())
+    write_csv(csv_path, [*RUNS_COLUMNS, *[f"acc_w{i}" for i in range(config.N)],
+                         *[f"lambda_{i}" for i in range(config.N)]], rows())
     summary = summarize_runs(runs, config.algorithms, config.seeds)
     write_csv(os.path.join(config.out_dir, "summary.csv"),
               ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
@@ -472,12 +475,17 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
     For each of the three figure metrics (average accuracy, worst
     distribution accuracy, accuracy sd) one CSV is written with a row per
     (algorithm, round): the seed mean and the one-standard-error band
-    half-width, against both round and communication-round axes.
+    half-width, against both round and communication-round axes.  A file
+    whose header lacks a :data:`RUNS_COLUMNS` column is refused, naming the
+    file and the column.
     """
     with open(run_csv) as f:
         header = f.readline().strip().split(",")
         rows = [line.strip().split(",") for line in f if line.strip()]
     col = {name: i for i, name in enumerate(header)}
+    missing = [name for name in RUNS_COLUMNS if name not in col]
+    if missing:
+        raise ValueError(f"{run_csv}: not a runs file: its header has no {missing[0]!r} column")
     paths = []
     for metric, fname in (("avg_acc", "fig_avg.csv"), ("worst_acc", "fig_worst.csv"), ("acc_sd", "fig_sd.csv")):
         series: dict[tuple[str, int], list[float]] = {}
@@ -602,7 +610,8 @@ def schedule_matched_trace(base: ExperimentConfig, est: diagnostics.TheoryEstima
     """
     sched = diagnostics.prescribed_schedule(base, K, est)
     ckpts = diagnostics.round_checkpoints(K)
-    result = fed.run_fgdra(sched, train_sets, test_sets, seed=seed, eval_every=K, checkpoint_rounds=set(ckpts))
+    result = fed.RUNNERS["fgdra"](sched, train_sets, test_sets, seed=seed, eval_every=K,
+                                  checkpoint_rounds=set(ckpts))
     T = sched.K * sched.tau
     return T, diagnostics.grad_norm_trace(result, train_sets, ckpts), diagnostics.theorem_bound(est, sched.m, T)
 

@@ -1,4 +1,4 @@
-"""Per-worker accuracy metrics shared by the training loops and the harness."""
+"""Per-worker accuracy metrics of the round loop in ``fed.run``."""
 
 from __future__ import annotations
 

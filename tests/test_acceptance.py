@@ -94,8 +94,8 @@ def test_c02_reduction_equivalence(config, cache):
     ckpts = set(range(101))
     cfg_f = replace(config, m=4, K=100, gamma=0.0)
     cfg_a = replace(config, m=4, K=100, alpha=config.alpha / 4)
-    rf = fed.run_fgdra(cfg_f, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
-    ra = fed.run_fedavg(cfg_a, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts)
+    rf = fed.run(cfg_f, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts, algorithm="fgdra")
+    ra = fed.run(cfg_a, train_sets, test_sets, seed=0, eval_every=100, checkpoint_rounds=ckpts, algorithm="fedavg")
     drift = sum(
         float(np.linalg.norm(rf.theta_checkpoints[k] - ra.theta_checkpoints[k]))
         for k in range(101)

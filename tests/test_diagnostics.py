@@ -80,8 +80,8 @@ def test_round_checkpoints_cover_transient_and_end():
 def test_grad_norm_trace_single_worker_oracle(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(N=1, m=1, K=6, tau=3, alpha=2e-3, gamma=0.0, B=10)
-    result = fed.run_fgdra(cfg, train_sets[:1], test_sets[:1], seed=0, eval_every=6,
-                           checkpoint_rounds={0, 3, 6})
+    result = fed.run(cfg, train_sets[:1], test_sets[:1], seed=0, eval_every=6,
+                     checkpoint_rounds={0, 3, 6}, algorithm="fgdra")
     trace = grad_norm_trace(result, train_sets[:1], [0, 3, 6])
     for i, k in enumerate([0, 3, 6]):
         g = full_batch_grad(result.theta_checkpoints[k], train_sets[0])
@@ -102,7 +102,7 @@ def test_grad_norm_trace_recomposition(tiny_fleet):
 def test_grad_norm_trace_missing_checkpoint_rejected(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=4, tau=2, B=10)
-    result = fed.run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=4, checkpoint_rounds={0, 4})
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=4, checkpoint_rounds={0, 4}, algorithm="fgdra")
     with pytest.raises(ValueError):
         grad_norm_trace(result, train_sets, [0, 2, 4])
 

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,6 @@ from risfed.fed import (
     local_sgd,
     normalize,
     ps_aggregate,
-    run_drfa,
-    run_fedavg,
-    run_fgdra,
     sample_workers,
 )
 from risfed.harness import ExperimentConfig
@@ -92,8 +91,6 @@ def test_local_sgd_snapshot_is_pre_step_iterate(tiny_fleet):
 def test_dual_update_gamma_zero_and_absorbing():
     assert dual_update(0.25, 1.3, 0.0) == 0.25
     assert dual_update(0.0, 1.3, 5e-3) == 0.0
-    with pytest.raises(ValueError):
-        dual_update(-0.1, 1.3, 5e-3)
 
 
 def test_dual_update_direct_evaluation():
@@ -134,17 +131,11 @@ def test_ps_aggregate_contracts():
         ps_aggregate([])
 
 
-def test_normalize_contracts(caplog):
+def test_normalize_contracts():
     assert np.allclose(normalize(np.array([2.0, 2, 2, 2])), 0.25)
     already = np.array([0.25, 0.25, 0.25, 0.25])
     assert np.max(np.abs(normalize(already) - already)) <= 1e-15
     assert np.allclose(normalize(np.array([1.0, 3.0])), [0.25, 0.75])
-    with pytest.raises(ValueError):
-        normalize(np.array([-0.1, 1.1]))
-    with caplog.at_level("WARNING"):
-        out = normalize(np.zeros(4))
-    assert np.allclose(out, 0.25)
-    assert any("resetting to uniform" in r.message for r in caplog.records)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,7 +181,7 @@ def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
 def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(N=1, m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
-    result = run_fgdra(cfg, train_sets[:1], test_sets[:1], seed=5, eval_every=8)
+    result = fed.run(cfg, train_sets[:1], test_sets[:1], seed=5, eval_every=8, algorithm="fgdra")
     theta = mlp.init(fed.substream(5, 0))
     for k in range(cfg.K):
         theta, _ = local_sgd(train_sets[0], theta, 1.0, cfg.tau, cfg.alpha, cfg.B,
@@ -204,8 +195,8 @@ def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     J = len(train_sets[0])
     cfg = ExperimentConfig(N=4, m=4, K=1, tau=1, alpha=1e-3, gamma=5e-3, B=J)
-    result = run_fedavg(cfg, train_sets, test_sets, seed=2, eval_every=1,
-                        checkpoint_rounds={0, 1})
+    result = fed.run(cfg, train_sets, test_sets, seed=2, eval_every=1, checkpoint_rounds={0, 1},
+                     algorithm="fedavg")
     theta0 = result.theta_checkpoints[0]
     grads = []
     for n in range(4):
@@ -219,7 +210,7 @@ def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
 def test_fedavg_logs_uniform_lambda(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=5, tau=2, B=10)
-    result = run_fedavg(cfg, train_sets, test_sets, seed=0, eval_every=1)
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm="fedavg")
     for log in result.round_logs:
         assert np.allclose(log.lam, 0.25)
 
@@ -227,9 +218,8 @@ def test_fedavg_logs_uniform_lambda(tiny_fleet):
 def test_communication_accounting(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=7, tau=2, B=10)
-    r_f = run_fgdra(cfg, train_sets, test_sets, seed=1, eval_every=1)
-    r_a = run_fedavg(cfg, train_sets, test_sets, seed=1, eval_every=1)
-    r_d = run_drfa(cfg, train_sets, test_sets, seed=1, eval_every=1)
+    r_f, r_a, r_d = (fed.run(cfg, train_sets, test_sets, seed=1, eval_every=1, algorithm=alg)
+                     for alg in ("fgdra", "fedavg", "drfa"))
     assert r_f.communication_rounds_consumed == 7
     assert r_a.communication_rounds_consumed == 7
     assert r_d.communication_rounds_consumed == 14
@@ -239,8 +229,8 @@ def test_communication_accounting(tiny_fleet):
 def test_simplex_invariant_every_round(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=40, tau=2, B=10)
-    for runner in (run_fgdra, run_drfa):
-        result = runner(cfg, train_sets, test_sets, seed=3, eval_every=40)
+    for algorithm in ("fgdra", "drfa"):
+        result = fed.run(cfg, train_sets, test_sets, seed=3, eval_every=40, algorithm=algorithm)
         lam = result.lambda_history
         assert np.all(lam >= 0)
         assert np.max(np.abs(lam.sum(axis=1) - 1.0)) <= 1e-12
@@ -249,7 +239,7 @@ def test_simplex_invariant_every_round(tiny_fleet):
 def test_monotone_dual_pressure(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=12, tau=2, B=10)
-    result = run_fgdra(cfg, train_sets, test_sets, seed=4, eval_every=12)
+    result = fed.run(cfg, train_sets, test_sets, seed=4, eval_every=12, algorithm="fgdra")
     for k, losses in enumerate(result.dual_loss_history):
         if len(losses) < 2:
             continue
@@ -275,18 +265,46 @@ def test_lambda_history_replays_the_dual_step(tiny_fleet, algorithm, loss_scale)
 
 @pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
 def test_run_result_names_its_algorithm(tiny_fleet, algorithm):
+    # RUNNERS and the run_<algorithm> names bind fed.run to each algorithm and nothing else
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=1, tau=1, B=10)
-    result = fed.RUNNERS[algorithm](cfg, train_sets, test_sets)
-    assert result.algorithm == algorithm and result.config is cfg
-    assert result.seed == 0
+    assert tuple(fed.RUNNERS) == fed.ALGORITHMS
+    assert getattr(fed, f"run_{algorithm}") is fed.RUNNERS[algorithm]
+    bound = fed.RUNNERS[algorithm](cfg, train_sets, test_sets)
+    direct = fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
+    assert bound.final_theta.tobytes() == direct.final_theta.tobytes()
+    assert bound.lambda_history.tobytes() == direct.lambda_history.tobytes()
+    for result in (bound, direct):
+        assert result.algorithm == algorithm and result.config is cfg
+        assert result.seed == 0
+
+
+@pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
+def test_run_stops_at_the_first_round_that_leaves_the_model_non_finite(tiny_fleet, algorithm):
+    train_sets, test_sets = tiny_fleet
+    cfg = ExperimentConfig(K=5, tau=2, B=10, alpha=1e12)
+    named = r"round \d+ left the model or lambda non-finite; alpha=1e\+12 "
+    with pytest.raises(FloatingPointError, match=named) as exc:
+        fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
+    first = int(re.search(r"round (\d+)", str(exc.value)).group(1))
+    if first > 1:  # the rounds before it ran as usual
+        earlier = fed.run(replace(cfg, K=first - 1), train_sets, test_sets, algorithm=algorithm)
+        assert np.isfinite(earlier.final_theta).all() and np.isfinite(earlier.lambda_history).all()
+
+
+@pytest.mark.parametrize("algorithm", ["fgdra", "drfa"])
+def test_run_names_gamma_too_when_the_dual_step_overflows(tiny_fleet, algorithm):
+    # gamma * loss overflows to inf, so no shift keeps the lifted weights finite
+    train_sets, test_sets = tiny_fleet
+    cfg = ExperimentConfig(K=1, tau=1, B=10, gamma=1e308)
+    with pytest.raises(FloatingPointError, match=r"round 1 .* alpha=0.002 or gamma=1e\+308 is too large a step"):
+        fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
 
 
 def test_run_reproducibility(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=10, tau=2, B=10)
-    r1 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
-    r2 = run_drfa(cfg, train_sets, test_sets, seed=9, eval_every=2)
+    r1, r2 = (fed.run(cfg, train_sets, test_sets, seed=9, eval_every=2, algorithm="drfa") for _ in range(2))
     assert r1.lambda_history.tobytes() == r2.lambda_history.tobytes()
     assert r1.final_theta.tobytes() == r2.final_theta.tobytes()
     assert [l.avg_acc for l in r1.round_logs] == [l.avg_acc for l in r2.round_logs]
@@ -295,14 +313,14 @@ def test_run_reproducibility(tiny_fleet):
 def test_eval_every_thinning(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=10, tau=1, B=10)
-    result = run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=4)
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=4, algorithm="fgdra")
     assert [log.round for log in result.round_logs] == [4, 8, 10]
 
 
 def test_round_log_invariants(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=4, tau=2, B=10)
-    result = run_fgdra(cfg, train_sets, test_sets, seed=0, eval_every=1)
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm="fgdra")
     for log in result.round_logs:
         assert log.worst_acc <= log.avg_acc
         assert log.acc_sd >= 0

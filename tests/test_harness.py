@@ -290,7 +290,7 @@ def test_parsed_configs_build_and_run_one_round(drawn):
     assert not bad
     event("ran")
     train_sets, test_sets, _ = harness.generate_data(cfg)
-    result = fed.run_fgdra(cfg, train_sets, test_sets, eval_every=1)
+    result = fed.run(cfg, train_sets, test_sets, eval_every=1, algorithm="fgdra")
     acc = result.round_logs[-1].per_worker_acc
     assert acc.shape == (cfg.N,) and np.all((0.0 <= acc) & (acc <= 100.0))
     lam = result.lambda_history[-1]
@@ -451,13 +451,13 @@ def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, fil
 
 def test_cli_diagnose_runs_the_configured_batch_and_sampling_sizes(tmp_path, monkeypatch):
     seen = []
-    real = fed.run_fgdra
+    real = fed.RUNNERS["fgdra"]
 
-    def run_fgdra(config, *args, **kwargs):
+    def spy(config, *args, **kwargs):
         seen.append((config.N, config.m, config.B))
         return real(config, *args, **kwargs)
 
-    monkeypatch.setattr(fed, "run_fgdra", run_fgdra)
+    monkeypatch.setitem(fed.RUNNERS, "fgdra", spy)
     assert cli.main(["diagnose", "--out-dir", str(tmp_path), "--probes", "100", "--set", "K=4", "--set", "J=120",
                      "--set", "B=10", "--set", "m=2"]) == 0
     assert seen == [(4, 2, 10)]
@@ -465,13 +465,13 @@ def test_cli_diagnose_runs_the_configured_batch_and_sampling_sizes(tmp_path, mon
 
 def test_cli_diagnose_trains_the_first_seed_on_its_own_data_draw(tmp_path, monkeypatch):
     seen = []
-    real = fed.run_fgdra
+    real = fed.RUNNERS["fgdra"]
 
-    def run_fgdra(config, train_sets, test_sets, seed=None, **kwargs):
+    def spy(config, train_sets, test_sets, seed=None, **kwargs):
         seen.append((seed, train_sets[0].features))
         return real(config, train_sets, test_sets, seed=seed, **kwargs)
 
-    monkeypatch.setattr(fed, "run_fgdra", run_fgdra)
+    monkeypatch.setitem(fed.RUNNERS, "fgdra", spy)
     settings = ["--set", "K=4", "--set", "J=120", "--set", "B=10"]
     assert cli.main(["diagnose", "--out-dir", str(tmp_path), "--probes", "100", "--seed-list", "3", *settings]) == 0
     (seed, features), = seen
@@ -567,6 +567,27 @@ def test_cli_train_survives_a_huge_dual_step(tmp_path):
         fields = row.split(",")
         lam = np.array([float(fields[i]) for i in cols])
         assert np.all(np.isfinite(lam)) and abs(lam.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings would be more stderr lines
+def test_cli_refuses_a_run_that_diverges_with_one_line_naming_alpha(tmp_path, capsys):
+    out = str(tmp_path / "alpha")
+    assert cli.main(["train", "--out-dir", out, "--set", "K=3", "--set", "J=80", "--set", "alpha=1e12",
+                     "--seed-list", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("risfed: error: fgdra seed 0: round ") and captured.err.count("\n") == 1
+    assert "alpha=1e+12" in captured.err
+
+
+def test_cli_plot_data_refuses_a_file_that_is_not_a_runs_file(tmp_path, capsys):
+    stem = _saved_dataset(tmp_path)
+    out = str(tmp_path / "plots")
+    assert cli.main(["plot-data", "--run-csv", stem + ".csv", "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"risfed: error: {stem}.csv: not a runs file: its header has no 'algorithm' column\n"
+    assert not os.path.exists(out)
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -245,12 +245,14 @@ def test_grad_equals_per_layer_reference_bit_for_bit(B):
 def test_run_checkpoints_stay_distinct_and_unmodified(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=3, tau=2, B=10)
-    result = fed.run_fgdra(cfg, train_sets, test_sets, seed=4, eval_every=3, checkpoint_rounds={0, 1, 2})
+    result = fed.run(cfg, train_sets, test_sets, seed=4, eval_every=3, checkpoint_rounds={0, 1, 2},
+                     algorithm="fgdra")
     ckpts = result.theta_checkpoints
     assert sorted(ckpts) == [0, 1, 2]
     for a, b in combinations([*ckpts.values(), result.final_theta], 2):
         assert not np.shares_memory(a, b) and a.tobytes() != b.tobytes()
     assert ckpts[0].tobytes() == mlp.init(fed.substream(4, fed._INIT)).tobytes()
     for k in (1, 2):  # a run that stops at round k ends where checkpoint k was taken
-        shorter = fed.run_fgdra(ExperimentConfig(K=k, tau=2, B=10), train_sets, test_sets, seed=4, eval_every=k)
+        shorter = fed.run(ExperimentConfig(K=k, tau=2, B=10), train_sets, test_sets, seed=4, eval_every=k,
+                          algorithm="fgdra")
         assert ckpts[k].tobytes() == shorter.final_theta.tobytes()
