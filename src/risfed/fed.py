@@ -134,7 +134,9 @@ def local_sgd(
 
     Batches are uniform with replacement from the worker's training split.
     When ``snapshot_at`` = j is given, the iterate right before step j (the
-    j-th local iterate) is also returned.
+    j-th local iterate) is also returned.  Each step writes its iterate into
+    the fresh vector that ``mlp.grad`` returned, which no one else holds, so
+    theta0 and the snapshot are never overwritten.
     """
     step = alpha * lambda_n
     theta = theta0
@@ -143,7 +145,8 @@ def local_sgd(
         if snapshot_at is not None and t == snapshot_at:
             snapshot = theta
         batch = _draw_batch(dataset, B, rng)
-        theta = mlp.add_scaled(theta, mlp.grad(theta, batch), -step)
+        g = mlp.grad(theta, batch)
+        theta = mlp.add_scaled(theta, g, -step, out=g)
     return theta, snapshot
 
 

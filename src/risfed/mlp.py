@@ -4,8 +4,10 @@ The parameters theta, and every gradient, are one contiguous float64 vector
 in checkpoint order W1, b1, W2, b2, W3, b3 (each row-major); W_l maps layer
 l-1 activations to layer l, and :func:`layers` gives the blocks as views.
 ReLU hidden layers, softmax output, mean cross-entropy (natural log) loss.
-Everything is double precision and purely functional: nothing updates a
-theta in place, so a theta a caller holds (a checkpoint) never changes.
+Everything is double precision.  No theta a caller holds (a checkpoint, a
+snapshot, a worker's start point) is ever written: :func:`grad` returns a new
+vector that the caller owns, and the SGD step (``add_scaled`` with ``out=``
+that vector) overwrites only it.
 """
 
 from __future__ import annotations
@@ -57,14 +59,17 @@ def init(rng: np.random.Generator) -> np.ndarray:
 
 def _forward_pass(views: list[np.ndarray], x: np.ndarray):
     W1, b1, W2, b2, W3, b3 = views
-    z1 = x @ W1.T + b1
+    z1 = x @ W1.T
+    z1 += b1
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ W2.T + b2
+    z2 = a1 @ W2.T
+    z2 += b2
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ W3.T + b3
-    z3 = z3 - z3.max(axis=-1, keepdims=True)
-    e = np.exp(z3)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    z3 = a2 @ W3.T
+    z3 += b3
+    z3 -= z3.max(axis=-1, keepdims=True)
+    probs = np.exp(z3, out=z3)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return z1, a1, z2, a2, probs
 
 
@@ -83,7 +88,11 @@ def loss(theta: np.ndarray, batch: MiniBatch) -> float:
 
 def grad(theta: np.ndarray, batch: MiniBatch) -> np.ndarray:
     """Backprop gradient of :func:`loss`, laid out like theta; ReLU
-    subgradient at 0 taken as 0."""
+    subgradient at 0 taken as 0.
+
+    The result is a new vector that no one else holds, so the caller owns it
+    and may overwrite it (the SGD step writes its update there).
+    """
     X, y = batch.inputs, batch.labels
     B = len(y)
     views = layers(theta)
@@ -95,10 +104,12 @@ def grad(theta: np.ndarray, batch: MiniBatch) -> np.ndarray:
     delta3 /= B
     np.matmul(delta3.T, a2, out=gW3)
     delta3.sum(axis=0, out=gb3)
-    delta2 = (delta3 @ W3) * (z2 > 0.0)
+    delta2 = delta3 @ W3
+    delta2 *= z2 > 0.0
     np.matmul(delta2.T, a1, out=gW2)
     delta2.sum(axis=0, out=gb2)
-    delta1 = (delta2 @ W2) * (z1 > 0.0)
+    delta1 = delta2 @ W2
+    delta1 *= z1 > 0.0
     np.matmul(delta1.T, X, out=gW1)
     delta1.sum(axis=0, out=gb1)
     return g
@@ -109,9 +120,19 @@ def predict(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.argmax(forward(theta, x), axis=-1)
 
 
-def add_scaled(p: np.ndarray, q: np.ndarray, coeff: float) -> np.ndarray:
-    """p + coeff * q, as a new vector."""
-    return p + coeff * q
+def add_scaled(p: np.ndarray, q: np.ndarray, coeff: float, out: np.ndarray | None = None) -> np.ndarray:
+    """p + coeff * q, as a new vector, or written into ``out`` and returned.
+
+    ``out`` may be q (its values are consumed) but never p, which is read
+    after out is first written.  Both forms do the same two IEEE operations
+    in the same order, so they agree bit for bit.
+    """
+    if out is None:
+        return p + coeff * q
+    if np.may_share_memory(out, p):
+        raise ValueError("add_scaled cannot write into p")
+    np.multiply(q, coeff, out=out)
+    return np.add(p, out, out=out)
 
 
 def average(thetas: list[np.ndarray]) -> np.ndarray:

@@ -65,7 +65,39 @@ def test_local_sgd_single_step_oracle(tiny_fleet):
     idx = np.random.default_rng(6).integers(0, len(ds), size=B)
     batch = mlp.MiniBatch(ds.features[idx], ds.labels[idx])
     expected = mlp.add_scaled(theta0, mlp.grad(theta0, batch), -alpha * lam_n)
-    assert np.max(np.abs(theta - expected)) <= 1e-15
+    assert theta.tobytes() == expected.tobytes()
+
+
+def reference_local_sgd(ds, theta0, lambda_n, tau, alpha, B, rng, snapshot_at):
+    """The step as the allocating p + coeff * q, with a copied snapshot."""
+    theta, snapshot = theta0, None
+    for t in range(tau):
+        if t == snapshot_at:
+            snapshot = theta.copy()
+        idx = rng.integers(0, len(ds), size=B)
+        batch = mlp.MiniBatch(ds.features[idx], ds.labels[idx])
+        theta = mlp.add_scaled(theta, mlp.grad(theta, batch), -alpha * lambda_n)
+    return theta, snapshot
+
+
+@settings(max_examples=30, deadline=None)
+@given(tau=st.integers(1, 4), B=st.integers(1, 16), lambda_n=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_local_sgd_matches_allocating_reference(tiny_fleet, tau, B, lambda_n, seed, data):
+    snapshot_at = data.draw(st.none() | st.integers(0, tau - 1), label="snapshot_at")
+    ds = tiny_fleet[0][seed % 4]
+    theta0 = mlp.init(np.random.default_rng(seed))
+    before = theta0.tobytes()
+    theta, snapshot = local_sgd(ds, theta0, lambda_n, tau, 5e-2, B, np.random.default_rng(seed + 1),
+                                snapshot_at=snapshot_at)
+    ref_theta, ref_snapshot = reference_local_sgd(ds, theta0, lambda_n, tau, 5e-2, B,
+                                                  np.random.default_rng(seed + 1), snapshot_at)
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert theta0.tobytes() == before
+    if snapshot_at is None:
+        assert snapshot is None
+    else:  # the later steps wrote nothing into the snapshot they started from
+        assert snapshot.tobytes() == ref_snapshot.tobytes()
 
 
 def test_local_sgd_product_invariance(tiny_fleet):

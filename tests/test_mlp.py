@@ -155,8 +155,44 @@ def test_vector_round_trip_and_add_scaled():
     assert copy is not p and np.array_equal(copy, p)
     combo = mlp.add_scaled(p, q, -0.5)
     assert np.allclose(combo, p - 0.5 * q)
+    before = p.tobytes()
+    with pytest.raises(ValueError):
+        mlp.add_scaled(p, q, -0.5, out=p)
+    assert p.tobytes() == before
     with pytest.raises(ValueError):
         mlp.from_vector(np.zeros(10))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       coeff=st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=True))
+def test_add_scaled_in_place_equals_allocating(seed, coeff):
+    rng = np.random.default_rng(seed)
+    p, q = mlp.init(rng), rng.standard_normal(mlp.PARAM_COUNT)
+    p_bytes, q_bytes = p.tobytes(), q.tobytes()
+    expected = mlp.add_scaled(p, q, coeff).tobytes()
+    buf = np.empty(mlp.PARAM_COUNT)
+    assert mlp.add_scaled(p, q, coeff, out=buf) is buf
+    assert buf.tobytes() == expected
+    assert p.tobytes() == p_bytes and q.tobytes() == q_bytes
+    assert mlp.add_scaled(p, q, coeff, out=q) is q
+    assert q.tobytes() == expected
+    assert p.tobytes() == p_bytes
+
+
+@pytest.mark.parametrize("B", [1, 7, 50])
+def test_grad_loss_predict_leave_theta_and_inputs_unchanged(B):
+    rng = np.random.default_rng(40 + B)
+    theta = mlp.init(rng)
+    mlp.layers(theta)[5][:] = rng.standard_normal(4)  # nonzero output bias
+    batch = random_batch(rng, B=B)
+    theta_bytes, input_bytes = theta.tobytes(), batch.inputs.tobytes()
+    mlp.grad(theta, batch)
+    mlp.loss(theta, batch)
+    mlp.predict(theta, batch.inputs)
+    mlp.predict(theta, batch.inputs[0])
+    assert theta.tobytes() == theta_bytes
+    assert batch.inputs.tobytes() == input_bytes
 
 
 def test_average_params():
