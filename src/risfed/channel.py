@@ -207,9 +207,9 @@ def make_worker_geometry(
     rx: Placement,
     n_scatterers: int,
     rng: np.random.Generator,
-    cone_halfwidth: float = math.radians(15.0),
-    extra_travel_lo: float = 0.05,
-    extra_travel_hi: float = 0.30,
+    cone_halfwidth: float,
+    extra_travel_lo: float,
+    extra_travel_hi: float,
 ) -> ScenarioGeometry:
     """Build a worker scenario, drawing its scatterer constellation once.
 

@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Subcommands: gen-data, train, sweep, diagnose, theory, plot-data.  Each
-accepts an optional config file plus ``--set key=value`` overrides;
-``--seed-list`` and ``--out-dir`` are shorthands for the corresponding config
-keys.  All outputs are CSV files with a header row.
+accepts an optional config file plus ``--set key=value`` overrides, with
+``--seed-list`` and ``--out-dir`` as shorthands for two keys; ``sweep`` also
+takes one ``KEY=V1,V2,...`` item.  All outputs are CSV with a header row.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from . import diagnostics, harness
 def _load_config(args) -> harness.ExperimentConfig:
     """The config file's settings, overridden by each ``--set`` item, then
     ``--seed-list`` and ``--out-dir``; parsed and validated once."""
-    settings = harness.read_settings(args.config) if args.config else {}
+    settings = harness.read_settings(args.config) if args.config is not None else {}
     settings.update(harness.split_setting(item, "--set") for item in args.set or [])
-    if args.seed_list:
+    if args.seed_list is not None:
         settings["seeds"] = args.seed_list
-    if args.out_dir:
+    if args.out_dir is not None:
         settings["out_dir"] = args.out_dir
     return harness.apply_overrides(harness.ExperimentConfig(), settings)
 
@@ -62,9 +62,13 @@ def cmd_train(config: harness.ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
-    if config.sweep_axis == "none":
-        return _refuse(f"sweep needs sweep_axis set to one of {', '.join(harness.SWEEP_AXES[1:])}, got 'none'")
-    cells = harness.run_sweep(config)
+    if args.item is None:
+        return _refuse(f"sweep needs a KEY=V1,V2,... item, KEY one of {', '.join(harness.SWEEP_AXES)}")
+    try:
+        axis, cell_configs = harness.sweep_configs(config, args.item)
+    except ValueError as exc:
+        return _refuse(str(exc))
+    cells = harness.run_sweep(config, axis, cell_configs)
     print(os.path.join(config.out_dir, "sweep.csv"))
     for c in cells:
         print(f"{c.axis}={c.value:g} {c.summary.algorithm}: {c.cell}")
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("gen-data", cmd_gen_data, "synthesize and export worker datasets"),
         ("train", cmd_train, "run the configured algorithms over all seeds"),
-        ("sweep", cmd_sweep, "run the configured hyperparameter sweep"),
+        ("sweep", cmd_sweep, "run the algorithms at each value of one hyperparameter"),
         ("diagnose", cmd_diagnose, "estimate theory constants and trace the gradient norm"),
         ("theory", cmd_theory, "check the convergence rate over a rate-matched K-sweep"),
         ("plot-data", cmd_plot_data, "emit per-figure mean/SE series from a runs.csv"),
@@ -154,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, default in (("diagnose", 150), ("theory", 120)):
         commands[name].add_argument("--probes", type=_probe_count, default=default,
                                     help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
+    commands["sweep"].add_argument("item", nargs="?", metavar="KEY=V1,V2,...",
+                                   help=f"the swept key, one of {', '.join(harness.SWEEP_AXES)}, and its values")
     commands["plot-data"].add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
 
     return parser

@@ -22,10 +22,10 @@ import numpy as np
 from . import diagnostics, fed
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult
-from .labeling import (FEATURE_DIM, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset, split,
-                       train_count)
+from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
+                       split, train_count)
 
-SWEEP_AXES = ("none", "tau", "B", "m")
+SWEEP_AXES = ("tau", "B", "m")
 
 # Anchor geometry of the default heterogeneity profile.  Worker 0 is the
 # minority design: its RX sits past broadside (azimuth > 90 deg), which
@@ -76,8 +76,6 @@ class ExperimentConfig:
     bandwidth: float = 1e7
     tx_power: float = 0.5
     noise_psd: float = 4e-21
-    sweep_axis: str = "none"
-    sweep_values: tuple[float, ...] = ()
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -104,18 +102,9 @@ class ExperimentConfig:
             raise ValueError(f"need -1 < scatter_extra_lo <= scatter_extra_hi, got "
                              f"{self.scatter_extra_lo!r} and {self.scatter_extra_hi!r}")
         train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if any(v <= 0 for v in self.sweep_values) or len(set(self.sweep_values)) < len(self.sweep_values):
-            raise ValueError(f"sweep_values must be distinct positive values, got {self.sweep_values!r}")
         if not self.spacings or any(s <= 0 for s in self.spacings):
             raise ValueError("spacings must be a nonempty list of positive values")
         _worker_angles(self)  # the alias geometry must be feasible
-        if self.sweep_axis != "none":
-            if not self.sweep_values:
-                raise ValueError(f"sweep_values must list the values of sweep_axis={self.sweep_axis!r}, got none")
-            for value in self.sweep_values:
-                sweep_config(self, self.sweep_axis, value)
 
     def train_config(self, algorithm: str) -> ExperimentConfig:
         """This config narrowed to one algorithm; only perfbench/workloads.py calls it."""
@@ -124,7 +113,7 @@ class ExperimentConfig:
 
 _POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J", "ris_rows", "ris_cols", "n_scatterers",
                   "wavelength", "bandwidth", "tx_power", "noise_psd")
-_LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float, "sweep_values": float}
+_LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
@@ -434,38 +423,35 @@ class SweepCell:
         return f"{self.summary.avg_acc_mean:.2f}/{self.summary.worst_acc_mean:.2f}"
 
 
-def sweep_config(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    """The plain (non-sweep) config of one sweep cell: ``axis`` set to
-    ``value``, which must be integral."""
-    if axis not in SWEEP_AXES[1:]:
-        raise ValueError(f"unsupported sweep axis {axis!r}")
-    if value != int(value):
-        raise ValueError(f"sweep_values: {axis} takes integral values, got {value!r}")
-    try:
-        return replace(config, sweep_axis="none", sweep_values=(), **{axis: int(value)})
-    except ValueError as exc:
-        raise ValueError(f"sweep_values: {axis}={value!r} is invalid: {exc}") from exc
+def sweep_configs(config: ExperimentConfig, item: str) -> tuple[str, list[ExperimentConfig]]:
+    """The key of a ``KEY=V1,V2,...`` sweep item, one of :data:`SWEEP_AXES`, and one config per value,
+    each parsed, typed and validated as ``--set KEY=V`` would be; a duplicate value is refused too."""
+    axis, text = split_setting(item, "sweep")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"sweep: the key must be one of {', '.join(SWEEP_AXES)}, got {axis!r}")
+    cell_configs = [apply_overrides(config, {axis: value.strip()}) for value in text.split(",")]
+    if len({getattr(c, axis) for c in cell_configs}) < len(cell_configs):
+        raise ValueError(f"sweep: {axis} values must be distinct, got {text!r}")
+    return axis, cell_configs
 
 
-def run_sweep(config: ExperimentConfig,
+def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[ExperimentConfig],
               data: SeedDataCache | None = None) -> list[SweepCell]:
-    """Evaluate every (sweep value, algorithm) cell at the configured K.
+    """Evaluate every (cell config, algorithm) pair of a :func:`sweep_configs` sweep.
 
     Reports a two-decimal "average/worst" percent pair per cell and writes
-    one CSV row per cell to ``sweep.csv``.
+    one CSV row per cell to ``<config.out_dir>/sweep.csv``.
     """
-    if config.sweep_axis == "none":
-        raise ValueError("sweep_axis must name the key to sweep, got 'none'")
     cache = data if data is not None else SeedDataCache(config)
     cells = []
-    for value in config.sweep_values:
-        cfg_v = sweep_config(config, config.sweep_axis, value)
+    for cfg_v in cell_configs:
         summary = summarize_runs(dict(run_grid(cfg_v, cache)), cfg_v.algorithms, cfg_v.seeds)
-        cells += [SweepCell(config.sweep_axis, value, s) for s in summary.per_algorithm.values()]
+        cells += [SweepCell(axis, getattr(cfg_v, axis), s) for s in summary.per_algorithm.values()]
     write_csv(os.path.join(config.out_dir, "sweep.csv"),
               ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
-              # the summary's first five fields: algorithm and the four accuracy statistics
-              [(c.axis, c.value, *astuple(c.summary)[:5], c.cell) for c in cells])
+              # the summary's first five fields: algorithm and the four accuracy statistics;
+              # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
+              [(c.axis, float(c.value), *astuple(c.summary)[:5], c.cell) for c in cells])
     return cells
 
 
@@ -536,8 +522,9 @@ def load_dataset(stem: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     A wrong format version, a missing meta key, a header other than
-    f000..f399,label,rate, a row count other than ``num_samples`` or a
-    scaler vector of other than 400 values is refused, naming the file.
+    f000..f399,label,rate, a row count other than ``num_samples``, a
+    scaler vector of other than 400 values, a label other than an integer
+    in 0..3 or a non-finite feature or rate is refused, naming the file.
     """
     csv_path, meta_path = stem + ".csv", stem + ".meta"
     meta = read_settings(meta_path)
@@ -564,6 +551,10 @@ def load_dataset(stem: str) -> Dataset:
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
+    if not np.isin(data[:, FEATURE_DIM], range(NUM_CLASSES)).all():
+        raise ValueError(f"{csv_path}: a label is not an integer in 0..{NUM_CLASSES - 1}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{csv_path}: a feature or rate is not finite")
     return Dataset(
         worker_id=worker_id,
         features=data[:, :FEATURE_DIM],
@@ -623,13 +614,15 @@ THEORY_STREAM = 3  # substream key of the convergence-check worker's scatterers 
 def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
     """Single well-conditioned worker for the convergence-rate check: a
     full-wavelength array at a small azimuth with distant scatterers, which
-    trains to interpolation under the rate-matched schedule."""
+    trains to interpolation under the rate-matched schedule.  The worker fixes
+    its own placements, spacing and scatter travel (0.25 to 0.5); the other
+    geometry keys and the rate constants come from ``config``."""
     rng = fed.substream(config.profile_seed, THEORY_STREAM)
     geom = make_worker_geometry(
         config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
         rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=config.n_scatterers, rng=rng,
+        n_scatterers=config.n_scatterers, rng=rng, cone_halfwidth=math.radians(config.scatter_cone_deg),
         extra_travel_lo=0.25, extra_travel_hi=0.5,
     )
     train, test = _draw_split(config, WorkerProfile(0, geom, _rate_params(config)), dataset_seed, THEORY_STREAM)
@@ -647,11 +640,11 @@ def theory_check(config: ExperimentConfig, n_probes: int) -> list[dict]:
     squared gradient norm and the theorem bound.
 
     The check overrides N and m (the one worker, N = m = 1) and K, tau,
-    alpha and gamma (the rate-matched schedule).  It ignores algorithms,
-    eval_every and the sweep keys.  Every other setting (B, J,
-    train_fraction, the two seeds, the geometry) comes from ``config``.
+    alpha and gamma (the rate-matched schedule).  It ignores algorithms and
+    eval_every.  Every other setting (B, J, train_fraction, the two seeds,
+    the geometry keys that :func:`theory_worker_data` reads) comes from ``config``.
     """
-    base = replace(config, N=1, m=1, sweep_axis="none", sweep_values=())
+    base = replace(config, N=1, m=1)
     records = []
     for s in config.seeds:
         train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)

@@ -14,7 +14,8 @@ def small_geometry(spacing_wl=0.25, rx_az_deg=28.0, tx_az_deg=-22.0, rx_el_deg=2
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
     tx = Placement(distance=30.0, azimuth=math.radians(tx_az_deg), elevation=0.0)
     rx = Placement(distance=20.0, azimuth=math.radians(rx_az_deg), elevation=math.radians(rx_el_deg))
-    return make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, 4, rng)
+    return make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, 4, rng,
+                                cone_halfwidth=math.radians(15.0), extra_travel_lo=0.05, extra_travel_hi=0.30)
 
 
 def small_worker_data(worker_id=0, J=240, dataset_seed=99, **geom_kw):

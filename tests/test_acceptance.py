@@ -50,10 +50,9 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
     cells = {}
     for alg, summary in default.summary.per_algorithm.items():
         cells[("tau", 10, alg)] = cells[("B", 50, alg)] = summary
-    for axis, values in (("tau", (1.0, 5.0)), ("B", (10.0, 30.0))):
-        sweep = replace(config, eval_every=config.K, sweep_axis=axis, sweep_values=values,
-                        out_dir=str(tmp_path_factory.mktemp(axis)))
-        for c in harness.run_sweep(sweep, cache):
+    for axis, values in (("tau", "1,5"), ("B", "10,30")):
+        sweep = replace(config, eval_every=config.K, out_dir=str(tmp_path_factory.mktemp(axis)))
+        for c in harness.run_sweep(sweep, *harness.sweep_configs(sweep, f"{axis}={values}"), cache):
             cells[(axis, c.value, c.summary.algorithm)] = c.summary
     return cells
 

@@ -290,7 +290,7 @@ def test_make_worker_geometry_scatterer_cone():
     tx = Placement(30.0, -0.5, 0.05)
     rx = Placement(20.0, 0.4, 0.0)
     geom = make_worker_geometry(10, 10, 1e-3, WAVELENGTH, tx, rx, 6, rng,
-                                cone_halfwidth=math.radians(15.0))
+                                cone_halfwidth=math.radians(15.0), extra_travel_lo=0.05, extra_travel_hi=0.30)
     assert geom.num_scatterers == 6
     for sc in geom.scatterers:
         assert abs(sc.azimuth - tx.azimuth) <= math.radians(15.0) + 1e-12
@@ -397,7 +397,8 @@ def test_gen_dataset_matches_reference_over_scenario_geometry(n_scatterers, spac
     tx = Placement(30.0, math.radians(-22.0), 0.0)
     rx = Placement(20.0, math.radians(28.0), math.pi / 2 if grazing_rx else math.radians(2.0))
     geom = make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, n_scatterers,
-                                np.random.default_rng(seed), cone_halfwidth=math.radians(cone_deg))
+                                np.random.default_rng(seed), cone_halfwidth=math.radians(cone_deg),
+                                extra_travel_lo=0.05, extra_travel_hi=0.30)
     ds = assert_matches_reference(labeling.WorkerProfile(0, geom, RATE), J, seed)
     if grazing_rx:
         # a grazing RX receives nothing: every codeword's rate is 0 and the tie goes to codeword 0

@@ -34,7 +34,7 @@ COMMANDS = (  # (output directory, risfed arguments), run in this order
     ("data", ["gen-data", "--set", "J=400"]),
     ("train", ["train", *SMALL, "--set", "eval_every=3", *SEEDS]),
     ("train", ["plot-data"]),
-    ("sweep", ["sweep", *SMALL, *SEEDS, "--set", "sweep_axis=tau", "--set", "sweep_values=1,5"]),
+    ("sweep", ["sweep", "tau=1,5", *SMALL, *SEEDS]),
     ("diagnose", ["diagnose", *SMALL, "--probes", "100"]),
     ("theory", ["theory", "--set", "J=400", "--seed-list", "0", "--probes", "100"]),
 )

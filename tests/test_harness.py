@@ -92,7 +92,7 @@ def test_parse_config_rejects_m_greater_than_N(tmp_path):
 
 def test_config_round_trip_canonical(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("alpha = 0.004   # comment\nseeds = 3, 4,5\nsweep_axis = tau\nsweep_values = 1,5,10\n")
+    path.write_text("alpha = 0.004   # comment\nseeds = 3, 4,5\nalgorithms = drfa, fgdra\n")
     cfg = config_from_file(str(path))
     canonical = harness.format_settings(asdict(cfg))
     path2 = tmp_path / "c2.cfg"
@@ -126,6 +126,22 @@ def test_cli_config_file_and_set_items_are_validated_together(tmp_path):
         config_from_file(str(path))
 
 
+@pytest.mark.parametrize("shorthand, key, value", [
+    ("--seed-list", "seeds", "3,4"),
+    ("--seed-list", "seeds", ""),
+    ("--out-dir", "out_dir", "elsewhere"),
+    ("--out-dir", "out_dir", ""),
+])
+def test_cli_shorthand_gives_the_config_of_its_set_spelling(shorthand, key, value):
+    def load(argv):  # the config, or the message that refuses it
+        try:
+            return cli._load_config(cli.build_parser().parse_args(["train", *argv]))
+        except ValueError as exc:
+            return str(exc)
+
+    assert load([shorthand, value]) == load(["--set", f"{key}={value}"])
+
+
 def test_apply_overrides():
     cfg = apply_overrides(ExperimentConfig(), {"K": "12", "seeds": "7,8", "out_dir": "elsewhere"})
     assert cfg.K == 12 and cfg.seeds == (7, 8) and cfg.out_dir == "elsewhere"
@@ -156,9 +172,9 @@ def test_build_profiles_design():
     ({"noise_psd": -math.inf}, "noise_psd"),
     ({"spacings": (0.125, math.inf)}, "spacings"),
     ({"tau": 2.5}, "tau"),
-    ({"sweep_axis": "tau", "sweep_values": (2.7,)}, "sweep_values"),
-    ({"sweep_axis": "B", "sweep_values": (math.nan,)}, "sweep_values"),
-    ({"sweep_axis": "m", "sweep_values": (2.0, 9.0)}, "sweep_values"),
+    ({"tau": 1.0}, "tau"),
+    ({"B": math.nan}, "B"),
+    ({"m": 2.0}, "m"),
     ({"N": 5}, "spacings"),
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
     ({"J": 1}, "train_fraction"),
@@ -181,7 +197,7 @@ def test_build_profiles_design():
     ({"profile_seed": -1}, "profile_seed"),
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
-    ({"sweep_axis": "tau"}, "sweep_values"),
+    ({"spacings": ()}, "spacings"),
     ({"m": 5}, "m=5"),
     ({"m": 0}, "m=0"),
     ({"alpha": 0.0}, "alpha"),
@@ -197,7 +213,6 @@ def test_build_profiles_design():
     ({"algorithms": ()}, "algorithms"),
     ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
     ({"algorithms": ("sgd",)}, "algorithms"),
-    ({"sweep_axis": "tau", "sweep_values": (1.0, 1.0)}, "sweep_values"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -355,19 +370,56 @@ def test_per_seed_data_draws_differ(tmp_path):
 
 
 def test_run_sweep_layout_and_cells(tmp_path):
-    cfg = small_config(tmp_path, sweep_axis="tau", sweep_values=(1.0, 2.0, 3.0))
-    cells = harness.run_sweep(cfg)
+    cfg = small_config(tmp_path)
+    cells = harness.run_sweep(cfg, *harness.sweep_configs(cfg, "tau=1, 2,3"))
     assert len(cells) == 9  # 3 algorithms x 3 values
     assert {c.summary.algorithm for c in cells} == {"fgdra", "drfa", "fedavg"}
     for c in cells:
         assert re.fullmatch(r"\d+\.\d{2}/\d+\.\d{2}", c.cell)
-    assert os.path.exists(os.path.join(cfg.out_dir, "sweep.csv"))
+    header, *rows = Path(cfg.out_dir, "sweep.csv").read_text().splitlines()
+    assert header.startswith("axis,value,algorithm,")
+    assert [row.split(",")[:2] for row in rows[::3]] == [["tau", "1.0"], ["tau", "2.0"], ["tau", "3.0"]]
 
-    m_cfg = small_config(tmp_path, sweep_axis="m", sweep_values=(1.0, 2.0))
-    assert len(harness.run_sweep(m_cfg)) == 6
+    axis, m_configs = harness.sweep_configs(cfg, "m=1,2")
+    assert axis == "m" and [c.m for c in m_configs] == [1, 2]
+    assert m_configs[1] == replace(cfg, m=2)
+    assert len(harness.run_sweep(cfg, axis, m_configs)) == 6
 
-    with pytest.raises(ValueError):
-        harness.run_sweep(small_config(tmp_path))
+
+def assert_refused_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
+    """``risfed argv`` exits 2 with one stderr line naming ``named``, having drawn no data and written nothing."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "generate_data", no_work)
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("risfed: error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not os.listdir(tmp_path)
+
+
+# a refused sweep item, and what its one-line refusal names
+@pytest.mark.parametrize("item, named", [
+    ("tau=2.7", "'tau'"),
+    ("tau=1.0", "'tau'"),  # tau is an int key, as with --set tau=1.0
+    ("B=nan", "'B'"),
+    ("m=2,9", "m=9"),
+    ("tau=1,01", "tau values must be distinct"),
+    ("tau=", "'tau'"),
+    ("tau=1,,2", "'tau'"),
+    ("K=1,2", "'K'"),
+    ("alpha=0.001", "'alpha'"),
+    ("1,2", "'1,2'"),
+    (None, "KEY=V1,V2,... item"),
+])
+def test_sweep_item_refused_before_any_run_naming_the_key(tmp_path, capsys, monkeypatch, item, named):
+    argv = ["sweep", "--set", "J=40", "--set", "K=1"] + ([item] if item is not None else [])
+    assert_refused_before_any_work(argv, named, tmp_path, capsys, monkeypatch)
+    if item is not None:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            harness.sweep_configs(small_config(tmp_path), item)
 
 
 def test_emit_plot_data(tmp_path):
@@ -425,6 +477,13 @@ def _keep_rows(path, keep):
     Path(path).write_text("".join(lines[:1 + keep]))
 
 
+def _set_first_row_cell(path, column, text):
+    header, row, *rest = Path(path).read_text().splitlines(keepends=True)
+    cells = row.rstrip("\n").split(",")
+    cells[header.rstrip("\n").split(",").index(column)] = text
+    Path(path).write_text("".join([header, ",".join(cells) + "\n", *rest]))
+
+
 def _edit_meta(path, key, value):
     meta = harness.read_settings(path)
     if value is None:
@@ -441,6 +500,10 @@ def _edit_meta(path, key, value):
     (lambda stem: _edit_meta(stem + ".meta", "scaler_mean", "1.0,2.0"), ".meta", "400 values each, got 2 and 400"),
     (lambda stem: _edit_meta(stem + ".meta", "scaler_mean", ""), ".meta", "400 values each, got 0 and 400"),
     (lambda stem: Path(stem + ".csv").write_text("f000,label,rate\n"), ".csv", "header is not f000..f399,label,rate"),
+    (lambda stem: _set_first_row_cell(stem + ".csv", "label", "7"), ".csv", "label is not an integer in 0..3"),
+    (lambda stem: _set_first_row_cell(stem + ".csv", "label", "2.5"), ".csv", "label is not an integer in 0..3"),
+    (lambda stem: _set_first_row_cell(stem + ".csv", "f017", "nan"), ".csv", "feature or rate is not finite"),
+    (lambda stem: _set_first_row_cell(stem + ".csv", "rate", "inf"), ".csv", "feature or rate is not finite"),
 ])
 def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, file, message):
     stem = _saved_dataset(tmp_path)
@@ -481,12 +544,11 @@ def test_cli_diagnose_trains_the_first_seed_on_its_own_data_draw(tmp_path, monke
     assert features.tobytes() != cache.for_seed(0)[0][0].features.tobytes()
 
 
-def test_theory_check_runs_a_sweep_config_as_its_plain_config(monkeypatch):
-    # the single-worker runs (N = m = 1) leave out the configured m sweep
-    monkeypatch.setattr(harness, "THEORY_KS", (8,))
-    cfg = ExperimentConfig(J=120, B=10, seeds=(0,))
-    swept = replace(cfg, sweep_axis="m", sweep_values=(2.0, 3.0))
-    assert harness.theory_check(swept, 100) == harness.theory_check(cfg, 100)
+def test_theory_worker_data_reads_the_scatter_cone():
+    cfg = ExperimentConfig(J=40)
+    (default,), _ = harness.theory_worker_data(cfg, 5)
+    (narrow,), _ = harness.theory_worker_data(replace(cfg, scatter_cone_deg=2.0), 5)
+    assert default.features.tobytes() != narrow.features.tobytes()
 
 
 def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, capsys):
@@ -511,8 +573,7 @@ def test_cli_subcommands(tmp_path):
     assert cli.main(["train", "--out-dir", out] + base) == 0
     assert os.path.exists(os.path.join(out, "runs.csv"))
     assert cli.main(["plot-data", "--out-dir", out] + base) == 0
-    assert cli.main(["sweep", "--out-dir", out, "--set", "sweep_axis=tau",
-                     "--set", "sweep_values=1,2"] + base) == 0
+    assert cli.main(["sweep", "tau=1,2", "--out-dir", out] + base) == 0
     assert cli.main(["diagnose", "--out-dir", out, "--probes", "100"] + base) == 0
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
@@ -524,8 +585,8 @@ def test_cli_subcommands(tmp_path):
     (["train", "--set", "bogus=1"], "'bogus'"),
     (["train", "--set", "K"], "'K'"),
     (["train", "--set", "alpha=nan"], "alpha"),
-    (["train", "--set", "sweep_axis=tau", "--set", "K=1", "--set", "J=40"], "sweep_values"),
-    (["sweep", "--set", "K=1", "--set", "J=40"], "sweep_axis"),
+    (["train", "--set", "tau=1.0"], "'tau'"),
+    (["train", "--seed-list", ""], "seeds"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3"),
     (["plot-data"], "runs"),
     (["train", "--set", "tau=abc"], "'tau'"),
@@ -533,19 +594,10 @@ def test_cli_subcommands(tmp_path):
     (["train", "--seed-list", "0,0"], "seeds"),
     (["train", "--set", "algorithms=fgdra,fgdra"], "algorithms"),
     (["train", "--set", "algorithms=sgd"], "algorithms"),
-    (["sweep", "--set", "sweep_axis=tau", "--set", "sweep_values=1,1"], "sweep_values"),
+    (["train", "--config", ""], "No such file or directory: ''"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(harness, "generate_data", no_work)  # refused before any work
-    assert cli.main(overrides + ["--out-dir", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("risfed: error: ") and captured.err.count("\n") == 1
-    assert named in captured.err
-    assert not os.listdir(tmp_path)
+    assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["diagnose", "theory"])
