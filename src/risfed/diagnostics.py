@@ -1,10 +1,14 @@
-"""Empirical instrumentation of the convergence guarantee.
+"""The convergence check: the measured side of the rate guarantee.
 
 Estimates the smoothness / gradient-bound / gradient-variance constants from
 probe gradients, evaluates the closed-form rate bound they imply, and traces
 the squared norm of the weighted full-batch gradient along a run's
 round-boundary checkpoints so that the predicted O(1/sqrt(T)) decay can be
-checked against measurements.
+checked against measurements.  :func:`schedule_matched_trace` is the one
+rate-matched run behind ``risfed diagnose`` and :func:`theory_check` (C09,
+``risfed theory``); :func:`running_mean` is the one running average,
+:func:`fit_loglog_slope` the one slope fit, and each :func:`theory_check`
+record carries the one "bound held" test.
 """
 
 from __future__ import annotations
@@ -12,20 +16,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import mlp
-from .fed import RunResult
+from . import fed, harness, mlp
 from .labeling import Dataset
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig
 
 # Fewest probes estimate_constants accepts.
 MIN_PROBES = 100
-# Fewest checkpoints slope_fit accepts.
+# Fewest round_checkpoints risfed diagnose accepts; it refuses a K that gives fewer.
 MIN_CHECKPOINTS = 5
 
 
@@ -74,7 +73,7 @@ def weighted_grad_norm_sq(theta: np.ndarray, lam: np.ndarray, train_sets: list[D
     return float(acc @ acc)
 
 
-def grad_norm_trace(result: RunResult, train_sets: list[Dataset], checkpoints: list[int]) -> ConvergenceTrace:
+def grad_norm_trace(result: fed.RunResult, train_sets: list[Dataset], checkpoints: list[int]) -> ConvergenceTrace:
     """Evaluate the weighted gradient norm at the requested round boundaries.
 
     Round k maps to iteration t = k * tau, where the averaged iterate equals
@@ -148,7 +147,7 @@ def theorem_bound(est: TheoryEstimates, m: int, T: int) -> float:
     return (2.0 * est.F0 + (17.0 / 2.0 + 8.0 / m) * est.sigma_hat ** 2 + 17.0 * est.nu_hat ** 2) / math.sqrt(T)
 
 
-def running_mean_trace(trace: ConvergenceTrace) -> ConvergenceTrace:
+def running_mean(trace: ConvergenceTrace) -> np.ndarray:
     """Iteration-weighted running mean of the trace values.
 
     Checkpoints subsample the trajectory, so each value stands in for the
@@ -164,15 +163,14 @@ def running_mean_trace(trace: ConvergenceTrace) -> ConvergenceTrace:
     weights[1:] = np.diff(t)
     if np.any(weights <= 0):
         raise ValueError("checkpoints must be strictly increasing")
-    rm = np.cumsum(trace.grad_norm_sq * weights) / np.cumsum(weights)
-    return ConvergenceTrace(t=trace.t.copy(), grad_norm_sq=rm)
+    return np.cumsum(trace.grad_norm_sq * weights) / np.cumsum(weights)
 
 
 def round_checkpoints(K: int, n: int = 24) -> list[int]:
     """Round indices {0} + a geometric ladder up to K, deduplicated.
 
     Geometric spacing resolves the fast early transient; the segment
-    weighting in :func:`running_mean_trace` keeps the average unbiased.
+    weighting in :func:`running_mean` keeps the average unbiased.
     """
     ladder = np.unique(np.geomspace(1, K, num=max(2, n - 1)).astype(int))
     return sorted({0, *ladder.tolist(), K})
@@ -196,21 +194,7 @@ def fit_loglog_slope(t: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
-def slope_fit(trace: ConvergenceTrace) -> float:
-    """Log-log decay slope of a (running-mean) gradient-norm trace.
-
-    Requires at least ``MIN_CHECKPOINTS`` checkpoints.  The t = 0 checkpoint
-    has no place on a log axis and is left out of the fit.  The caller passes
-    the statistic it wants fitted; apply :func:`running_mean_trace` first to
-    fit the decay of the averaged trajectory.
-    """
-    if len(trace.t) < MIN_CHECKPOINTS:
-        raise ValueError(f"need at least {MIN_CHECKPOINTS} checkpoints")
-    later = trace.t > 0
-    return fit_loglog_slope(trace.t[later], trace.grad_norm_sq[later])
-
-
-def prescribed_schedule(base: ExperimentConfig, K: int, est: TheoryEstimates) -> ExperimentConfig:
+def prescribed_schedule(base: harness.ExperimentConfig, K: int, est: TheoryEstimates) -> harness.ExperimentConfig:
     """Step sizes and local-iteration count matched to the rate guarantee.
 
     tau = T^(1/4) with T = K * tau, i.e. tau = round(K^(1/3)); then
@@ -222,3 +206,62 @@ def prescribed_schedule(base: ExperimentConfig, K: int, est: TheoryEstimates) ->
     if est.L_hat <= 0.0:
         raise ValueError("L_hat must be positive to set the primal step")
     return replace(base, K=K, tau=tau, alpha=1.0 / (est.L_hat * math.sqrt(T)), gamma=1.0 / (math.sqrt(base.N) * T))
+
+
+def schedule_matched_trace(base: harness.ExperimentConfig, est: TheoryEstimates, train_sets: list[Dataset],
+                           test_sets: list[Dataset], K: int, seed: int) -> tuple[int, ConvergenceTrace, float]:
+    """An fgdra run of K rounds under :func:`prescribed_schedule` for ``est``
+    (every other setting from ``base``), evaluated at its last round only.
+
+    Returns T (the iteration count), the weighted gradient-norm trace at the
+    :func:`round_checkpoints` of K, and the theorem bound at T.
+    """
+    sched = prescribed_schedule(base, K, est)
+    ckpts = round_checkpoints(K)
+    result = fed.RUNNERS["fgdra"](sched, train_sets, test_sets, seed=seed, eval_every=K,
+                                  checkpoint_rounds=set(ckpts))
+    T = sched.K * sched.tau
+    return T, grad_norm_trace(result, train_sets, ckpts), theorem_bound(est, sched.m, T)
+
+
+THEORY_KS = (50, 100, 200, 400, 800)
+
+
+def theory_check(config: harness.ExperimentConfig, n_probes: int) -> list[dict]:
+    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
+    per seed of ``config.seeds`` and K.
+
+    Seed s trains on :func:`harness.theory_worker_data` drawn from
+    dataset_seed + s, through :func:`schedule_matched_trace` with constants
+    estimated from ``n_probes`` probes.  One record per (seed, K) holds seed,
+    K, T (the iteration count), the final iteration-weighted running mean of
+    the squared gradient norm, the theorem bound, and ``held``: whether that
+    running mean is at most the bound.
+
+    The check overrides N and m (the one worker, N = m = 1) and K, tau,
+    alpha and gamma (the rate-matched schedule).  It ignores algorithms and
+    eval_every.  Every other setting (B, J, train_fraction, the two seeds,
+    the geometry keys that :func:`harness.theory_worker_data` reads) comes
+    from ``config``.
+    """
+    base = replace(config, N=1, m=1)
+    records = []
+    for s in config.seeds:
+        train_sets, test_sets = harness.theory_worker_data(config, config.dataset_seed + s)
+        est = estimate_constants(train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
+                                 batch_size=config.B, pair_scale=1e-3)
+        for K in THEORY_KS:
+            T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
+            final = float(running_mean(trace)[-1])
+            records.append({"seed": s, "K": K, "T": T, "running_mean": final, "bound": bound,
+                            "held": final <= bound})
+    return records
+
+
+def theory_decay_slope(records: list[dict]) -> float:
+    """Log-log slope of the seed-mean final running average against T."""
+    by_T: dict[int, list[float]] = {}
+    for r in records:
+        by_T.setdefault(r["T"], []).append(r["running_mean"])
+    Ts = np.array(sorted(by_T))
+    return fit_loglog_slope(Ts, np.array([np.mean(by_T[T]) for T in Ts]))

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import diagnostics, fed
+from . import fed
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
@@ -288,6 +288,27 @@ def generate_data(config: ExperimentConfig,
     return list(train_sets), list(test_sets), profiles
 
 
+THEORY_STREAM = 3  # substream key of the convergence-check worker's scatterers and data
+
+
+def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
+    """Single well-conditioned worker for the convergence-rate check: a
+    full-wavelength array at a small azimuth with distant scatterers, which
+    trains to interpolation under the rate-matched schedule.  The worker fixes
+    its own placements, spacing and scatter travel (0.25 to 0.5); the other
+    geometry keys and the rate constants come from ``config``."""
+    rng = fed.substream(config.profile_seed, THEORY_STREAM)
+    geom = make_worker_geometry(
+        config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
+        tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
+        rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
+        n_scatterers=config.n_scatterers, rng=rng, cone_halfwidth=math.radians(config.scatter_cone_deg),
+        extra_travel_lo=0.25, extra_travel_hi=0.5,
+    )
+    train, test = _draw_split(config, WorkerProfile(0, geom, _rate_params(config)), dataset_seed, THEORY_STREAM)
+    return [train], [test]
+
+
 class SeedDataCache:
     """Per-run-seed data draws: run seed s uses dataset_seed + s.
 
@@ -463,23 +484,37 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
     (algorithm, round): the seed mean and the one-standard-error band
     half-width, against both round and communication-round axes.  A file
     whose header lacks a :data:`RUNS_COLUMNS` column is refused, naming the
-    file and the column.
+    file and the column; a row whose cell count differs from the header's,
+    or whose cells past ``algorithm`` are not numbers, is refused with
+    ``path:lineno``.
     """
     with open(run_csv) as f:
         header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    col = {name: i for i, name in enumerate(header)}
-    missing = [name for name in RUNS_COLUMNS if name not in col]
-    if missing:
-        raise ValueError(f"{run_csv}: not a runs file: its header has no {missing[0]!r} column")
+        col = {name: i for i, name in enumerate(header)}
+        missing = [name for name in RUNS_COLUMNS if name not in col]
+        if missing:
+            raise ValueError(f"{run_csv}: not a runs file: its header has no {missing[0]!r} column")
+        kinds = [str if name == "algorithm" else int if name in ("seed", "round", "comm_rounds") else float
+                 for name in header]
+        rows = []
+        for lineno, line in enumerate(f, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{run_csv}:{lineno}: {len(cells)} cells, but the header has {len(header)}")
+            try:
+                rows.append([kind(cell) for kind, cell in zip(kinds, cells)])
+            except ValueError as exc:
+                raise ValueError(f"{run_csv}:{lineno}: {exc}") from exc
     paths = []
     for metric, fname in (("avg_acc", "fig_avg.csv"), ("worst_acc", "fig_worst.csv"), ("acc_sd", "fig_sd.csv")):
         series: dict[tuple[str, int], list[float]] = {}
         comm: dict[tuple[str, int], int] = {}
         for r in rows:
-            key = (r[col["algorithm"]], int(r[col["round"]]))
-            series.setdefault(key, []).append(float(r[col[metric]]))
-            comm[key] = int(r[col["comm_rounds"]])
+            key = (r[col["algorithm"]], r[col["round"]])
+            series.setdefault(key, []).append(r[col[metric]])
+            comm[key] = r[col["comm_rounds"]]
         path = os.path.join(out_dir, fname)
         write_csv(path, ["algorithm", "round", "comm_rounds", "mean", "se"],
                   [(*key, comm[key], np.mean(series[key]), _standard_error(np.array(series[key])))
@@ -523,8 +558,9 @@ def load_dataset(stem: str) -> Dataset:
 
     A wrong format version, a missing meta key, a header other than
     f000..f399,label,rate, a row count other than ``num_samples``, a
-    scaler vector of other than 400 values, a label other than an integer
-    in 0..3 or a non-finite feature or rate is refused, naming the file.
+    scaler vector of other than 400 values, a non-finite scaler value, a
+    scaler sd <= 0, a negative worker id, a label other than an integer in
+    0..3 or a non-finite feature or rate is refused, naming the file.
     """
     csv_path, meta_path = stem + ".csv", stem + ".meta"
     meta = read_settings(meta_path)
@@ -541,6 +577,12 @@ def load_dataset(stem: str) -> Dataset:
     if (mean or sd) and not len(mean) == len(sd) == FEATURE_DIM:
         raise ValueError(f"{meta_path}: scaler_mean and scaler_sd need {FEATURE_DIM} values each, "
                          f"got {len(mean)} and {len(sd)}")
+    if not np.isfinite([*mean, *sd]).all():
+        raise ValueError(f"{meta_path}: a scaler_mean or scaler_sd value is not finite")
+    if any(x <= 0.0 for x in sd):
+        raise ValueError(f"{meta_path}: a scaler_sd value is <= 0")
+    if worker_id < 0:
+        raise ValueError(f"{meta_path}: worker_id must be >= 0, got {worker_id}")
     with open(csv_path) as f:
         header, *rows = f.read().splitlines() or [""]
     if header.split(",") != _DATASET_COLUMNS:
@@ -581,91 +623,3 @@ def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
             written.append(stem + ".csv")
     return written
 
-
-def write_diagnostics_csv(trace: diagnostics.ConvergenceTrace, bound: float, path: str) -> None:
-    """Emit (t, grad_norm_sq, running_mean, bound) rows with a header."""
-    rm = diagnostics.running_mean_trace(trace)
-    write_csv(path, ["t", "grad_norm_sq", "running_mean", "bound"],
-              [(int(t), g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm.grad_norm_sq)])
-
-
-def schedule_matched_trace(base: ExperimentConfig, est: diagnostics.TheoryEstimates, train_sets: list[Dataset],
-                           test_sets: list[Dataset], K: int,
-                           seed: int) -> tuple[int, diagnostics.ConvergenceTrace, float]:
-    """An fgdra run of K rounds under :func:`diagnostics.prescribed_schedule`
-    for ``est`` (every other setting from ``base``), evaluated at its last
-    round only.
-
-    Returns T (the iteration count), the weighted gradient-norm trace at the
-    :func:`diagnostics.round_checkpoints` of K, and the theorem bound at T.
-    """
-    sched = diagnostics.prescribed_schedule(base, K, est)
-    ckpts = diagnostics.round_checkpoints(K)
-    result = fed.RUNNERS["fgdra"](sched, train_sets, test_sets, seed=seed, eval_every=K,
-                                  checkpoint_rounds=set(ckpts))
-    T = sched.K * sched.tau
-    return T, diagnostics.grad_norm_trace(result, train_sets, ckpts), diagnostics.theorem_bound(est, sched.m, T)
-
-
-THEORY_KS = (50, 100, 200, 400, 800)
-THEORY_STREAM = 3  # substream key of the convergence-check worker's scatterers and data
-
-
-def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
-    """Single well-conditioned worker for the convergence-rate check: a
-    full-wavelength array at a small azimuth with distant scatterers, which
-    trains to interpolation under the rate-matched schedule.  The worker fixes
-    its own placements, spacing and scatter travel (0.25 to 0.5); the other
-    geometry keys and the rate constants come from ``config``."""
-    rng = fed.substream(config.profile_seed, THEORY_STREAM)
-    geom = make_worker_geometry(
-        config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
-        tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
-        rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=config.n_scatterers, rng=rng, cone_halfwidth=math.radians(config.scatter_cone_deg),
-        extra_travel_lo=0.25, extra_travel_hi=0.5,
-    )
-    train, test = _draw_split(config, WorkerProfile(0, geom, _rate_params(config)), dataset_seed, THEORY_STREAM)
-    return [train], [test]
-
-
-def theory_check(config: ExperimentConfig, n_probes: int) -> list[dict]:
-    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
-    per seed of ``config.seeds`` and K.
-
-    Seed s trains on :func:`theory_worker_data` drawn from dataset_seed + s,
-    through :func:`schedule_matched_trace` with constants estimated from
-    ``n_probes`` probes.  One record per (seed, K) holds seed, K, T (the
-    iteration count), the final iteration-weighted running mean of the
-    squared gradient norm and the theorem bound.
-
-    The check overrides N and m (the one worker, N = m = 1) and K, tau,
-    alpha and gamma (the rate-matched schedule).  It ignores algorithms and
-    eval_every.  Every other setting (B, J, train_fraction, the two seeds,
-    the geometry keys that :func:`theory_worker_data` reads) comes from ``config``.
-    """
-    base = replace(config, N=1, m=1)
-    records = []
-    for s in config.seeds:
-        train_sets, test_sets = theory_worker_data(config, config.dataset_seed + s)
-        est = diagnostics.estimate_constants(
-            train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
-            batch_size=config.B, pair_scale=1e-3,
-        )
-        for K in THEORY_KS:
-            T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
-            records.append({
-                "seed": s, "K": K, "T": T,
-                "running_mean": float(diagnostics.running_mean_trace(trace).grad_norm_sq[-1]),
-                "bound": bound,
-            })
-    return records
-
-
-def theory_decay_slope(records: list[dict]) -> float:
-    """Log-log slope of the seed-mean final running average against T."""
-    by_T: dict[int, list[float]] = {}
-    for r in records:
-        by_T.setdefault(r["T"], []).append(r["running_mean"])
-    Ts = np.array(sorted(by_T))
-    return diagnostics.fit_loglog_slope(Ts, np.array([np.mean(by_T[T]) for T in Ts]))

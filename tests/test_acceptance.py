@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risfed import fed, harness, mlp
+from risfed import diagnostics, fed, harness, mlp
 from risfed.fed import ALGORITHMS
 from risfed.harness import ExperimentConfig, SeedDataCache
 from risfed.labeling import build_codebook, decode_features, rate
@@ -59,7 +59,7 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def theory_battery(config):
-    return harness.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120)
+    return diagnostics.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120)
 
 
 def test_c01_gradient_correctness(tiny_fleet):
@@ -195,8 +195,8 @@ def test_c09_theorem_decay_and_bound(theory_battery):
     >= 95% of the 20 runs."""
     records = theory_battery
     assert len(records) == 20
-    slope = harness.theory_decay_slope(records)
-    holds = sum(r["running_mean"] <= r["bound"] for r in records)
+    slope = diagnostics.theory_decay_slope(records)
+    holds = sum(r["held"] for r in records)
     assert -1.0 <= slope <= -0.2
     assert holds >= math.ceil(0.95 * len(records))
     print(f"\nCRITERION 9 PASS: slope {slope:.3f} in [-1.0, -0.2]; bound holds {holds}/20")

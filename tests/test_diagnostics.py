@@ -5,6 +5,7 @@ import pytest
 
 from risfed import diagnostics, fed, mlp
 from risfed.diagnostics import (
+    MIN_CHECKPOINTS,
     ConvergenceTrace,
     TheoryEstimates,
     estimate_constants,
@@ -13,12 +14,11 @@ from risfed.diagnostics import (
     grad_norm_trace,
     prescribed_schedule,
     round_checkpoints,
-    running_mean_trace,
-    slope_fit,
+    running_mean,
     theorem_bound,
     weighted_grad_norm_sq,
 )
-from risfed.harness import ExperimentConfig, write_diagnostics_csv
+from risfed.harness import ExperimentConfig
 
 
 def test_theorem_bound_zero_constants():
@@ -39,15 +39,13 @@ def test_theorem_bound_sqrt_T_scaling():
         theorem_bound(est, 0, 10)
 
 
-def test_slope_fit_exact_power_laws():
+def test_fit_loglog_slope_exact_power_laws():
     t = np.arange(1, 40, dtype=float)
-    for exponent, expected in ((-0.5, -0.5), (0.0, 0.0), (-1.0, -1.0)):
-        # the t = 0 checkpoint is left out of the fit, without a warning
-        trace = ConvergenceTrace(t=np.r_[0.0, t], grad_norm_sq=np.r_[9.0, 3.7 * t ** exponent])
-        assert slope_fit(trace) == pytest.approx(expected, abs=1e-6)
+    for exponent in (-0.5, 0.0, -1.0):
+        assert fit_loglog_slope(t, 3.7 * t ** exponent) == pytest.approx(exponent, abs=1e-6)
 
 
-def test_slope_fit_skips_nonpositive_with_warning():
+def test_fit_loglog_slope_skips_nonpositive_with_warning():
     t = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
     v = np.array([1.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
     with pytest.warns(UserWarning, match="nonpositive"):
@@ -55,20 +53,19 @@ def test_slope_fit_skips_nonpositive_with_warning():
     assert slope == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_slope_fit_needs_five_checkpoints():
-    for t in (np.array([1.0, 2.0, 3.0]), np.array(round_checkpoints(3), dtype=float)):
-        trace = ConvergenceTrace(t=t, grad_norm_sq=np.ones(len(t)))
-        with pytest.raises(ValueError):
-            slope_fit(trace)
+def test_fit_loglog_slope_needs_two_points_and_diagnose_five_checkpoints():
+    # risfed diagnose refuses K = 3 and runs K = 4
+    assert len(round_checkpoints(3)) < MIN_CHECKPOINTS <= len(round_checkpoints(4))
     with pytest.raises(ValueError):
         fit_loglog_slope(np.array([1.0]), np.array([1.0]))
 
 
-def test_running_mean_trace_time_weighted_hand_case():
+def test_running_mean_time_weighted_hand_case():
     trace = ConvergenceTrace(t=np.array([0, 1, 3]), grad_norm_sq=np.array([6.0, 3.0, 1.0]))
-    rm = running_mean_trace(trace)
+    rm = running_mean(trace)
     # weights 1, 1, 2 -> cumulative means 6, 4.5, (6+3+2)/4
-    assert np.allclose(rm.grad_norm_sq, [6.0, 4.5, 2.75])
+    assert isinstance(rm, np.ndarray)
+    assert np.allclose(rm, [6.0, 4.5, 2.75])
 
 
 def test_round_checkpoints_cover_transient_and_end():
@@ -162,12 +159,11 @@ def test_prescribed_schedule_shapes():
         prescribed_schedule(base, 50, TheoryEstimates(1.0, 1.0, 0.0, 1.0))
 
 
-def test_write_diagnostics_csv(tmp_path):
-    trace = ConvergenceTrace(t=np.array([0, 2, 6]), grad_norm_sq=np.array([4.0, 2.0, 1.0]))
-    path = str(tmp_path / "diag.csv")
-    write_diagnostics_csv(trace, 0.5, path)
-    lines = open(path).read().strip().split("\n")
-    assert lines[0] == "t,grad_norm_sq,running_mean,bound"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[3]) == 0.5
+def test_theory_check_records_whether_the_bound_held(monkeypatch):
+    monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
+    config = ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5)
+    records = diagnostics.theory_check(config, 100)
+    assert [list(r) for r in records] == [["seed", "K", "T", "running_mean", "bound", "held"]] * 2
+    assert [r["held"] for r in records] == [r["running_mean"] <= r["bound"] for r in records] == [True, True]
+    monkeypatch.setattr(diagnostics, "theorem_bound", lambda est, m, T: 0.0)
+    assert [r["held"] for r in diagnostics.theory_check(config, 100)] == [False, False]

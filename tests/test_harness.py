@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from risfed import cli, fed, harness, metrics, mlp
+from risfed import cli, diagnostics, fed, harness, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides
 from risfed.labeling import Dataset, FeatureScaler
 
@@ -504,6 +504,13 @@ def _edit_meta(path, key, value):
     (lambda stem: _set_first_row_cell(stem + ".csv", "label", "2.5"), ".csv", "label is not an integer in 0..3"),
     (lambda stem: _set_first_row_cell(stem + ".csv", "f017", "nan"), ".csv", "feature or rate is not finite"),
     (lambda stem: _set_first_row_cell(stem + ".csv", "rate", "inf"), ".csv", "feature or rate is not finite"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_sd", ",".join(["nan"] * 400)), ".meta",
+     "scaler_mean or scaler_sd value is not finite"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_mean", ",".join(["1.0"] * 399 + ["inf"])), ".meta",
+     "scaler_mean or scaler_sd value is not finite"),
+    (lambda stem: _edit_meta(stem + ".meta", "scaler_sd", ",".join(["1.0"] * 399 + ["0.0"])), ".meta",
+     "scaler_sd value is <= 0"),
+    (lambda stem: _edit_meta(stem + ".meta", "worker_id", "-3"), ".meta", "worker_id must be >= 0, got -3"),
 ])
 def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, file, message):
     stem = _saved_dataset(tmp_path)
@@ -552,15 +559,16 @@ def test_theory_worker_data_reads_the_scatter_cone():
 
 
 def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(harness, "THEORY_KS", (4, 8))
+    monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
     settings = ["--set", "J=120", "--set", "B=10", "--set", "dataset_seed=5"]
     assert cli.main(["theory", "--seed-list", "0", "--probes", "100", *settings, "--out-dir", str(tmp_path)]) == 0
-    records = harness.theory_check(ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5), 100)
+    records = diagnostics.theory_check(ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5), 100)
     path = tmp_path / "theory.csv"
     header, *rows = path.read_text().splitlines()
     assert header == "seed,K,T,running_mean,bound"
-    assert [[float(x) for x in row.split(",")] for row in rows] == [list(r.values()) for r in records]
-    held = sum(r["running_mean"] <= r["bound"] for r in records)
+    columns = header.split(",")
+    assert [[float(x) for x in row.split(",")] for row in rows] == [[r[c] for c in columns] for r in records]
+    held = sum(r["held"] for r in records)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == str(path) and len(out) == len(records) + 4  # path, records, blank, slope, held
     assert out[-1] == f"bound held in {held}/{len(records)} runs"
@@ -595,6 +603,7 @@ def test_cli_subcommands(tmp_path):
     (["train", "--set", "algorithms=fgdra,fgdra"], "algorithms"),
     (["train", "--set", "algorithms=sgd"], "algorithms"),
     (["train", "--config", ""], "No such file or directory: ''"),
+    (["plot-data", "--run-csv", ""], "no runs file at ''"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)
@@ -639,6 +648,23 @@ def test_cli_plot_data_refuses_a_file_that_is_not_a_runs_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"risfed: error: {stem}.csv: not a runs file: its header has no 'algorithm' column\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("fgdra,0,1,1,50.0", "5 cells, but the header has 7"),
+    ("fgdra,0,1,1,50.0,25.0,20.0,9", "8 cells, but the header has 7"),
+    ("fgdra,0,1,1,50.0,abc,20.0", "could not convert string to float: 'abc'"),
+    ("fgdra,0,1.5,1,50.0,25.0,20.0", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_cli_plot_data_refuses_a_malformed_row_naming_its_line(tmp_path, capsys, row, message):
+    run_csv = tmp_path / "runs.csv"
+    run_csv.write_text(",".join(harness.RUNS_COLUMNS) + "\n" + "fgdra,0,0,0,40.0,20.0,10.0\n" + row + "\n")
+    out = str(tmp_path / "plots")
+    assert cli.main(["plot-data", "--run-csv", str(run_csv), "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"risfed: error: {run_csv}:3: {message}\n"
     assert not os.path.exists(out)
 
 
