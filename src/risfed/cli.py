@@ -82,7 +82,7 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     n_ckpts = len(diagnostics.round_checkpoints(config.K))
     if n_ckpts < diagnostics.MIN_CHECKPOINTS:
         return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
-                       f"fewer than the {diagnostics.MIN_CHECKPOINTS} a slope fit takes")
+                       f"fewer than diagnose's minimum of {diagnostics.MIN_CHECKPOINTS}")
     seed = config.seeds[0]
     train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
     est = diagnostics.estimate_constants(
@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a refused config or a diverged run exits 2 with a
-    one-line message."""
+    """Run one subcommand; a refused config, a diverged run or an output
+    that cannot be written (an ``OSError``) exits 2 with a one-line message."""
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse(str(exc))
     try:
         return args.func(config, args)
-    except FloatingPointError as exc:  # raised by fed.run
+    except (FloatingPointError, OSError) as exc:  # a diverged fed.run, or an unusable out_dir
         return _refuse(str(exc))
 
 

@@ -59,7 +59,6 @@ class RoundLog:
     avg_acc: float
     worst_acc: float
     acc_sd: float
-    lam: np.ndarray
 
 
 @dataclass
@@ -279,7 +278,6 @@ def run(
                 avg_acc=avg,
                 worst_acc=worst,
                 acc_sd=sd,
-                lam=lam.copy(),
             ))
 
     if config.K in checkpoint_rounds:

@@ -4,10 +4,14 @@ hyperparameter sweeps, and every text format risfed reads or writes.
 Config files, ``--set`` items and dataset ``.meta`` files are flat
 ``key = value`` text ('#' starts a comment), read by :func:`read_settings`
 and written by :func:`format_settings`; every table, datasets included, is
-written by :func:`write_csv`.  Every config key is optional; omitted keys
-fall back to the default experiment: four heterogeneous workers whose RIS
-designs differ in element spacing (1/8 to 1 wavelength), trained with
-alpha=2e-3, gamma=5e-3, B=50, tau=10, m=3 for K=800 rounds over five seeds.
+written by :func:`write_csv`.  :func:`run_rows` is the one runs.csv row
+layout, and :func:`seed_series` the one mean over seeds of those rows:
+summary.csv, sweep.csv and the fig_*.csv series all read it.
+
+Every config key is optional; omitted keys fall back to the default
+experiment: four heterogeneous workers whose RIS designs differ in element
+spacing (1/8 to 1 wavelength), trained with alpha=2e-3, gamma=5e-3, B=50,
+tau=10, m=3 for K=800 rounds over five seeds.
 """
 
 from __future__ import annotations
@@ -85,6 +89,10 @@ class ExperimentConfig:
         for key in _POSITIVE_KEYS:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
+        noise = self.bandwidth * self.noise_psd  # a sample's SNR is |cascade|^2 * tx_power / noise
+        if not (noise > 0 and 0 < self.tx_power / noise < math.inf):
+            raise ValueError(f"tx_power / (bandwidth * noise_psd) must be a finite positive number, got "
+                             f"{self.tx_power!r} / ({self.bandwidth!r} * {self.noise_psd!r})")
         # gamma = 0 freezes lambda; the FedAvg-reduction checks rely on it
         for key in ("gamma", "scatter_cone_deg", "profile_seed", "dataset_seed"):
             if getattr(self, key) < 0:
@@ -105,6 +113,8 @@ class ExperimentConfig:
         if not self.spacings or any(s <= 0 for s in self.spacings):
             raise ValueError("spacings must be a nonempty list of positive values")
         _worker_angles(self)  # the alias geometry must be feasible
+        if not self.out_dir:
+            raise ValueError(f"out_dir must be a nonempty path, got {self.out_dir!r}")
 
     def train_config(self, algorithm: str) -> ExperimentConfig:
         """This config narrowed to one algorithm; only perfbench/workloads.py calls it."""
@@ -354,29 +364,37 @@ class ExperimentResult:
     csv_path: str
 
 
-def _standard_error(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
+# the leading columns of runs.csv; per-worker accuracy and lambda columns follow
+RUNS_COLUMNS = ("algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd")
+SERIES_METRICS = RUNS_COLUMNS[4:]  # the metrics that seed_series averages over seeds
 
 
-def summarize_runs(runs: dict[tuple[str, int], RunResult], algorithms, seeds) -> RunSummary:
-    per_algorithm = {}
-    for alg in algorithms:
-        finals = [runs[(alg, s)].round_logs[-1] for s in seeds]
-        avg = np.array([f.avg_acc for f in finals])
-        worst = np.array([f.worst_acc for f in finals])
-        sds = np.array([f.acc_sd for f in finals])
-        per_algorithm[alg] = AlgorithmSummary(
-            algorithm=alg,
-            avg_acc_mean=float(avg.mean()),
-            avg_acc_se=_standard_error(avg),
-            worst_acc_mean=float(worst.mean()),
-            worst_acc_se=_standard_error(worst),
-            acc_sd_mean=float(sds.mean()),
-            communication_rounds_consumed=finals[0].communication_rounds_consumed,
-        )
-    return RunSummary(per_algorithm=per_algorithm)
+def seed_series(rows: Iterable[Sequence]) -> dict[tuple[str, int], tuple[int, dict[str, tuple[float, float]]]]:
+    """The one mean over seeds: for each (algorithm, round) of ``rows``, in row
+    order, ``(comm_rounds, {metric: (mean, standard error)})`` over its seeds,
+    for each of :data:`SERIES_METRICS`.  Each row begins with the
+    :data:`RUNS_COLUMNS` fields; a repeated (algorithm, seed, round) is refused."""
+    groups = {}  # (algorithm, round) -> (comm_rounds, {seed: metric values})
+    for alg, seed, rnd, comm, *values in rows:
+        per_seed = groups.setdefault((alg, rnd), (comm, {}))[1]
+        if seed in per_seed:
+            raise ValueError(f"repeated row for algorithm {alg!r}, seed {seed}, round {rnd}")
+        per_seed[seed] = values[:len(SERIES_METRICS)]
+    series = {}
+    for key, (comm, per_seed) in groups.items():
+        stats = {}
+        for metric, column in zip(SERIES_METRICS, map(np.array, zip(*per_seed.values()))):
+            se = np.std(column, ddof=1) / math.sqrt(len(column)) if len(column) > 1 else 0.0
+            stats[metric] = (float(column.mean()), float(se))
+        series[key] = (comm, stats)
+    return series
+
+
+def summarize_runs(rows: Iterable[Sequence]) -> RunSummary:
+    """Each algorithm's last round of the :func:`seed_series` of ``rows``."""
+    finals = {alg: point for (alg, _), point in seed_series(rows).items()}  # the last round stays
+    return RunSummary({alg: AlgorithmSummary(alg, *stats["avg_acc"], *stats["worst_acc"], stats["acc_sd"][0], comm)
+                       for alg, (comm, stats) in finals.items()})
 
 
 def run_grid(config: ExperimentConfig,
@@ -396,8 +414,12 @@ def run_grid(config: ExperimentConfig,
             yield (alg, seed), fed.RUNNERS[alg](config, *cache.for_seed(seed), seed=seed, eval_every=config.eval_every)
 
 
-# the leading columns of runs.csv; per-worker accuracy and lambda columns follow
-RUNS_COLUMNS = ("algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd")
+def run_rows(result: RunResult) -> Iterator[tuple]:
+    """One run's runs.csv rows, one per logged round: the :data:`RUNS_COLUMNS`
+    fields, the per-worker accuracies, then lambda after that round."""
+    for log in result.round_logs:
+        yield (result.algorithm, result.seed, log.round, log.communication_rounds_consumed, log.avg_acc,
+               log.worst_acc, log.acc_sd, *log.per_worker_acc, *result.lambda_history[log.round])
 
 
 def run_experiment(config: ExperimentConfig,
@@ -405,24 +427,22 @@ def run_experiment(config: ExperimentConfig,
     """Run the :func:`run_grid` of ``config`` and write ``runs.csv`` and
     ``summary.csv``.
 
-    Each run's per-round rows are written as the run finishes, in canonical
+    Each run's :func:`run_rows` are written as the run finishes, in canonical
     (algorithm, seed, round) order, so the rows of finished runs survive an
-    interruption.  The x-axis column ``comm_rounds`` counts communication
-    exchanges (DRFA advances by two per round).
+    interruption, and summarized into ``summary.csv``.  The x-axis column
+    ``comm_rounds`` counts communication exchanges (DRFA: two per round).
     """
     runs: dict[tuple[str, int], RunResult] = {}
 
     def rows():
         for key, result in run_grid(config, data):
             runs[key] = result
-            for log in result.round_logs:
-                yield (result.algorithm, result.seed, log.round, log.communication_rounds_consumed, log.avg_acc,
-                       log.worst_acc, log.acc_sd, *log.per_worker_acc, *log.lam)
+            yield from run_rows(result)
 
     csv_path = os.path.join(config.out_dir, "runs.csv")
     write_csv(csv_path, [*RUNS_COLUMNS, *[f"acc_w{i}" for i in range(config.N)],
                          *[f"lambda_{i}" for i in range(config.N)]], rows())
-    summary = summarize_runs(runs, config.algorithms, config.seeds)
+    summary = summarize_runs(row for result in runs.values() for row in run_rows(result))
     write_csv(os.path.join(config.out_dir, "summary.csv"),
               ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
                "comm_rounds"],
@@ -461,33 +481,35 @@ def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[Experi
     """Evaluate every (cell config, algorithm) pair of a :func:`sweep_configs` sweep.
 
     Reports a two-decimal "average/worst" percent pair per cell and writes
-    one CSV row per cell to ``<config.out_dir>/sweep.csv``.
+    one CSV row per cell to ``<config.out_dir>/sweep.csv``, each cell's rows
+    as the cell finishes, so finished cells survive an interruption.
     """
     cache = data if data is not None else SeedDataCache(config)
     cells = []
-    for cfg_v in cell_configs:
-        summary = summarize_runs(dict(run_grid(cfg_v, cache)), cfg_v.algorithms, cfg_v.seeds)
-        cells += [SweepCell(axis, getattr(cfg_v, axis), s) for s in summary.per_algorithm.values()]
+
+    def rows():
+        for cfg_v in cell_configs:
+            summary = summarize_runs(row for _, result in run_grid(cfg_v, cache) for row in run_rows(result))
+            for s in summary.per_algorithm.values():
+                cells.append(SweepCell(axis, getattr(cfg_v, axis), s))
+                # the summary's first five fields: algorithm and the four accuracy statistics;
+                # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
+                yield (axis, float(cells[-1].value), *astuple(s)[:5], cells[-1].cell)
+
     write_csv(os.path.join(config.out_dir, "sweep.csv"),
               ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
-              # the summary's first five fields: algorithm and the four accuracy statistics;
-              # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
-              [(c.axis, float(c.value), *astuple(c.summary)[:5], c.cell) for c in cells])
+              rows())
     return cells
 
 
 def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
-    """Collapse a runs.csv into three plot-ready series files.
-
-    For each of the three figure metrics (average accuracy, worst
-    distribution accuracy, accuracy sd) one CSV is written with a row per
-    (algorithm, round): the seed mean and the one-standard-error band
-    half-width, against both round and communication-round axes.  A file
-    whose header lacks a :data:`RUNS_COLUMNS` column is refused, naming the
-    file and the column; a row whose cell count differs from the header's,
-    or whose cells past ``algorithm`` are not numbers, is refused with
-    ``path:lineno``.
-    """
+    """Write the :func:`seed_series` of a runs.csv, sorted by (algorithm, round),
+    as one plot-ready file per metric of :data:`SERIES_METRICS`: the seed mean
+    and standard error against the round and comm-round axes.  A header without
+    a :data:`RUNS_COLUMNS` column is refused, naming the file and the column; a
+    row whose cell count differs from the header's, or whose cells past
+    ``algorithm`` are not numbers, is refused with ``path:lineno``, and a
+    repeated (algorithm, seed, round) with the path."""
     with open(run_csv) as f:
         header = f.readline().strip().split(",")
         col = {name: i for i, name in enumerate(header)}
@@ -504,22 +526,18 @@ def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
             if len(cells) != len(header):
                 raise ValueError(f"{run_csv}:{lineno}: {len(cells)} cells, but the header has {len(header)}")
             try:
-                rows.append([kind(cell) for kind, cell in zip(kinds, cells)])
+                values = [kind(cell) for kind, cell in zip(kinds, cells)]
             except ValueError as exc:
                 raise ValueError(f"{run_csv}:{lineno}: {exc}") from exc
-    paths = []
-    for metric, fname in (("avg_acc", "fig_avg.csv"), ("worst_acc", "fig_worst.csv"), ("acc_sd", "fig_sd.csv")):
-        series: dict[tuple[str, int], list[float]] = {}
-        comm: dict[tuple[str, int], int] = {}
-        for r in rows:
-            key = (r[col["algorithm"]], r[col["round"]])
-            series.setdefault(key, []).append(r[col[metric]])
-            comm[key] = r[col["comm_rounds"]]
-        path = os.path.join(out_dir, fname)
+            rows.append([values[col[name]] for name in RUNS_COLUMNS])
+    try:
+        series = sorted(seed_series(rows).items())
+    except ValueError as exc:
+        raise ValueError(f"{run_csv}: {exc}") from exc
+    paths = [os.path.join(out_dir, name) for name in ("fig_avg.csv", "fig_worst.csv", "fig_sd.csv")]
+    for metric, path in zip(SERIES_METRICS, paths):
         write_csv(path, ["algorithm", "round", "comm_rounds", "mean", "se"],
-                  [(*key, comm[key], np.mean(series[key]), _standard_error(np.array(series[key])))
-                   for key in sorted(series)])
-        paths.append(path)
+                  [(*key, comm, *stats[metric]) for key, (comm, stats) in series])
     return paths
 
 

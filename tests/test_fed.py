@@ -207,7 +207,7 @@ def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
         for k in range(21)
     )
     assert drift <= 1e-9
-    assert all(np.allclose(log.lam, 0.25) for log in ra.round_logs)
+    assert np.allclose(ra.lambda_history, 0.25)
 
 
 def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
@@ -244,7 +244,7 @@ def test_fedavg_logs_uniform_lambda(tiny_fleet):
     cfg = ExperimentConfig(K=5, tau=2, B=10)
     result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm="fedavg")
     for log in result.round_logs:
-        assert np.allclose(log.lam, 0.25)
+        assert np.allclose(result.lambda_history[log.round], 0.25)
 
 
 def test_communication_accounting(tiny_fleet):

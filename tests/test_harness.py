@@ -213,6 +213,9 @@ def test_build_profiles_design():
     ({"algorithms": ()}, "algorithms"),
     ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
     ({"algorithms": ("sgd",)}, "algorithms"),
+    ({"out_dir": ""}, "out_dir"),
+    ({"bandwidth": 1e-200, "noise_psd": 1e-200}, r"tx_power / \(bandwidth \* noise_psd\)"),  # underflows to 0
+    ({"tx_power": 1e308}, r"tx_power / \(bandwidth \* noise_psd\)"),  # overflows to inf
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -322,17 +325,54 @@ def test_run_experiment_row_count_and_rerun_identical(tmp_path):
     assert open(result.csv_path, "rb").read() == first
 
 
+def read_table(path):
+    """A CSV's rows as dicts of cell text, keyed by the header's names."""
+    header, *rows = Path(path).read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
 def test_run_experiment_summary_matches_final_rows(tmp_path):
     cfg = small_config(tmp_path)
     result = harness.run_experiment(cfg)
-    with open(result.csv_path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f]
-    col = {name: i for i, name in enumerate(header)}
-    for alg in cfg.algorithms:
-        finals = [float(r[col["avg_acc"]]) for r in rows
-                  if r[col["algorithm"]] == alg and int(r[col["round"]]) == cfg.K]
-        assert result.summary.per_algorithm[alg].avg_acc_mean == pytest.approx(float(np.mean(finals)))
+    harness.emit_plot_data(result.csv_path, cfg.out_dir)
+    finals = {fig: {r["algorithm"]: r for r in read_table(Path(cfg.out_dir, f"fig_{fig}.csv"))
+                    if int(r["round"]) == cfg.K} for fig in ("avg", "worst", "sd")}
+    summary = read_table(Path(cfg.out_dir, "summary.csv"))
+    assert [r["algorithm"] for r in summary] == list(cfg.algorithms)
+    for r in summary:  # the same cells, as text
+        avg, worst, sd = (finals[fig][r["algorithm"]] for fig in ("avg", "worst", "sd"))
+        assert (r["avg_acc_mean"], r["avg_acc_se"]) == (avg["mean"], avg["se"])
+        assert (r["worst_acc_mean"], r["worst_acc_se"]) == (worst["mean"], worst["se"])
+        assert r["acc_sd_mean"] == sd["mean"]
+        assert r["comm_rounds"] == avg["comm_rounds"] == worst["comm_rounds"] == sd["comm_rounds"]
+        last = [float(row["avg_acc"]) for row in read_table(result.csv_path)
+                if row["algorithm"] == r["algorithm"] and int(row["round"]) == cfg.K]
+        assert len(last) == len(cfg.seeds) and float(r["avg_acc_mean"]) == pytest.approx(np.mean(last))
+
+
+def test_seed_series_hand_case():
+    # two algorithms x three seeds x two rounds; columns past acc_sd are ignored
+    rows = [(alg, seed, rnd, exchanges * rnd, 10.0 * seed + rnd, 5.0 * seed, 2.0 * seed, 99.0, 0.5)
+            for alg, exchanges in (("fgdra", 1), ("drfa", 2)) for seed in (0, 1, 2) for rnd in (1, 2)]
+    rows.append(("fedavg", 4, 1, 1, 55.0, 40.0, 7.0))  # one seed: its standard error is 0
+    series = harness.seed_series(rows)
+    assert list(series) == [("fgdra", 1), ("fgdra", 2), ("drfa", 1), ("drfa", 2), ("fedavg", 1)]
+    root3 = math.sqrt(3.0)
+    comm, stats = series[("drfa", 2)]  # avg 2, 12, 22; worst 0, 5, 10; sd 0, 2, 4
+    assert comm == 4
+    assert stats["avg_acc"] == pytest.approx((12.0, 10.0 / root3), rel=1e-15)
+    assert stats["worst_acc"] == pytest.approx((5.0, 5.0 / root3), rel=1e-15)
+    assert stats["acc_sd"] == pytest.approx((2.0, 2.0 / root3), rel=1e-15)
+    assert series[("fgdra", 1)][1]["avg_acc"] == pytest.approx((11.0, 10.0 / root3), rel=1e-15)
+    assert series[("fedavg", 1)] == (1, {"avg_acc": (55.0, 0.0), "worst_acc": (40.0, 0.0), "acc_sd": (7.0, 0.0)})
+
+    summary = harness.summarize_runs(rows).per_algorithm  # each algorithm's last round
+    assert list(summary) == ["fgdra", "drfa", "fedavg"]
+    assert summary["drfa"] == harness.AlgorithmSummary("drfa", *stats["avg_acc"], *stats["worst_acc"], 2.0, 4)
+    assert summary["fedavg"] == harness.AlgorithmSummary("fedavg", 55.0, 0.0, 40.0, 0.0, 7.0, 1)
+
+    with pytest.raises(ValueError, match=r"^repeated row for algorithm 'drfa', seed 1, round 2$"):
+        harness.seed_series(rows + [("drfa", 1, 2, 4, 0.0, 0.0, 0.0)])
 
 
 def test_run_experiment_writes_each_runs_rows_before_the_next_run_starts(tmp_path, monkeypatch):
@@ -384,6 +424,24 @@ def test_run_sweep_layout_and_cells(tmp_path):
     assert axis == "m" and [c.m for c in m_configs] == [1, 2]
     assert m_configs[1] == replace(cfg, m=2)
     assert len(harness.run_sweep(cfg, axis, m_configs)) == 6
+
+
+def test_run_sweep_writes_each_cells_rows_before_the_next_cell_runs(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, algorithms=("fgdra",), seeds=(0,))
+    real, seen = harness.run_grid, []
+
+    def read_rows_then_run(config, data=None):
+        seen.append(Path(cfg.out_dir, "sweep.csv").read_text())
+        if len(seen) == 2:
+            raise RuntimeError("stop")
+        return real(config, data)
+
+    monkeypatch.setattr(harness, "run_grid", read_rows_then_run)
+    with pytest.raises(RuntimeError, match="stop"):
+        harness.run_sweep(cfg, *harness.sweep_configs(cfg, "tau=1,2"))
+    assert seen[0].count("\n") == 1  # the header, before the first cell runs
+    header, *rows = seen[1].splitlines()
+    assert [row.split(",")[:3] for row in rows] == [["tau", "1.0", "fgdra"]]
 
 
 def assert_refused_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
@@ -604,6 +662,8 @@ def test_cli_subcommands(tmp_path):
     (["train", "--set", "algorithms=sgd"], "algorithms"),
     (["train", "--config", ""], "No such file or directory: ''"),
     (["plot-data", "--run-csv", ""], "no runs file at ''"),
+    (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3 gives 4 gradient-norm checkpoints, fewer than diagnose's "
+                                                     f"minimum of {diagnostics.MIN_CHECKPOINTS}"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)
@@ -666,6 +726,37 @@ def test_cli_plot_data_refuses_a_malformed_row_naming_its_line(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"risfed: error: {run_csv}:3: {message}\n"
     assert not os.path.exists(out)
+
+
+def test_cli_plot_data_refuses_a_repeated_row(tmp_path, capsys):
+    run_csv = tmp_path / "runs.csv"
+    run_csv.write_text(",".join(harness.RUNS_COLUMNS) + "\nfgdra,0,1,1,50.0,20.0,10.0\nfgdra,0,1,1,70.0,20.0,10.0\n")
+    out = str(tmp_path / "plots")
+    assert cli.main(["plot-data", "--run-csv", str(run_csv), "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"risfed: error: {run_csv}: repeated row for algorithm 'fgdra', seed 0, round 1\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gen-data", "--set", "J=40", "--out-dir", ""], "out_dir must be a nonempty path, got ''"),
+    (["gen-data", "--set", "J=40", "--out-dir", "a_file"], "File exists: 'a_file'"),
+    (["sweep", "tau=1,2", "--set", "J=40", "--set", "K=1", "--out-dir", "a_file/sub"], "Not a directory"),
+])
+def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run_grid", no_run)
+    Path("a_file").write_text("")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("risfed: error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert os.listdir(tmp_path) == ["a_file"]
 
 
 def test_cli_config_file_and_overrides(tmp_path):
