@@ -1,9 +1,12 @@
 """Command-line entry points.
 
-Subcommands: gen-data, train, sweep, diagnose, theory, plot-data.  Each
-accepts an optional config file plus ``--set key=value`` overrides, with
-``--seed-list`` and ``--out-dir`` as shorthands for two keys; ``sweep`` also
-takes one ``KEY=V1,V2,...`` item.  All outputs are CSV with a header row.
+Subcommands: gen-data, train, sweep, diagnose, theory.  Each accepts an
+optional config file plus ``--set key=value`` overrides, with ``--seed-list``
+and ``--out-dir`` as shorthands for two keys; ``sweep`` also takes one
+``KEY=V1,V2,...`` item.  All outputs are CSV with a header row; ``train``
+writes the fig_*.csv figure series next to its runs.csv and summary.csv.
+train, sweep, diagnose and theory open their CSV before their first run,
+so an unusable out_dir is refused before any training.
 """
 
 from __future__ import annotations
@@ -83,17 +86,24 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     if n_ckpts < diagnostics.MIN_CHECKPOINTS:
         return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
                        f"fewer than diagnose's minimum of {diagnostics.MIN_CHECKPOINTS}")
-    seed = config.seeds[0]
-    train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
-    est = diagnostics.estimate_constants(
-        train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
-        batch_size=config.B,
-    )
-    T, trace, bound = diagnostics.schedule_matched_trace(config, est, train_sets, test_sets, config.K, seed)
-    rm = diagnostics.running_mean(trace)
+    run = {}
+
+    def rows():  # the estimate and the run, made once write_csv has opened the file
+        seed = config.seeds[0]
+        train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
+        est = diagnostics.estimate_constants(
+            train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
+            batch_size=config.B,
+        )
+        T, trace, bound = diagnostics.schedule_matched_trace(config, est, train_sets, test_sets, config.K, seed)
+        rm = diagnostics.running_mean(trace)
+        run.update(est=est, T=T, trace=trace, bound=bound, rm=rm)
+        for t, g, r in zip(trace.t, trace.grad_norm_sq, rm):
+            yield int(t), g, r, bound
+
     path = os.path.join(config.out_dir, "diagnostics.csv")
-    harness.write_csv(path, ("t", "grad_norm_sq", "running_mean", "bound"),
-                      ((int(t), g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm)))
+    harness.write_csv(path, ("t", "grad_norm_sq", "running_mean", "bound"), rows())
+    est, T, trace, bound, rm = (run[key] for key in ("est", "T", "trace", "bound", "rm"))
     later = trace.t > 0  # t = 0 has no place on a log axis
     slope = diagnostics.fit_loglog_slope(trace.t[later], rm[later])
     print(path)
@@ -104,30 +114,24 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
 
 def cmd_theory(config: harness.ExperimentConfig, args) -> int:
     """Run the convergence-rate check of :func:`diagnostics.theory_check` over
-    the seed list and report each run against the theorem bound."""
-    records = diagnostics.theory_check(config, args.probes)
+    the seed list, writing each record as it arrives, and report each run
+    against the theorem bound."""
+    records = []
     columns = ("seed", "K", "T", "running_mean", "bound")
+
+    def rows():
+        for r in diagnostics.theory_check(config, args.probes):
+            records.append(r)
+            yield [r[c] for c in columns]
+
     path = os.path.join(config.out_dir, "theory.csv")
-    harness.write_csv(path, columns, ([r[c] for c in columns] for r in records))
+    harness.write_csv(path, columns, rows())
     print(path)
     for r in records:
         print(f"seed {r['seed']} K={r['K']:4d} T={r['T']:5d} running mean {r['running_mean']:8.4f} "
               f"bound {r['bound']:8.2f} {'ok' if r['held'] else 'VIOLATED'}")
     print(f"\nlog-log decay slope of the seed-mean running average: {diagnostics.theory_decay_slope(records):.3f}")
     print(f"bound held in {sum(r['held'] for r in records)}/{len(records)} runs")
-    return 0
-
-
-def cmd_plot_data(config: harness.ExperimentConfig, args) -> int:
-    run_csv = args.run_csv if args.run_csv is not None else os.path.join(config.out_dir, "runs.csv")
-    if not os.path.isfile(run_csv):
-        return _refuse(f"no runs file at {run_csv!r}: run 'risfed train' first, or pass --run-csv")
-    try:
-        paths = harness.emit_plot_data(run_csv, config.out_dir)
-    except ValueError as exc:
-        return _refuse(str(exc))
-    for path in paths:
-        print(path)
     return 0
 
 
@@ -149,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "run the algorithms at each value of one hyperparameter"),
         ("diagnose", cmd_diagnose, "estimate theory constants and trace the gradient norm"),
         ("theory", cmd_theory, "check the convergence rate over a rate-matched K-sweep"),
-        ("plot-data", cmd_plot_data, "emit per-figure mean/SE series from a runs.csv"),
     ):
         commands[name] = sub.add_parser(name, help=help_text)
         _add_common(commands[name])
@@ -159,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
     commands["sweep"].add_argument("item", nargs="?", metavar="KEY=V1,V2,...",
                                    help=f"the swept key, one of {', '.join(harness.SWEEP_AXES)}, and its values")
-    commands["plot-data"].add_argument("--run-csv", help="input runs.csv (default: <out_dir>/runs.csv)")
 
     return parser
 

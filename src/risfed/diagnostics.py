@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,9 +228,9 @@ def schedule_matched_trace(base: harness.ExperimentConfig, est: TheoryEstimates,
 THEORY_KS = (50, 100, 200, 400, 800)
 
 
-def theory_check(config: harness.ExperimentConfig, n_probes: int) -> list[dict]:
+def theory_check(config: harness.ExperimentConfig, n_probes: int) -> Iterator[dict]:
     """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
-    per seed of ``config.seeds`` and K.
+    per seed of ``config.seeds`` and K, each record yielded as its run ends.
 
     Seed s trains on :func:`harness.theory_worker_data` drawn from
     dataset_seed + s, through :func:`schedule_matched_trace` with constants
@@ -245,7 +246,6 @@ def theory_check(config: harness.ExperimentConfig, n_probes: int) -> list[dict]:
     from ``config``.
     """
     base = replace(config, N=1, m=1)
-    records = []
     for s in config.seeds:
         train_sets, test_sets = harness.theory_worker_data(config, config.dataset_seed + s)
         est = estimate_constants(train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
@@ -253,9 +253,7 @@ def theory_check(config: harness.ExperimentConfig, n_probes: int) -> list[dict]:
         for K in THEORY_KS:
             T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
             final = float(running_mean(trace)[-1])
-            records.append({"seed": s, "K": K, "T": T, "running_mean": final, "bound": bound,
-                            "held": final <= bound})
-    return records
+            yield {"seed": s, "K": K, "T": T, "running_mean": final, "bound": bound, "held": final <= bound}
 
 
 def theory_decay_slope(records: list[dict]) -> float:

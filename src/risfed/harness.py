@@ -6,7 +6,8 @@ Config files, ``--set`` items and dataset ``.meta`` files are flat
 and written by :func:`format_settings`; every table, datasets included, is
 written by :func:`write_csv`.  :func:`run_rows` is the one runs.csv row
 layout, and :func:`seed_series` the one mean over seeds of those rows:
-summary.csv, sweep.csv and the fig_*.csv series all read it.
+summary.csv, sweep.csv and the fig_*.csv series all read it, and
+:func:`run_experiment` writes the fig_*.csv series next to summary.csv.
 
 Every config key is optional; omitted keys fall back to the default
 experiment: four heterogeneous workers whose RIS designs differ in element
@@ -189,14 +190,16 @@ def split_setting(text: str, where: str) -> tuple[str, str]:
 
 def read_settings(path: str) -> dict[str, str]:
     """The ``key = value`` lines of a text file, in file order.  '#' starts a
-    comment and blank lines are skipped; a line without '=' is refused with
-    ``path:lineno``."""
+    comment and blank lines are skipped; a line without '=', or one that
+    repeats an earlier line's key, is refused with ``path:lineno``."""
     settings = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if line:
                 key, value = split_setting(line, f"{path}:{lineno}")
+                if key in settings:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
                 settings[key] = value
     return settings
 
@@ -367,32 +370,31 @@ class ExperimentResult:
 # the leading columns of runs.csv; per-worker accuracy and lambda columns follow
 RUNS_COLUMNS = ("algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd")
 SERIES_METRICS = RUNS_COLUMNS[4:]  # the metrics that seed_series averages over seeds
+SeedSeries = dict[tuple[str, int], tuple[int, dict[str, tuple[float, float]]]]  # see seed_series
 
 
-def seed_series(rows: Iterable[Sequence]) -> dict[tuple[str, int], tuple[int, dict[str, tuple[float, float]]]]:
+def seed_series(rows: Iterable[Sequence]) -> SeedSeries:
     """The one mean over seeds: for each (algorithm, round) of ``rows``, in row
     order, ``(comm_rounds, {metric: (mean, standard error)})`` over its seeds,
     for each of :data:`SERIES_METRICS`.  Each row begins with the
-    :data:`RUNS_COLUMNS` fields; a repeated (algorithm, seed, round) is refused."""
-    groups = {}  # (algorithm, round) -> (comm_rounds, {seed: metric values})
-    for alg, seed, rnd, comm, *values in rows:
-        per_seed = groups.setdefault((alg, rnd), (comm, {}))[1]
-        if seed in per_seed:
-            raise ValueError(f"repeated row for algorithm {alg!r}, seed {seed}, round {rnd}")
-        per_seed[seed] = values[:len(SERIES_METRICS)]
+    :data:`RUNS_COLUMNS` fields, and no (algorithm, seed, round) repeats: the
+    config refuses a repeated seed or algorithm."""
+    groups = {}  # (algorithm, round) -> (comm_rounds, [metric values of each seed])
+    for alg, _, rnd, comm, *values in rows:
+        groups.setdefault((alg, rnd), (comm, []))[1].append(values[:len(SERIES_METRICS)])
     series = {}
     for key, (comm, per_seed) in groups.items():
         stats = {}
-        for metric, column in zip(SERIES_METRICS, map(np.array, zip(*per_seed.values()))):
+        for metric, column in zip(SERIES_METRICS, map(np.array, zip(*per_seed))):
             se = np.std(column, ddof=1) / math.sqrt(len(column)) if len(column) > 1 else 0.0
             stats[metric] = (float(column.mean()), float(se))
         series[key] = (comm, stats)
     return series
 
 
-def summarize_runs(rows: Iterable[Sequence]) -> RunSummary:
-    """Each algorithm's last round of the :func:`seed_series` of ``rows``."""
-    finals = {alg: point for (alg, _), point in seed_series(rows).items()}  # the last round stays
+def summarize_runs(series: SeedSeries) -> RunSummary:
+    """Each algorithm's last round of a :func:`seed_series`."""
+    finals = {alg: point for (alg, _), point in series.items()}  # the last round stays
     return RunSummary({alg: AlgorithmSummary(alg, *stats["avg_acc"], *stats["worst_acc"], stats["acc_sd"][0], comm)
                        for alg, (comm, stats) in finals.items()})
 
@@ -424,13 +426,19 @@ def run_rows(result: RunResult) -> Iterator[tuple]:
 
 def run_experiment(config: ExperimentConfig,
                    data: SeedDataCache | None = None) -> ExperimentResult:
-    """Run the :func:`run_grid` of ``config`` and write ``runs.csv`` and
-    ``summary.csv``.
+    """Run the :func:`run_grid` of ``config`` and write ``runs.csv``,
+    ``summary.csv`` and the figure series ``fig_avg.csv``, ``fig_worst.csv``
+    and ``fig_sd.csv``.
 
     Each run's :func:`run_rows` are written as the run finishes, in canonical
     (algorithm, seed, round) order, so the rows of finished runs survive an
-    interruption, and summarized into ``summary.csv``.  The x-axis column
-    ``comm_rounds`` counts communication exchanges (DRFA: two per round).
+    interruption.  The other four files are written from the one
+    :func:`seed_series` of those rows once every run has finished:
+    ``summary.csv`` holds each algorithm's last round, and each figure file
+    one metric of :data:`SERIES_METRICS`, its seed mean and standard error
+    against the round and comm-round axes, sorted by (algorithm, round).
+    The x-axis column ``comm_rounds`` counts communication exchanges (DRFA:
+    two per round).
     """
     runs: dict[tuple[str, int], RunResult] = {}
 
@@ -442,11 +450,16 @@ def run_experiment(config: ExperimentConfig,
     csv_path = os.path.join(config.out_dir, "runs.csv")
     write_csv(csv_path, [*RUNS_COLUMNS, *[f"acc_w{i}" for i in range(config.N)],
                          *[f"lambda_{i}" for i in range(config.N)]], rows())
-    summary = summarize_runs(row for result in runs.values() for row in run_rows(result))
+    series = seed_series(row for result in runs.values() for row in run_rows(result))
+    summary = summarize_runs(series)
     write_csv(os.path.join(config.out_dir, "summary.csv"),
               ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
                "comm_rounds"],
               [astuple(s) for s in summary.per_algorithm.values()])
+    points = sorted(series.items())
+    for metric, name in zip(SERIES_METRICS, ("fig_avg.csv", "fig_worst.csv", "fig_sd.csv")):
+        write_csv(os.path.join(config.out_dir, name), ["algorithm", "round", "comm_rounds", "mean", "se"],
+                  [(*key, comm, *stats[metric]) for key, (comm, stats) in points])
     return ExperimentResult(runs=runs, summary=summary, csv_path=csv_path)
 
 
@@ -489,7 +502,8 @@ def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[Experi
 
     def rows():
         for cfg_v in cell_configs:
-            summary = summarize_runs(row for _, result in run_grid(cfg_v, cache) for row in run_rows(result))
+            summary = summarize_runs(seed_series(row for _, result in run_grid(cfg_v, cache)
+                                                 for row in run_rows(result)))
             for s in summary.per_algorithm.values():
                 cells.append(SweepCell(axis, getattr(cfg_v, axis), s))
                 # the summary's first five fields: algorithm and the four accuracy statistics;
@@ -500,45 +514,6 @@ def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[Experi
               ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
               rows())
     return cells
-
-
-def emit_plot_data(run_csv: str, out_dir: str) -> list[str]:
-    """Write the :func:`seed_series` of a runs.csv, sorted by (algorithm, round),
-    as one plot-ready file per metric of :data:`SERIES_METRICS`: the seed mean
-    and standard error against the round and comm-round axes.  A header without
-    a :data:`RUNS_COLUMNS` column is refused, naming the file and the column; a
-    row whose cell count differs from the header's, or whose cells past
-    ``algorithm`` are not numbers, is refused with ``path:lineno``, and a
-    repeated (algorithm, seed, round) with the path."""
-    with open(run_csv) as f:
-        header = f.readline().strip().split(",")
-        col = {name: i for i, name in enumerate(header)}
-        missing = [name for name in RUNS_COLUMNS if name not in col]
-        if missing:
-            raise ValueError(f"{run_csv}: not a runs file: its header has no {missing[0]!r} column")
-        kinds = [str if name == "algorithm" else int if name in ("seed", "round", "comm_rounds") else float
-                 for name in header]
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            cells = line.strip().split(",")
-            if cells == [""]:
-                continue
-            if len(cells) != len(header):
-                raise ValueError(f"{run_csv}:{lineno}: {len(cells)} cells, but the header has {len(header)}")
-            try:
-                values = [kind(cell) for kind, cell in zip(kinds, cells)]
-            except ValueError as exc:
-                raise ValueError(f"{run_csv}:{lineno}: {exc}") from exc
-            rows.append([values[col[name]] for name in RUNS_COLUMNS])
-    try:
-        series = sorted(seed_series(rows).items())
-    except ValueError as exc:
-        raise ValueError(f"{run_csv}: {exc}") from exc
-    paths = [os.path.join(out_dir, name) for name in ("fig_avg.csv", "fig_worst.csv", "fig_sd.csv")]
-    for metric, path in zip(SERIES_METRICS, paths):
-        write_csv(path, ["algorithm", "round", "comm_rounds", "mean", "se"],
-                  [(*key, comm, *stats[metric]) for key, (comm, stats) in series])
-    return paths
 
 
 DATASET_FORMAT_VERSION = "risfed-dataset-v1"

@@ -59,7 +59,7 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def theory_battery(config):
-    return diagnostics.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120)
+    return list(diagnostics.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120))
 
 
 def test_c01_gradient_correctness(tiny_fleet):

@@ -1,10 +1,11 @@
 """Byte-identity of the program's outputs.
 
-A small gen-data, train, plot-data, sweep, diagnose and theory run goes
-through the CLI in a subprocess with single-threaded OpenBLAS, and every file
-it writes must hash to the sha256 digest recorded in ``cli_digests.json``; so
-must an MLP checkpoint written by ``mlp.save_params``.  An intended output change
-shows up as a changed digest, with its reason in CHANGES.md.  Re-record with
+A small gen-data, train, sweep, diagnose and theory run goes through the
+CLI in a subprocess with single-threaded OpenBLAS, and every file it writes
+(train's fig_*.csv figure series included) must hash to the sha256 digest
+recorded in ``cli_digests.json``; so must an MLP checkpoint written by
+``mlp.save_params``.  An intended output change shows up as a changed
+digest, with its reason in CHANGES.md.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -33,7 +34,6 @@ SEEDS = ["--seed-list", "0,1"]
 COMMANDS = (  # (output directory, risfed arguments), run in this order
     ("data", ["gen-data", "--set", "J=400"]),
     ("train", ["train", *SMALL, "--set", "eval_every=3", *SEEDS]),
-    ("train", ["plot-data"]),
     ("sweep", ["sweep", "tau=1,5", *SMALL, *SEEDS]),
     ("diagnose", ["diagnose", *SMALL, "--probes", "100"]),
     ("theory", ["theory", "--set", "J=400", "--seed-list", "0", "--probes", "100"]),

@@ -162,7 +162,7 @@ def test_prescribed_schedule_shapes():
 def test_theory_check_records_whether_the_bound_held(monkeypatch):
     monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
     config = ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5)
-    records = diagnostics.theory_check(config, 100)
+    records = list(diagnostics.theory_check(config, 100))
     assert [list(r) for r in records] == [["seed", "K", "T", "running_mean", "bound", "held"]] * 2
     assert [r["held"] for r in records] == [r["running_mean"] <= r["bound"] for r in records] == [True, True]
     monkeypatch.setattr(diagnostics, "theorem_bound", lambda est, m, T: 0.0)

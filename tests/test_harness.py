@@ -109,6 +109,13 @@ def test_read_settings_refuses_a_line_without_equals(tmp_path):
         harness.read_settings(str(path))
 
 
+def test_read_settings_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("K = 5\nJ = 40\nK = 7\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: repeated key 'K'")):
+        harness.read_settings(str(path))
+
+
 def test_examples_cfg_names_every_key_at_its_default():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "examples.cfg")
     assert sorted(harness.read_settings(path)) == sorted(f.name for f in fields(ExperimentConfig))
@@ -334,7 +341,6 @@ def read_table(path):
 def test_run_experiment_summary_matches_final_rows(tmp_path):
     cfg = small_config(tmp_path)
     result = harness.run_experiment(cfg)
-    harness.emit_plot_data(result.csv_path, cfg.out_dir)
     finals = {fig: {r["algorithm"]: r for r in read_table(Path(cfg.out_dir, f"fig_{fig}.csv"))
                     if int(r["round"]) == cfg.K} for fig in ("avg", "worst", "sd")}
     summary = read_table(Path(cfg.out_dir, "summary.csv"))
@@ -366,13 +372,10 @@ def test_seed_series_hand_case():
     assert series[("fgdra", 1)][1]["avg_acc"] == pytest.approx((11.0, 10.0 / root3), rel=1e-15)
     assert series[("fedavg", 1)] == (1, {"avg_acc": (55.0, 0.0), "worst_acc": (40.0, 0.0), "acc_sd": (7.0, 0.0)})
 
-    summary = harness.summarize_runs(rows).per_algorithm  # each algorithm's last round
+    summary = harness.summarize_runs(series).per_algorithm  # each algorithm's last round
     assert list(summary) == ["fgdra", "drfa", "fedavg"]
     assert summary["drfa"] == harness.AlgorithmSummary("drfa", *stats["avg_acc"], *stats["worst_acc"], 2.0, 4)
     assert summary["fedavg"] == harness.AlgorithmSummary("fedavg", 55.0, 0.0, 40.0, 0.0, 7.0, 1)
-
-    with pytest.raises(ValueError, match=r"^repeated row for algorithm 'drfa', seed 1, round 2$"):
-        harness.seed_series(rows + [("drfa", 1, 2, 4, 0.0, 0.0, 0.0)])
 
 
 def test_run_experiment_writes_each_runs_rows_before_the_next_run_starts(tmp_path, monkeypatch):
@@ -481,34 +484,24 @@ def test_sweep_item_refused_before_any_run_naming_the_key(tmp_path, capsys, monk
 
 
 def test_emit_plot_data(tmp_path):
+    # run_experiment writes one figure file per metric: for each (algorithm, round),
+    # sorted, the mean over seeds of the runs.csv rows and se = sd/sqrt(n)
     cfg = small_config(tmp_path, eval_every=2)
     result = harness.run_experiment(cfg)
-    paths = harness.emit_plot_data(result.csv_path, cfg.out_dir)
-    assert [os.path.basename(p) for p in paths] == ["fig_avg.csv", "fig_worst.csv", "fig_sd.csv"]
-
-    with open(result.csv_path) as f:
-        header = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f]
-    col = {name: i for i, name in enumerate(header)}
-
-    with open(paths[0]) as f:
-        pheader = f.readline().strip().split(",")
-        prows = [line.strip().split(",") for line in f]
-    pcol = {name: i for i, name in enumerate(pheader)}
-    assert len(prows) == 3 * (cfg.K // cfg.eval_every)  # 3 algorithms x logged rounds
-
-    # per (algorithm, round): mean over seeds and se = sd/sqrt(n)
-    for prow in prows[:4]:
-        alg, rnd = prow[pcol["algorithm"]], prow[pcol["round"]]
-        vals = np.array([float(r[col["avg_acc"]]) for r in rows
-                         if r[col["algorithm"]] == alg and r[col["round"]] == rnd])
-        assert float(prow[pcol["mean"]]) == pytest.approx(vals.mean())
-        assert float(prow[pcol["se"]]) == pytest.approx(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-
-    # monotone round column per algorithm
-    for alg in ("fgdra", "drfa", "fedavg"):
-        rounds = [int(r[pcol["round"]]) for r in prows if r[pcol["algorithm"]] == alg]
-        assert rounds == sorted(rounds)
+    runs = read_table(result.csv_path)
+    for name, metric in zip(("fig_avg.csv", "fig_worst.csv", "fig_sd.csv"), harness.SERIES_METRICS):
+        points = read_table(Path(cfg.out_dir, name))
+        assert list(points[0]) == ["algorithm", "round", "comm_rounds", "mean", "se"]
+        assert len(points) == 3 * (cfg.K // cfg.eval_every)  # 3 algorithms x logged rounds
+        keys = [(p["algorithm"], int(p["round"])) for p in points]
+        assert keys == sorted(keys)
+        for p in points:
+            seeds = [r for r in runs if (r["algorithm"], r["round"]) == (p["algorithm"], p["round"])]
+            vals = np.array([float(r[metric]) for r in seeds])
+            assert len(vals) == len(cfg.seeds)
+            assert {r["comm_rounds"] for r in seeds} == {p["comm_rounds"]}
+            assert float(p["mean"]) == pytest.approx(vals.mean())
+            assert float(p["se"]) == pytest.approx(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
 def test_export_datasets_round_trip(tmp_path):
@@ -620,7 +613,7 @@ def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, ca
     monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
     settings = ["--set", "J=120", "--set", "B=10", "--set", "dataset_seed=5"]
     assert cli.main(["theory", "--seed-list", "0", "--probes", "100", *settings, "--out-dir", str(tmp_path)]) == 0
-    records = diagnostics.theory_check(ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5), 100)
+    records = list(diagnostics.theory_check(ExperimentConfig(seeds=(0,), J=120, B=10, dataset_seed=5), 100))
     path = tmp_path / "theory.csv"
     header, *rows = path.read_text().splitlines()
     assert header == "seed,K,T,running_mean,bound"
@@ -637,8 +630,8 @@ def test_cli_subcommands(tmp_path):
     base = ["--set", "K=4", "--set", "J=120", "--set", "eval_every=2", "--seed-list", "0"]
     assert cli.main(["gen-data", "--out-dir", out] + base) == 0
     assert cli.main(["train", "--out-dir", out] + base) == 0
-    assert os.path.exists(os.path.join(out, "runs.csv"))
-    assert cli.main(["plot-data", "--out-dir", out] + base) == 0
+    for name in ("runs.csv", "summary.csv", "fig_avg.csv", "fig_worst.csv", "fig_sd.csv"):
+        assert os.path.getsize(os.path.join(out, name)) > 0
     assert cli.main(["sweep", "tau=1,2", "--out-dir", out] + base) == 0
     assert cli.main(["diagnose", "--out-dir", out, "--probes", "100"] + base) == 0
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
@@ -654,14 +647,15 @@ def test_cli_subcommands(tmp_path):
     (["train", "--set", "tau=1.0"], "'tau'"),
     (["train", "--seed-list", ""], "seeds"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3"),
-    (["plot-data"], "runs"),
+    (["train", "--config", os.path.join(os.path.dirname(__file__), "repeated_key.cfg")],
+     "repeated_key.cfg:3: repeated key 'K'"),
     (["train", "--set", "tau=abc"], "'tau'"),
     (["train", "--set", "algorithms="], "algorithms"),
     (["train", "--seed-list", "0,0"], "seeds"),
     (["train", "--set", "algorithms=fgdra,fgdra"], "algorithms"),
     (["train", "--set", "algorithms=sgd"], "algorithms"),
     (["train", "--config", ""], "No such file or directory: ''"),
-    (["plot-data", "--run-csv", ""], "no runs file at ''"),
+    (["theory", "--set", "B=0"], "B must be > 0"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3 gives 4 gradient-norm checkpoints, fewer than diagnose's "
                                                      f"minimum of {diagnostics.MIN_CHECKPOINTS}"),
 ])
@@ -701,55 +695,22 @@ def test_cli_refuses_a_run_that_diverges_with_one_line_naming_alpha(tmp_path, ca
     assert "alpha=1e+12" in captured.err
 
 
-def test_cli_plot_data_refuses_a_file_that_is_not_a_runs_file(tmp_path, capsys):
-    stem = _saved_dataset(tmp_path)
-    out = str(tmp_path / "plots")
-    assert cli.main(["plot-data", "--run-csv", stem + ".csv", "--out-dir", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"risfed: error: {stem}.csv: not a runs file: its header has no 'algorithm' column\n"
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("row, message", [
-    ("fgdra,0,1,1,50.0", "5 cells, but the header has 7"),
-    ("fgdra,0,1,1,50.0,25.0,20.0,9", "8 cells, but the header has 7"),
-    ("fgdra,0,1,1,50.0,abc,20.0", "could not convert string to float: 'abc'"),
-    ("fgdra,0,1.5,1,50.0,25.0,20.0", "invalid literal for int() with base 10: '1.5'"),
-])
-def test_cli_plot_data_refuses_a_malformed_row_naming_its_line(tmp_path, capsys, row, message):
-    run_csv = tmp_path / "runs.csv"
-    run_csv.write_text(",".join(harness.RUNS_COLUMNS) + "\n" + "fgdra,0,0,0,40.0,20.0,10.0\n" + row + "\n")
-    out = str(tmp_path / "plots")
-    assert cli.main(["plot-data", "--run-csv", str(run_csv), "--out-dir", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"risfed: error: {run_csv}:3: {message}\n"
-    assert not os.path.exists(out)
-
-
-def test_cli_plot_data_refuses_a_repeated_row(tmp_path, capsys):
-    run_csv = tmp_path / "runs.csv"
-    run_csv.write_text(",".join(harness.RUNS_COLUMNS) + "\nfgdra,0,1,1,50.0,20.0,10.0\nfgdra,0,1,1,70.0,20.0,10.0\n")
-    out = str(tmp_path / "plots")
-    assert cli.main(["plot-data", "--run-csv", str(run_csv), "--out-dir", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"risfed: error: {run_csv}: repeated row for algorithm 'fgdra', seed 0, round 1\n"
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("argv, named", [
     (["gen-data", "--set", "J=40", "--out-dir", ""], "out_dir must be a nonempty path, got ''"),
     (["gen-data", "--set", "J=40", "--out-dir", "a_file"], "File exists: 'a_file'"),
     (["sweep", "tau=1,2", "--set", "J=40", "--set", "K=1", "--out-dir", "a_file/sub"], "Not a directory"),
+    (["theory", "--set", "J=40", "--seed-list", "0", "--probes", "100", "--out-dir", "a_file/sub"],
+     "Not a directory"),
+    (["diagnose", "--set", "J=40", "--set", "K=4", "--probes", "100", "--out-dir", "a_file/sub"], "Not a directory"),
 ])
 def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "run_grid", no_run)
+    for module, name in ((harness, "run_grid"), (diagnostics, "estimate_constants"),
+                         (diagnostics, "schedule_matched_trace")):
+        monkeypatch.setattr(module, name, no_run)
     Path("a_file").write_text("")
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
