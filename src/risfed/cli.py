@@ -5,8 +5,8 @@ optional config file plus ``--set key=value`` overrides, with ``--seed-list``
 and ``--out-dir`` as shorthands for two keys; ``sweep`` also takes one
 ``KEY=V1,V2,...`` item.  All outputs are CSV with a header row; ``train``
 writes the fig_*.csv figure series next to its runs.csv and summary.csv.
-train, sweep, diagnose and theory open their CSV before their first run,
-so an unusable out_dir is refused before any training.
+gen-data makes its out_dir before synthesis, and the others open their CSV
+before their first run, so an unusable out_dir is refused before any work.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
         return _refuse(str(exc))
     cells = harness.run_sweep(config, axis, cell_configs)
     print(os.path.join(config.out_dir, "sweep.csv"))
-    for c in cells:
-        print(f"{c.axis}={c.value:g} {c.summary.algorithm}: {c.cell}")
+    for value, s in cells:
+        print(f"{axis}={value:g} {s.algorithm}: {s.cell}")
     return 0
 
 

@@ -16,6 +16,10 @@ iterate at which the dual loss is taken; the rest follows from it:
 * ``fedavg`` - nowhere.  No dual step, so lambda stays uniform, sampling is
   uniform and local SGD is unweighted.  One exchange per round.
 
+At each evaluated round a run records only what it measured, the exchanges
+made so far and each worker's test accuracy (``RoundLog``); the average,
+worst-case and sd over workers are computed from those by ``harness.run_rows``.
+
 Randomness is organized as per-(seed, purpose, worker, round) substreams, so
 results are independent of worker execution order and identical batch
 sequences can be replayed across algorithms for equivalence checks.
@@ -51,14 +55,12 @@ _INIT, _SERVER, _PRIMAL, _DUAL, _SNAPSHOT = range(5)
 
 @dataclass(frozen=True)
 class RoundLog:
-    """Metrics snapshot after one algorithmic round."""
+    """What one evaluated round measured: the exchanges made so far and each
+    worker's test accuracy."""
 
     round: int
     communication_rounds_consumed: int
     per_worker_acc: np.ndarray
-    avg_acc: float
-    worst_acc: float
-    acc_sd: float
 
 
 @dataclass
@@ -75,7 +77,6 @@ class RunResult:
     lambda_history: np.ndarray
     theta_checkpoints: dict[int, np.ndarray]
     dual_loss_history: list[dict[int, float]]
-    communication_rounds_consumed: int
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -269,16 +270,7 @@ def run(
         comm += comm_cost
 
         if _should_eval(k, config.K, eval_every):
-            per_worker = metrics.per_worker_accuracy(theta, test_sets)
-            avg, worst, sd = metrics.summarize_accuracy(per_worker)
-            round_logs.append(RoundLog(
-                round=k + 1,
-                communication_rounds_consumed=comm,
-                per_worker_acc=per_worker,
-                avg_acc=avg,
-                worst_acc=worst,
-                acc_sd=sd,
-            ))
+            round_logs.append(RoundLog(k + 1, comm, metrics.per_worker_accuracy(theta, test_sets)))
 
     if config.K in checkpoint_rounds:
         theta_checkpoints[config.K] = theta
@@ -292,7 +284,6 @@ def run(
         lambda_history=lambda_history,
         theta_checkpoints=theta_checkpoints,
         dual_loss_history=dual_loss_history,
-        communication_rounds_consumed=comm,
     )
 
 

@@ -5,7 +5,8 @@ Config files, ``--set`` items and dataset ``.meta`` files are flat
 ``key = value`` text ('#' starts a comment), read by :func:`read_settings`
 and written by :func:`format_settings`; every table, datasets included, is
 written by :func:`write_csv`.  :func:`run_rows` is the one runs.csv row
-layout, and :func:`seed_series` the one mean over seeds of those rows:
+layout, where each round's statistics over workers are computed from the
+accuracies a run logged, and :func:`seed_series` the one mean over seeds:
 summary.csv, sweep.csv and the fig_*.csv series all read it, and
 :func:`run_experiment` writes the fig_*.csv series next to summary.csv.
 
@@ -17,6 +18,7 @@ tau=10, m=3 for K=800 rounds over five seeds.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
@@ -24,7 +26,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import fed
+from . import fed, metrics
 from .channel import Placement, make_worker_geometry
 from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
@@ -354,6 +356,11 @@ class AlgorithmSummary:
     acc_sd_mean: float
     communication_rounds_consumed: int
 
+    @property
+    def cell(self) -> str:
+        """The sweep table's two-decimal "average/worst" percent pair."""
+        return f"{self.avg_acc_mean:.2f}/{self.worst_acc_mean:.2f}"
+
 
 @dataclass
 class RunSummary:
@@ -370,6 +377,7 @@ class ExperimentResult:
 # the leading columns of runs.csv; per-worker accuracy and lambda columns follow
 RUNS_COLUMNS = ("algorithm", "seed", "round", "comm_rounds", "avg_acc", "worst_acc", "acc_sd")
 SERIES_METRICS = RUNS_COLUMNS[4:]  # the metrics that seed_series averages over seeds
+FIGURE_FILES = ("fig_avg.csv", "fig_worst.csv", "fig_sd.csv")  # one per metric of SERIES_METRICS
 SeedSeries = dict[tuple[str, int], tuple[int, dict[str, tuple[float, float]]]]  # see seed_series
 
 
@@ -418,10 +426,12 @@ def run_grid(config: ExperimentConfig,
 
 def run_rows(result: RunResult) -> Iterator[tuple]:
     """One run's runs.csv rows, one per logged round: the :data:`RUNS_COLUMNS`
-    fields, the per-worker accuracies, then lambda after that round."""
+    fields (avg_acc, worst_acc and acc_sd computed here from the round's
+    per-worker accuracies), those accuracies, then lambda after that round."""
     for log in result.round_logs:
-        yield (result.algorithm, result.seed, log.round, log.communication_rounds_consumed, log.avg_acc,
-               log.worst_acc, log.acc_sd, *log.per_worker_acc, *result.lambda_history[log.round])
+        yield (result.algorithm, result.seed, log.round, log.communication_rounds_consumed,
+               *metrics.summarize_accuracy(log.per_worker_acc), *log.per_worker_acc,
+               *result.lambda_history[log.round])
 
 
 def run_experiment(config: ExperimentConfig,
@@ -432,7 +442,9 @@ def run_experiment(config: ExperimentConfig,
 
     Each run's :func:`run_rows` are written as the run finishes, in canonical
     (algorithm, seed, round) order, so the rows of finished runs survive an
-    interruption.  The other four files are written from the one
+    interruption.  The other four files, removed before the first run so that
+    an interrupted rerun leaves none of an earlier run's beside its partial
+    ``runs.csv``, are written from the one
     :func:`seed_series` of those rows once every run has finished:
     ``summary.csv`` holds each algorithm's last round, and each figure file
     one metric of :data:`SERIES_METRICS`, its seed mean and standard error
@@ -442,7 +454,10 @@ def run_experiment(config: ExperimentConfig,
     """
     runs: dict[tuple[str, int], RunResult] = {}
 
-    def rows():
+    def rows():  # runs.csv is open, so out_dir exists
+        for name in ("summary.csv", *FIGURE_FILES):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(config.out_dir, name))
         for key, result in run_grid(config, data):
             runs[key] = result
             yield from run_rows(result)
@@ -457,24 +472,10 @@ def run_experiment(config: ExperimentConfig,
                "comm_rounds"],
               [astuple(s) for s in summary.per_algorithm.values()])
     points = sorted(series.items())
-    for metric, name in zip(SERIES_METRICS, ("fig_avg.csv", "fig_worst.csv", "fig_sd.csv")):
+    for metric, name in zip(SERIES_METRICS, FIGURE_FILES):
         write_csv(os.path.join(config.out_dir, name), ["algorithm", "round", "comm_rounds", "mean", "se"],
                   [(*key, comm, *stats[metric]) for key, (comm, stats) in points])
     return ExperimentResult(runs=runs, summary=summary, csv_path=csv_path)
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One sweep-table entry: an algorithm's final-round summary with the
-    swept key set to ``value``."""
-
-    axis: str
-    value: float
-    summary: AlgorithmSummary
-
-    @property
-    def cell(self) -> str:
-        return f"{self.summary.avg_acc_mean:.2f}/{self.summary.worst_acc_mean:.2f}"
 
 
 def sweep_configs(config: ExperimentConfig, item: str) -> tuple[str, list[ExperimentConfig]]:
@@ -490,12 +491,13 @@ def sweep_configs(config: ExperimentConfig, item: str) -> tuple[str, list[Experi
 
 
 def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[ExperimentConfig],
-              data: SeedDataCache | None = None) -> list[SweepCell]:
+              data: SeedDataCache | None = None) -> list[tuple[int, AlgorithmSummary]]:
     """Evaluate every (cell config, algorithm) pair of a :func:`sweep_configs` sweep.
 
-    Reports a two-decimal "average/worst" percent pair per cell and writes
-    one CSV row per cell to ``<config.out_dir>/sweep.csv``, each cell's rows
-    as the cell finishes, so finished cells survive an interruption.
+    Returns ``(value of axis, final-round summary)`` per pair and writes one
+    CSV row per pair, ending in its :attr:`AlgorithmSummary.cell`, to
+    ``<config.out_dir>/sweep.csv``, each cell's rows as the cell finishes, so
+    finished cells survive an interruption.
     """
     cache = data if data is not None else SeedDataCache(config)
     cells = []
@@ -504,11 +506,12 @@ def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[Experi
         for cfg_v in cell_configs:
             summary = summarize_runs(seed_series(row for _, result in run_grid(cfg_v, cache)
                                                  for row in run_rows(result)))
+            value = getattr(cfg_v, axis)
             for s in summary.per_algorithm.values():
-                cells.append(SweepCell(axis, getattr(cfg_v, axis), s))
+                cells.append((value, s))
                 # the summary's first five fields: algorithm and the four accuracy statistics;
                 # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
-                yield (axis, float(cells[-1].value), *astuple(s)[:5], cells[-1].cell)
+                yield (axis, float(value), *astuple(s)[:5], s.cell)
 
     write_csv(os.path.join(config.out_dir, "sweep.csv"),
               ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
@@ -600,7 +603,9 @@ def load_dataset(stem: str) -> Dataset:
 
 
 def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
-    """Write every worker's train/test split with :func:`save_dataset`."""
+    """Write every worker's train/test split with :func:`save_dataset`.
+    ``out_dir`` is made before any synthesis, so an unusable one is refused at once."""
+    os.makedirs(out_dir, exist_ok=True)
     train_sets, test_sets, profiles = generate_data(config)
     written = []
     for profile, train, test in zip(profiles, train_sets, test_sets):

@@ -52,8 +52,8 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
         cells[("tau", 10, alg)] = cells[("B", 50, alg)] = summary
     for axis, values in (("tau", "1,5"), ("B", "10,30")):
         sweep = replace(config, eval_every=config.K, out_dir=str(tmp_path_factory.mktemp(axis)))
-        for c in harness.run_sweep(sweep, *harness.sweep_configs(sweep, f"{axis}={values}"), cache):
-            cells[(axis, c.value, c.summary.algorithm)] = c.summary
+        for value, summary in harness.run_sweep(sweep, *harness.sweep_configs(sweep, f"{axis}={values}"), cache):
+            cells[(axis, value, summary.algorithm)] = summary
     return cells
 
 

@@ -61,6 +61,18 @@ def test_summarize_accuracy_identical_workers():
     assert (avg, worst, sd) == (70.0, 70.0, 0.0)
 
 
+def test_run_rows_derive_the_statistics_from_the_logged_accuracies():
+    cfg = ExperimentConfig(K=1)
+    result = fed.RunResult(
+        algorithm="drfa", seed=3, config=cfg, round_logs=[fed.RoundLog(1, 2, np.array([100.0, 60.0, 60.0, 60.0]))],
+        final_theta=zero_model(), lambda_history=np.array([[0.25] * 4, [0.4, 0.2, 0.2, 0.2]]),
+        theta_checkpoints={}, dual_loss_history=[{}])
+    (row,) = harness.run_rows(result)
+    assert row[:6] == ("drfa", 3, 1, 2, 70.0, 60.0)
+    assert row[6] == pytest.approx(math.sqrt(300.0), rel=1e-12)
+    assert row[7:] == (100.0, 60.0, 60.0, 60.0, 0.4, 0.2, 0.2, 0.2)
+
+
 def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("# nothing here\n")
@@ -394,6 +406,22 @@ def test_run_experiment_writes_each_runs_rows_before_the_next_run_starts(tmp_pat
     assert [row.split(",")[:3] for row in rows] == [["fgdra", str(s), str(k)] for s in cfg.seeds for k in (3, 6)]
 
 
+def test_interrupted_rerun_leaves_no_earlier_summary_or_figure_files(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, K=2, seeds=(0,))
+    harness.run_experiment(cfg)
+    reports = ["summary.csv", "fig_avg.csv", "fig_worst.csv", "fig_sd.csv"]
+    assert all(Path(cfg.out_dir, name).exists() for name in reports)
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setitem(fed.RUNNERS, "drfa", stop)
+    with pytest.raises(RuntimeError, match="stop"):
+        harness.run_experiment(cfg)
+    assert sorted(os.listdir(cfg.out_dir)) == ["runs.csv"]
+    assert [row["algorithm"] for row in read_table(Path(cfg.out_dir, "runs.csv"))] == ["fgdra"]
+
+
 def test_run_experiment_comm_round_axis(tmp_path):
     cfg = small_config(tmp_path, algorithms=("fgdra", "drfa"), seeds=(0,), eval_every=3)
     result = harness.run_experiment(cfg)
@@ -415,13 +443,13 @@ def test_per_seed_data_draws_differ(tmp_path):
 def test_run_sweep_layout_and_cells(tmp_path):
     cfg = small_config(tmp_path)
     cells = harness.run_sweep(cfg, *harness.sweep_configs(cfg, "tau=1, 2,3"))
-    assert len(cells) == 9  # 3 algorithms x 3 values
-    assert {c.summary.algorithm for c in cells} == {"fgdra", "drfa", "fedavg"}
-    for c in cells:
-        assert re.fullmatch(r"\d+\.\d{2}/\d+\.\d{2}", c.cell)
+    assert [(value, s.algorithm) for value, s in cells] == [(v, alg) for v in (1, 2, 3) for alg in cfg.algorithms]
     header, *rows = Path(cfg.out_dir, "sweep.csv").read_text().splitlines()
-    assert header.startswith("axis,value,algorithm,")
+    assert header.startswith("axis,value,algorithm,") and header.endswith(",cell")
     assert [row.split(",")[:2] for row in rows[::3]] == [["tau", "1.0"], ["tau", "2.0"], ["tau", "3.0"]]
+    for row, (_, s) in zip(rows, cells, strict=True):
+        assert re.fullmatch(r"\d+\.\d{2}/\d+\.\d{2}", s.cell)
+        assert row.split(",")[-1] == s.cell == f"{s.avg_acc_mean:.2f}/{s.worst_acc_mean:.2f}"
 
     axis, m_configs = harness.sweep_configs(cfg, "m=1,2")
     assert axis == "m" and [c.m for c in m_configs] == [1, 2]
@@ -483,7 +511,7 @@ def test_sweep_item_refused_before_any_run_naming_the_key(tmp_path, capsys, monk
             harness.sweep_configs(small_config(tmp_path), item)
 
 
-def test_emit_plot_data(tmp_path):
+def test_run_experiment_writes_the_figure_series(tmp_path):
     # run_experiment writes one figure file per metric: for each (algorithm, round),
     # sorted, the mean over seeds of the runs.csv rows and se = sd/sqrt(n)
     cfg = small_config(tmp_path, eval_every=2)
@@ -708,7 +736,7 @@ def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatc
         raise AssertionError("a run started")
 
     monkeypatch.chdir(tmp_path)
-    for module, name in ((harness, "run_grid"), (diagnostics, "estimate_constants"),
+    for module, name in ((harness, "generate_data"), (harness, "run_grid"), (diagnostics, "estimate_constants"),
                          (diagnostics, "schedule_matched_trace")):
         monkeypatch.setattr(module, name, no_run)
     Path("a_file").write_text("")
