@@ -166,7 +166,8 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
         h = sqrt(G(b_T) L(d_T)) exp(i eta_h) Omega(a_T, b_T)
             + (1/S) sum_s gamma_s sqrt(G(b_s) L(d_s)) Omega(a_s, b_s)
 
-    The draw order is part of the determinism contract: identical
+    The draws are written in place into two (J, .) arrays, in the same
+    order.  The draw order is part of the determinism contract: identical
     (geometry, rng state) yields bit-identical samples, whatever J the draws
     are split into.
     """
@@ -176,8 +177,9 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
     etas = np.empty((J, 2))
     parts = np.empty((J, 2 * S))
     for j in range(J):
-        etas[j] = rng.uniform(0.0, TWO_PI, 2)
-        parts[j] = rng.standard_normal(2 * S)
+        rng.random(out=etas[j])
+        rng.standard_normal(out=parts[j])
+    etas *= TWO_PI  # numpy's uniform(0, 2pi) is 0.0 + 2pi * U: the same bits and rng state
     eta_g, eta_h = etas.T
     gammas = (parts[:, :S] + 1j * parts[:, S:]) / math.sqrt(2.0)
     (amp_g, a_g), (amp_h, a_h), *scatter_paths = geom.paths

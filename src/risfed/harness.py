@@ -21,13 +21,14 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import fed, metrics
-from .channel import Placement, make_worker_geometry
+from .channel import Placement, make_worker_geometry, radiation_gain
 from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
                        split, train_count)
@@ -50,6 +51,10 @@ ANCHOR_RX_ELEVATION_DEG = 4.0
 ALIAS_RAMP_OFFSET = 0.02  # cycles per element column
 TX_DISTANCE_M = 30.0
 RX_DISTANCE_M = 20.0
+# Bound on a scatterer gain's modulus |gamma_s|: numpy's standard normal
+# draws stay below 13.7 in magnitude, and a CN(0, 1) gain exceeds 14 with
+# probability exp(-196).
+GAIN_BOUND = 14.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,7 @@ class ExperimentConfig:
         if not -1.0 < self.scatter_extra_lo <= self.scatter_extra_hi:
             raise ValueError(f"need -1 < scatter_extra_lo <= scatter_extra_hi, got "
                              f"{self.scatter_extra_lo!r} and {self.scatter_extra_hi!r}")
+        _check_link_budget(self)
         train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
         if not self.spacings or any(s <= 0 for s in self.spacings):
             raise ValueError("spacings must be a nonempty list of positive values")
@@ -140,6 +146,26 @@ def _check_numbers(config: ExperimentConfig) -> None:
                 raise ValueError(f"{key} must be finite, got {v!r}")
             if kind is int and not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {v!r}")
+
+
+def _check_link_budget(config: ExperimentConfig) -> None:
+    """Refuse a wavelength at which a rate can overflow.
+
+    Every path amplitude is at most sqrt(G_max) * wavelength / (4 pi d_min),
+    d_min being the shortest path any worker's geometry (or the theory
+    worker's) can have, so |g^H diag(phi) h| is at most Q amp^2 (1 +
+    GAIN_BOUND).  Its square, times tx_power and over bandwidth * noise_psd,
+    must stay finite at every step of the rate expression; the test runs in
+    logs, so it cannot overflow itself.
+    """
+    d_min = min(TX_DISTANCE_M * min(1.0, 1.0 + config.scatter_extra_lo), RX_DISTANCE_M)
+    log_amp_sq = math.log(radiation_gain(0.0)) + 2.0 * (math.log(config.wavelength) - math.log(4.0 * math.pi * d_min))
+    log_cascade = math.log(config.ris_rows * config.ris_cols * (1.0 + GAIN_BOUND)) + log_amp_sq
+    log_tx_power = math.log(config.tx_power)
+    log_factor = max(0.0, log_tx_power, log_tx_power - math.log(config.bandwidth * config.noise_psd))
+    if not 2.0 * log_cascade + log_factor < math.log(sys.float_info.max):
+        raise ValueError(f"wavelength={config.wavelength!r} overflows the link budget: a cascade "
+                         f"|g^H diag(phi) h| of this geometry can square past the float range")
 
 
 def _parse_value(key: str, text: str):

@@ -69,8 +69,10 @@ class FeatureScaler:
     mean: np.ndarray
     sd: np.ndarray
 
-    def transform(self, raw: np.ndarray) -> np.ndarray:
-        return (raw - self.mean) / self.sd
+    def transform(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(raw - mean) / sd; ``out=raw`` standardizes ``raw`` in place."""
+        out = np.subtract(raw, self.mean, out=out)
+        return np.divide(out, self.sd, out=out)
 
     def inverse(self, standardized: np.ndarray) -> np.ndarray:
         return standardized * self.sd + self.mean
@@ -115,14 +117,26 @@ def rate(phi: np.ndarray, h: np.ndarray, g: np.ndarray, params: RateParams) -> f
     if not (phi.shape == h.shape == g.shape):
         raise ValueError(f"shape mismatch: phi {phi.shape}, h {h.shape}, g {g.shape}")
     cascade = np.vdot(g, phi * h)  # vdot conjugates its first argument
-    return _rate_of_modulus(float(abs(cascade)), params)
+    return _rates_of_moduli([[float(abs(cascade))]], params)[0][0]
 
 
-def _rate_of_modulus(modulus: float, params: RateParams) -> float:
-    """:func:`rate` given |g^H diag(phi) h|, in Python floats: numpy's array
-    square and log2 can differ from these in the last bit."""
-    snr = (modulus ** 2) * params.tx_power / (params.bandwidth * params.noise_psd)
-    return params.bandwidth * math.log2(1.0 + snr)
+def _rates_of_moduli(rows: list[list[float]], params: RateParams) -> list[list[float]]:
+    """:func:`rate` of each modulus |g^H diag(phi) h| in nested lists, in
+    Python floats: numpy's array square and log2 can differ from these in
+    the last bit."""
+    w, p = params.bandwidth, params.tx_power
+    noise = w * params.noise_psd
+    return [[w * math.log2(1.0 + (m ** 2) * p / noise) for m in row] for row in rows]
+
+
+def _rowwise_dot(g_conj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise dot products sum_q g_conj[j, q] x[j, q] of two (J, Q) arrays.
+
+    numpy evaluates each stacked 1xQ by Qx1 product with its 1-D complex dot
+    (BLAS zdotu); given conj(g), that equals ``np.vdot(g[j], x[j])`` (zdotc)
+    bit for bit, because only the signs of exact partial sums differ.
+    """
+    return np.matmul(g_conj[:, None, :], x[:, :, None])[:, 0, 0]
 
 
 def build_codebook(geom: ScenarioGeometry) -> Codebook:
@@ -175,21 +189,23 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
     """Draw J channel samples and label each by exhaustive codebook search.
 
     Each label is the first rate-maximizing codeword, and ``rates`` holds its
-    rate.  Every cascade is one ``np.vdot`` and every rate goes through
-    :func:`_rate_of_modulus`, so the dataset is bit-identical to calling
-    :func:`label` and :func:`rate` on each sample of :func:`gen_channel_pair`.
+    rate.  The cascades are one stacked BLAS dot per codeword
+    (:func:`_rowwise_dot`), bit-identical to ``np.vdot``, and every rate
+    goes through :func:`_rates_of_moduli`, so the dataset is bit-identical to
+    calling :func:`label` and :func:`rate` on each sample of
+    :func:`gen_channel_pair`.
     Features are left raw; standardization happens in :func:`split`, on the
     training portion only.
     """
     batch = gen_channel_pairs(profile.geometry, rng, J)
     codebook = build_codebook(profile.geometry)
-    features = raw_features(batch)
-    h, g = batch.h, batch.g
+    features = raw_features(batch)  # copies g, so g can be conjugated in place
+    h, g_conj = batch.h, np.conjugate(batch.g, out=batch.g)
     cascades = np.empty((J, NUM_CLASSES), dtype=complex)
     for c, phi in enumerate(codebook.codewords):
-        cascades[:, c] = list(map(np.vdot, g, phi * h))
+        cascades[:, c] = _rowwise_dot(g_conj, phi * h)
     moduli = np.hypot(cascades.real, cascades.imag)
-    all_rates = np.array([[_rate_of_modulus(x, profile.rate) for x in row] for row in moduli.tolist()])
+    all_rates = np.array(_rates_of_moduli(moduli.tolist(), profile.rate))
     labels = all_rates.argmax(axis=1)
     rates = all_rates[np.arange(J), labels]
     return Dataset(worker_id=profile.worker_id, features=features, labels=labels, rates=rates)
@@ -206,17 +222,22 @@ def train_count(J: int, ratio: float) -> int:
 
 def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Seeded shuffle, partition at ``ratio``, then standardize both parts
-    with statistics fitted on the training part alone."""
+    with statistics fitted on the training part alone.
+
+    Each part's rows are gathered once, and that copy is standardized in
+    place; ``ds`` is left unchanged.
+    """
     J = len(ds)
     n_train = train_count(J, ratio)
     order = rng.permutation(J)
     tr, te = order[:n_train], order[n_train:]
-    scaler = fit_scaler(ds.features[tr])
-    make = lambda idx: Dataset(
+    train_raw = ds.features[tr]
+    scaler = fit_scaler(train_raw)
+    make = lambda idx, raw: Dataset(
         worker_id=ds.worker_id,
-        features=scaler.transform(ds.features[idx]),
+        features=scaler.transform(raw, out=raw),
         labels=ds.labels[idx],
         rates=ds.rates[idx],
         scaler=scaler,
     )
-    return make(tr), make(te)
+    return make(tr, train_raw), make(te, ds.features[te])

@@ -25,20 +25,21 @@ from conftest import RATE, WAVELENGTH, small_geometry
 class FixedGammaRng:
     """Stand-in rng that forces the scatterer gains and zeroes the phases.
 
-    It answers the two calls a sample draws: ``uniform(lo, hi, 2)`` for
-    (eta_g, eta_h) and ``standard_normal(2 S)`` for the real then imaginary
-    parts of the S gains.
+    It answers the two calls a sample draws: ``random(out=)`` for the two
+    uniforms behind (eta_g, eta_h) and ``standard_normal(out=)`` for the real
+    then imaginary parts of the S gains.
     """
 
     def __init__(self, gamma_complex):
         self.gamma = complex(gamma_complex)
 
-    def standard_normal(self, size):
-        S = size // 2
-        return np.concatenate([np.full(S, self.gamma.real), np.full(S, self.gamma.imag)]) * math.sqrt(2.0)
+    def standard_normal(self, out):
+        S = out.size // 2
+        out[:S] = self.gamma.real * math.sqrt(2.0)
+        out[S:] = self.gamma.imag * math.sqrt(2.0)
 
-    def uniform(self, lo, hi, size):
-        return np.zeros(size)
+    def random(self, out):
+        out[:] = 0.0
 
 
 def without_los(geom):

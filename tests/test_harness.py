@@ -213,6 +213,9 @@ def test_build_profiles_design():
     ({"noise_psd": 0.0}, "noise_psd"),
     ({"wavelength": 0.0}, "wavelength"),
     ({"wavelength": -0.01}, "wavelength"),
+    ({"wavelength": 1e80}, "wavelength"),  # |cascade|^2 overflows in the rate
+    ({"wavelength": 1e160}, "wavelength"),  # the path loss itself overflows
+    ({"wavelength": 1e70, "scatter_extra_lo": -1 + 1e-12}, "wavelength"),  # a scatterer path 3e-11 m long
     ({"profile_seed": -1}, "profile_seed"),
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
@@ -239,6 +242,25 @@ def test_build_profiles_design():
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [{}, {"scatter_extra_lo": -0.9}, {"tx_power": 1e10},
+                                       {"bandwidth": 1e-3, "noise_psd": 1e-30}])
+def test_largest_accepted_wavelength_synthesizes_finite_data(overrides):
+    lo, hi = 0.0, 310.0  # log10 of an accepted and a refused wavelength
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        try:
+            ExperimentConfig(wavelength=10.0 ** mid, **overrides)
+            lo = mid
+        except ValueError as exc:
+            assert "wavelength" in str(exc)
+            hi = mid
+    assert 60 < lo < hi < 80
+    train_sets, test_sets, _ = harness.generate_data(ExperimentConfig(wavelength=10.0 ** lo, J=40, **overrides))
+    for ds in train_sets + test_sets:
+        assert np.all(np.isfinite(ds.features)) and np.all(np.isfinite(ds.rates)) and ds.rates.max() > 0
 
 
 def test_config_admits_gamma_zero():
@@ -684,6 +706,8 @@ def test_cli_subcommands(tmp_path):
     (["train", "--set", "algorithms=sgd"], "algorithms"),
     (["train", "--config", ""], "No such file or directory: ''"),
     (["theory", "--set", "B=0"], "B must be > 0"),
+    (["gen-data", "--set", "J=8", "--set", "wavelength=1e80"], "wavelength=1e+80"),
+    (["gen-data", "--set", "J=8", "--set", "wavelength=1e160"], "wavelength=1e+160"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3 gives 4 gradient-norm checkpoints, fewer than diagnose's "
                                                      f"minimum of {diagnostics.MIN_CHECKPOINTS}"),
 ])

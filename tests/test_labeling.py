@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from risfed.channel import ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
 from risfed.harness import load_dataset, save_dataset
 from risfed.labeling import (
+    _rowwise_dot,
     CODEBOOK_OFFSETS_DEG,
     Codebook,
     FeatureScaler,
@@ -197,6 +198,33 @@ def test_every_generated_label_is_rate_optimal():
         best = rates[ds.labels[j]]
         assert np.all(best >= rates - 1e-12)
         assert int(np.argmax(rates)) == ds.labels[j]
+
+
+def test_split_standardizes_gathered_copies_and_leaves_its_input_unchanged():
+    ds = gen_dataset(WorkerProfile(0, small_geometry(), RATE), 120, np.random.default_rng(17))
+    raw = ds.features.tobytes()
+    train, test = split(ds, 0.75, np.random.default_rng(18))
+    assert ds.features.tobytes() == raw
+    order = np.random.default_rng(18).permutation(120)
+    for part, idx in ((train, order[:90]), (test, order[90:])):
+        assert not np.shares_memory(part.features, ds.features)
+        expected = (ds.features[idx] - train.scaler.mean) / train.scaler.sd
+        assert part.features.tobytes() == expected.tobytes()
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.integers(min_value=1, max_value=64), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(J=2500, seed=0)
+def test_rowwise_dot_of_conjugate_equals_vdot_bit_for_bit(J, seed):
+    rng = np.random.default_rng(seed)
+    g, h, phi = complex_normal(rng, (J, 100)), complex_normal(rng, (J, 100)), complex_normal(rng, 100)
+    x = phi * h
+    expected = np.array([np.vdot(g[j], x[j]) for j in range(J)])
+    assert _rowwise_dot(np.conjugate(g), x).tobytes() == expected.tobytes()
 
 
 def test_split_rejects_bad_ratio():
