@@ -21,14 +21,13 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import fed, metrics
-from .channel import Placement, make_worker_geometry, radiation_gain
+from .channel import Placement, make_worker_geometry
 from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
                        split, train_count)
@@ -43,18 +42,19 @@ SWEEP_AXES = ("tau", "B", "m")
 # phase-ramp band) while their wider fans make them fast majority learners.
 # Uniform loss weighting then drives the shared model toward the majority
 # mapping at worker 0's expense, which is the regime the robust algorithms
-# are meant to fix.  Strengthen or weaken the effect by moving
-# ANCHOR_RX_AZIMUTH_DEG toward or away from 90 degrees (see README).
+# are meant to fix.
 ANCHOR_RX_AZIMUTH_DEG = 110.0
 ANCHOR_TX_AZIMUTH_DEG = -20.0
 ANCHOR_RX_ELEVATION_DEG = 4.0
 ALIAS_RAMP_OFFSET = 0.02  # cycles per element column
 TX_DISTANCE_M = 30.0
 RX_DISTANCE_M = 20.0
-# Bound on a scatterer gain's modulus |gamma_s|: numpy's standard normal
-# draws stay below 13.7 in magnitude, and a CN(0, 1) gain exceeds 14 with
-# probability exp(-196).
-GAIN_BOUND = 14.0
+# The carrier (28 GHz) and the link budget are fixed.  Neither can change a
+# label, the argmax over codewords of a rate that grows with |cascade|^2, nor
+# a standardized feature, as the wavelength scales every path amplitude by
+# one constant; they set only the diagnostic rate column.
+CARRIER_WAVELENGTH_M = 0.0107
+LINK = RateParams(bandwidth=1e7, tx_power=0.5, noise_psd=4e-21)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     dataset_seed: int = 20240
     profile_seed: int = 7
-    wavelength: float = 0.0107
     ris_rows: int = 10
     ris_cols: int = 10
     spacings: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0)  # in wavelengths
@@ -85,9 +84,6 @@ class ExperimentConfig:
     scatter_cone_deg: float = 15.0
     scatter_extra_lo: float = 0.05
     scatter_extra_hi: float = 0.30
-    bandwidth: float = 1e7
-    tx_power: float = 0.5
-    noise_psd: float = 4e-21
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -97,10 +93,6 @@ class ExperimentConfig:
         for key in _POSITIVE_KEYS:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
-        noise = self.bandwidth * self.noise_psd  # a sample's SNR is |cascade|^2 * tx_power / noise
-        if not (noise > 0 and 0 < self.tx_power / noise < math.inf):
-            raise ValueError(f"tx_power / (bandwidth * noise_psd) must be a finite positive number, got "
-                             f"{self.tx_power!r} / ({self.bandwidth!r} * {self.noise_psd!r})")
         # gamma = 0 freezes lambda; the FedAvg-reduction checks rely on it
         for key in ("gamma", "scatter_cone_deg", "profile_seed", "dataset_seed"):
             if getattr(self, key) < 0:
@@ -117,10 +109,10 @@ class ExperimentConfig:
         if not -1.0 < self.scatter_extra_lo <= self.scatter_extra_hi:
             raise ValueError(f"need -1 < scatter_extra_lo <= scatter_extra_hi, got "
                              f"{self.scatter_extra_lo!r} and {self.scatter_extra_hi!r}")
-        _check_link_budget(self)
         train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
-        if not self.spacings or any(s <= 0 for s in self.spacings):
-            raise ValueError("spacings must be a nonempty list of positive values")
+        if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0 for s in self.spacings):
+            raise ValueError(f"spacings must be a nonempty list of values that stay > 0 in meters (times the "
+                             f"{CARRIER_WAVELENGTH_M} m carrier wavelength), got {self.spacings!r}")
         _worker_angles(self)  # the alias geometry must be feasible
         if not self.out_dir:
             raise ValueError(f"out_dir must be a nonempty path, got {self.out_dir!r}")
@@ -130,8 +122,7 @@ class ExperimentConfig:
         return replace(self, algorithms=(algorithm,))
 
 
-_POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J", "ris_rows", "ris_cols", "n_scatterers",
-                  "wavelength", "bandwidth", "tx_power", "noise_psd")
+_POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J", "ris_rows", "ris_cols", "n_scatterers")
 _LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -146,26 +137,6 @@ def _check_numbers(config: ExperimentConfig) -> None:
                 raise ValueError(f"{key} must be finite, got {v!r}")
             if kind is int and not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {v!r}")
-
-
-def _check_link_budget(config: ExperimentConfig) -> None:
-    """Refuse a wavelength at which a rate can overflow.
-
-    Every path amplitude is at most sqrt(G_max) * wavelength / (4 pi d_min),
-    d_min being the shortest path any worker's geometry (or the theory
-    worker's) can have, so |g^H diag(phi) h| is at most Q amp^2 (1 +
-    GAIN_BOUND).  Its square, times tx_power and over bandwidth * noise_psd,
-    must stay finite at every step of the rate expression; the test runs in
-    logs, so it cannot overflow itself.
-    """
-    d_min = min(TX_DISTANCE_M * min(1.0, 1.0 + config.scatter_extra_lo), RX_DISTANCE_M)
-    log_amp_sq = math.log(radiation_gain(0.0)) + 2.0 * (math.log(config.wavelength) - math.log(4.0 * math.pi * d_min))
-    log_cascade = math.log(config.ris_rows * config.ris_cols * (1.0 + GAIN_BOUND)) + log_amp_sq
-    log_tx_power = math.log(config.tx_power)
-    log_factor = max(0.0, log_tx_power, log_tx_power - math.log(config.bandwidth * config.noise_psd))
-    if not 2.0 * log_cascade + log_factor < math.log(sys.float_info.max):
-        raise ValueError(f"wavelength={config.wavelength!r} overflows the link budget: a cascade "
-                         f"|g^H diag(phi) h| of this geometry can square past the float range")
 
 
 def _parse_value(key: str, text: str):
@@ -284,7 +255,6 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
     Scatterer constellations are drawn once per worker from profile_seed
     and stay fixed.
     """
-    rate = _rate_params(config)
     profiles = []
     for w, (rx_az, tx_az, rx_el) in enumerate(_worker_angles(config)):
         spacing = config.spacings[w % len(config.spacings)]
@@ -294,8 +264,8 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
         geom = make_worker_geometry(
             ris_rows=config.ris_rows,
             ris_cols=config.ris_cols,
-            element_spacing=spacing * config.wavelength,
-            carrier_wavelength=config.wavelength,
+            element_spacing=spacing * CARRIER_WAVELENGTH_M,
+            carrier_wavelength=CARRIER_WAVELENGTH_M,
             tx=tx,
             rx=rx,
             n_scatterers=config.n_scatterers,
@@ -304,12 +274,8 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
             extra_travel_lo=config.scatter_extra_lo,
             extra_travel_hi=config.scatter_extra_hi,
         )
-        profiles.append(WorkerProfile(worker_id=w, geometry=geom, rate=rate))
+        profiles.append(WorkerProfile(worker_id=w, geometry=geom, rate=LINK))
     return profiles
-
-
-def _rate_params(config: ExperimentConfig) -> RateParams:
-    return RateParams(bandwidth=config.bandwidth, tx_power=config.tx_power, noise_psd=config.noise_psd)
 
 
 def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: int,
@@ -337,16 +303,16 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     full-wavelength array at a small azimuth with distant scatterers, which
     trains to interpolation under the rate-matched schedule.  The worker fixes
     its own placements, spacing and scatter travel (0.25 to 0.5); the other
-    geometry keys and the rate constants come from ``config``."""
+    geometry keys come from ``config``."""
     rng = fed.substream(config.profile_seed, THEORY_STREAM)
     geom = make_worker_geometry(
-        config.ris_rows, config.ris_cols, config.wavelength, config.wavelength,
+        config.ris_rows, config.ris_cols, CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
         rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
         n_scatterers=config.n_scatterers, rng=rng, cone_halfwidth=math.radians(config.scatter_cone_deg),
         extra_travel_lo=0.25, extra_travel_hi=0.5,
     )
-    train, test = _draw_split(config, WorkerProfile(0, geom, _rate_params(config)), dataset_seed, THEORY_STREAM)
+    train, test = _draw_split(config, WorkerProfile(0, geom, LINK), dataset_seed, THEORY_STREAM)
     return [train], [test]
 
 

@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from risfed.channel import Placement, make_worker_geometry
-from risfed.labeling import RateParams, WorkerProfile, gen_dataset, split
-
-WAVELENGTH = 0.0107
-RATE = RateParams(bandwidth=1e7, tx_power=0.5, noise_psd=4e-21)
+from risfed.harness import CARRIER_WAVELENGTH_M, LINK
+from risfed.labeling import WorkerProfile, gen_dataset, split
 
 
 def small_geometry(spacing_wl=0.25, rx_az_deg=28.0, tx_az_deg=-22.0, rx_el_deg=2.0, seed=7, key=1):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
     tx = Placement(distance=30.0, azimuth=math.radians(tx_az_deg), elevation=0.0)
     rx = Placement(distance=20.0, azimuth=math.radians(rx_az_deg), elevation=math.radians(rx_el_deg))
-    return make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, 4, rng,
+    return make_worker_geometry(10, 10, spacing_wl * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx, 4, rng,
                                 cone_halfwidth=math.radians(15.0), extra_travel_lo=0.05, extra_travel_hi=0.30)
 
 
 def small_worker_data(worker_id=0, J=240, dataset_seed=99, **geom_kw):
-    profile = WorkerProfile(worker_id, small_geometry(key=worker_id + 1, **geom_kw), RATE)
+    profile = WorkerProfile(worker_id, small_geometry(key=worker_id + 1, **geom_kw), LINK)
     rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(worker_id,)))
     ds = gen_dataset(profile, J, rng)
     return split(ds, 0.8, rng)

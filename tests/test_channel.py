@@ -18,8 +18,9 @@ from risfed.channel import (
     path_loss,
     radiation_gain,
 )
+from risfed.harness import CARRIER_WAVELENGTH_M, LINK
 
-from conftest import RATE, WAVELENGTH, small_geometry
+from conftest import small_geometry
 
 
 class FixedGammaRng:
@@ -70,13 +71,13 @@ def test_radiation_gain_vectorized():
 
 
 def test_path_loss_unit_distance():
-    d = WAVELENGTH / (4 * math.pi)
-    assert path_loss(d, WAVELENGTH) == pytest.approx(1.0, rel=1e-12)
+    d = CARRIER_WAVELENGTH_M / (4 * math.pi)
+    assert path_loss(d, CARRIER_WAVELENGTH_M) == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.floats(min_value=0.1, max_value=1e4))
 def test_path_loss_inverse_square(d):
-    assert path_loss(2 * d, WAVELENGTH) / path_loss(d, WAVELENGTH) == pytest.approx(0.25, rel=1e-9)
+    assert path_loss(2 * d, CARRIER_WAVELENGTH_M) / path_loss(d, CARRIER_WAVELENGTH_M) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_path_loss_50m_frozen_value():
@@ -86,9 +87,9 @@ def test_path_loss_50m_frozen_value():
 
 def test_path_loss_rejects_nonpositive():
     with pytest.raises(ValueError):
-        path_loss(0.0, WAVELENGTH)
+        path_loss(0.0, CARRIER_WAVELENGTH_M)
     with pytest.raises(ValueError):
-        path_loss(-1.0, WAVELENGTH)
+        path_loss(-1.0, CARRIER_WAVELENGTH_M)
 
 
 def test_array_response_origin_element_and_broadside():
@@ -279,18 +280,18 @@ def test_placement_validation():
 def test_geometry_validation():
     tx = Placement(10.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        ScenarioGeometry(0, 10, 1e-3, WAVELENGTH, tx, tx, (tx,))
+        ScenarioGeometry(0, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, tx, (tx,))
     with pytest.raises(ValueError):
-        ScenarioGeometry(10, 10, 0.0, WAVELENGTH, tx, tx, (tx,))
+        ScenarioGeometry(10, 10, 0.0, CARRIER_WAVELENGTH_M, tx, tx, (tx,))
     with pytest.raises(ValueError):
-        ScenarioGeometry(10, 10, 1e-3, WAVELENGTH, tx, tx, ())
+        ScenarioGeometry(10, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, tx, ())
 
 
 def test_make_worker_geometry_scatterer_cone():
     rng = np.random.default_rng(11)
     tx = Placement(30.0, -0.5, 0.05)
     rx = Placement(20.0, 0.4, 0.0)
-    geom = make_worker_geometry(10, 10, 1e-3, WAVELENGTH, tx, rx, 6, rng,
+    geom = make_worker_geometry(10, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, rx, 6, rng,
                                 cone_halfwidth=math.radians(15.0), extra_travel_lo=0.05, extra_travel_hi=0.30)
     assert geom.num_scatterers == 6
     for sc in geom.scatterers:
@@ -397,10 +398,10 @@ def test_gen_dataset_matches_per_draw_reference(worker):
 def test_gen_dataset_matches_reference_over_scenario_geometry(n_scatterers, spacing_wl, cone_deg, grazing_rx, seed, J):
     tx = Placement(30.0, math.radians(-22.0), 0.0)
     rx = Placement(20.0, math.radians(28.0), math.pi / 2 if grazing_rx else math.radians(2.0))
-    geom = make_worker_geometry(10, 10, spacing_wl * WAVELENGTH, WAVELENGTH, tx, rx, n_scatterers,
+    geom = make_worker_geometry(10, 10, spacing_wl * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx, n_scatterers,
                                 np.random.default_rng(seed), cone_halfwidth=math.radians(cone_deg),
                                 extra_travel_lo=0.05, extra_travel_hi=0.30)
-    ds = assert_matches_reference(labeling.WorkerProfile(0, geom, RATE), J, seed)
+    ds = assert_matches_reference(labeling.WorkerProfile(0, geom, LINK), J, seed)
     if grazing_rx:
         # a grazing RX receives nothing: every codeword's rate is 0 and the tie goes to codeword 0
         assert np.all(ds.rates == 0.0) and np.all(ds.labels == 0)

@@ -172,13 +172,13 @@ def test_build_profiles_design():
     cfg = ExperimentConfig()
     profiles = harness.build_profiles(cfg)
     assert len(profiles) == 4
-    spacings = [p.geometry.element_spacing / cfg.wavelength for p in profiles]
+    spacings = [p.geometry.element_spacing / harness.CARRIER_WAVELENGTH_M for p in profiles]
     assert spacings == pytest.approx([0.125, 0.25, 0.5, 1.0])
     anchor = profiles[0].geometry
     assert math.degrees(anchor.rx.azimuth) == pytest.approx(110.0)
     base = 0.125 * math.sin(anchor.rx.azimuth)
     for p in profiles[1:]:
-        sp = p.geometry.element_spacing / cfg.wavelength
+        sp = p.geometry.element_spacing / harness.CARRIER_WAVELENGTH_M
         assert sp * math.sin(p.geometry.rx.azimuth) == pytest.approx(base + harness.ALIAS_RAMP_OFFSET)
     again = harness.build_profiles(cfg)
     assert again[2].geometry.scatterers == profiles[2].geometry.scatterers
@@ -188,7 +188,7 @@ def test_build_profiles_design():
     ({"alpha": math.nan}, "alpha"),
     ({"gamma": math.inf}, "gamma"),
     ({"train_fraction": math.nan}, "train_fraction"),
-    ({"noise_psd": -math.inf}, "noise_psd"),
+    ({"scatter_extra_hi": math.inf}, "scatter_extra_hi"),
     ({"spacings": (0.125, math.inf)}, "spacings"),
     ({"tau": 2.5}, "tau"),
     ({"tau": 1.0}, "tau"),
@@ -208,11 +208,11 @@ def test_build_profiles_design():
     ({"scatter_extra_lo": 0.4}, "scatter_extra_lo"),
     ({"scatter_extra_lo": -1.0, "scatter_extra_hi": 0.3}, "scatter_extra_lo"),
     ({"scatter_cone_deg": -1.0}, "scatter_cone_deg"),
-    ({"bandwidth": 0.0}, "bandwidth"),
-    ({"tx_power": -0.5}, "tx_power"),
-    ({"noise_psd": 0.0}, "noise_psd"),
-    ({"wavelength": 0.0}, "wavelength"),
-    ({"wavelength": -0.01}, "wavelength"),
+    ({"J": 0}, "J must be > 0"),
+    ({"ris_cols": 0}, "ris_cols must be > 0"),
+    ({"dataset_seed": 0.5}, "dataset_seed"),
+    ({"spacings": (0.125, 0.0)}, "spacings"),
+    ({"spacings": (0.125, -0.25)}, "spacings"),
     ({"profile_seed": -1}, "profile_seed"),
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
@@ -233,11 +233,7 @@ def test_build_profiles_design():
     ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
     ({"algorithms": ("sgd",)}, "algorithms"),
     ({"out_dir": ""}, "out_dir"),
-    ({"bandwidth": 1e-200, "noise_psd": 1e-200}, r"tx_power / \(bandwidth \* noise_psd\)"),  # underflows to 0
-    ({"tx_power": 1e308}, r"tx_power / \(bandwidth \* noise_psd\)"),  # overflows to inf
-    ({"wavelength": 1e80}, "wavelength"),  # |cascade|^2 overflows in the rate
-    ({"wavelength": 1e160}, "wavelength"),  # the path loss itself overflows
-    ({"wavelength": 1e70, "scatter_extra_lo": -1 + 1e-12}, "wavelength"),  # a scatterer path 3e-11 m long
+    ({"N": 1, "m": 1, "spacings": (5e-324,)}, "spacings"),  # 0 m once times the carrier wavelength
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -245,20 +241,12 @@ def test_config_rejects_bad_values_naming_the_key(overrides, key):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("overrides", [{}, {"scatter_extra_lo": -0.9}, {"tx_power": 1e10},
-                                       {"bandwidth": 1e-3, "noise_psd": 1e-30}])
-def test_largest_accepted_wavelength_synthesizes_finite_data(overrides):
-    lo, hi = 0.0, 310.0  # log10 of an accepted and a refused wavelength
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        try:
-            ExperimentConfig(wavelength=10.0 ** mid, **overrides)
-            lo = mid
-        except ValueError as exc:
-            assert "wavelength" in str(exc)
-            hi = mid
-    assert 60 < lo < hi < 80
-    train_sets, test_sets, _ = harness.generate_data(ExperimentConfig(wavelength=10.0 ** lo, J=40, **overrides))
+def test_shortest_scatterer_path_synthesizes_finite_data():
+    # every scatterer path 30 m * (1 + extra) = 3.3e-15 m long, the shortest any config admits,
+    # so its path loss and the rates are the largest the fixed link budget can produce
+    extra = math.nextafter(-1.0, 0.0)
+    cfg = ExperimentConfig(scatter_extra_lo=extra, scatter_extra_hi=extra, J=40)
+    train_sets, test_sets, _ = harness.generate_data(cfg)
     for ds in train_sets + test_sets:
         assert np.all(np.isfinite(ds.features)) and np.all(np.isfinite(ds.rates)) and ds.rates.max() > 0
 
@@ -287,10 +275,6 @@ VALID = {
     "scatter_extra_lo": st.floats(-0.9, 0.5),
     "scatter_extra_hi": st.floats(0.5, 2.0),
     "scatter_cone_deg": st.floats(0.0, 90.0),
-    "bandwidth": st.floats(1e5, 1e9),
-    "tx_power": st.floats(1e-3, 10.0),
-    "noise_psd": st.floats(1e-22, 1e-18),
-    "wavelength": st.floats(1e-3, 0.1),
     "profile_seed": st.integers(0, 10_000),
     "dataset_seed": st.integers(0, 10_000),
 }
@@ -307,10 +291,6 @@ INVALID = {
     "n_scatterers": st.integers(-3, 0),
     "scatter_extra_lo": st.sampled_from([-5.0, -1.0, 2.5]),
     "scatter_cone_deg": st.floats(-90.0, -1e-6),
-    "bandwidth": st.floats(-1e7, 0.0),
-    "tx_power": st.floats(-1.0, 0.0),
-    "noise_psd": st.floats(-1e-20, 0.0),
-    "wavelength": st.floats(-0.1, 0.0),
     "profile_seed": st.integers(-100, -1),
     "dataset_seed": st.integers(-100, -1),
 }
@@ -708,8 +688,10 @@ def test_cli_subcommands(tmp_path):
     (["theory", "--set", "B=0"], "B must be > 0"),
     (["diagnose", "--set", "K=3", "--set", "J=40"], "K=3 gives 4 gradient-norm checkpoints, fewer than diagnose's "
                                                      f"minimum of {diagnostics.MIN_CHECKPOINTS}"),
-    (["gen-data", "--set", "J=8", "--set", "wavelength=1e80"], "wavelength=1e+80"),
-    (["gen-data", "--set", "J=8", "--set", "wavelength=1e160"], "wavelength=1e+160"),
+    (["gen-data", "--set", "J=8", "--set", "wavelength=1e80"], "'wavelength'"),  # not a config key
+    (["gen-data", "--set", "J=8", "--set", "wavelength=1e160"], "'wavelength'"),
+    (["gen-data", "--set", "N=1", "--set", "m=1", "--set", "spacings=5e-324", "--set", "J=8"], "spacings"),
+    (["gen-data", "--set", "wavelength=0.0107"], "'wavelength'"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)

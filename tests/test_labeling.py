@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from risfed.channel import ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
-from risfed.harness import load_dataset, save_dataset
+from risfed.harness import LINK, load_dataset, save_dataset
 from risfed.labeling import (
     _rowwise_dot,
     CODEBOOK_OFFSETS_DEG,
@@ -23,7 +23,7 @@ from risfed.labeling import (
     split,
 )
 
-from conftest import RATE, small_geometry
+from conftest import small_geometry
 
 
 def scalar_rate_oracle(phi, h, g, params):
@@ -45,15 +45,15 @@ def pure_los_sample(geom, rx_azimuth):
 
 def test_rate_zero_channel():
     phi = np.ones(4, dtype=complex)
-    assert rate(phi, np.zeros(4, dtype=complex), np.ones(4, dtype=complex), RATE) == 0.0
+    assert rate(phi, np.zeros(4, dtype=complex), np.ones(4, dtype=complex), LINK) == 0.0
 
 
 def test_rate_unit_snr_gives_bandwidth():
     phi = np.ones(4, dtype=complex)
     g = np.array([1.0, 0, 0, 0], dtype=complex)
-    x = math.sqrt(RATE.bandwidth * RATE.noise_psd / RATE.tx_power)
+    x = math.sqrt(LINK.bandwidth * LINK.noise_psd / LINK.tx_power)
     h = np.array([x, 0, 0, 0], dtype=complex)
-    assert rate(phi, h, g, RATE) == pytest.approx(RATE.bandwidth, rel=1e-12)
+    assert rate(phi, h, g, LINK) == pytest.approx(LINK.bandwidth, rel=1e-12)
 
 
 def test_rate_matches_scalar_oracle():
@@ -62,12 +62,12 @@ def test_rate_matches_scalar_oracle():
         phi = np.exp(1j * rng.uniform(0, 2 * math.pi, 100))
         h = rng.standard_normal(100) * 1e-5 + 1j * rng.standard_normal(100) * 1e-5
         g = rng.standard_normal(100) * 1e-5 + 1j * rng.standard_normal(100) * 1e-5
-        assert rate(phi, h, g, RATE) == pytest.approx(scalar_rate_oracle(phi, h, g, RATE), rel=1e-12)
+        assert rate(phi, h, g, LINK) == pytest.approx(scalar_rate_oracle(phi, h, g, LINK), rel=1e-12)
 
 
 def test_rate_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        rate(np.ones(3, dtype=complex), np.ones(4, dtype=complex), np.ones(4, dtype=complex), RATE)
+        rate(np.ones(3, dtype=complex), np.ones(4, dtype=complex), np.ones(4, dtype=complex), LINK)
 
 
 @settings(max_examples=25, deadline=None)
@@ -76,8 +76,8 @@ def test_rate_strictly_monotone_in_power(p, factor):
     phi = np.ones(2, dtype=complex)
     h = np.array([1e-6, 0], dtype=complex)
     g = np.array([1.0, 0], dtype=complex)
-    lo = rate(phi, h, g, RateParams(RATE.bandwidth, p, RATE.noise_psd))
-    hi = rate(phi, h, g, RateParams(RATE.bandwidth, p * factor, RATE.noise_psd))
+    lo = rate(phi, h, g, RateParams(LINK.bandwidth, p, LINK.noise_psd))
+    hi = rate(phi, h, g, RateParams(LINK.bandwidth, p * factor, LINK.noise_psd))
     assert hi > lo
 
 
@@ -101,7 +101,7 @@ def test_codeword_optimal_for_matching_los_offset(idx):
     cb = build_codebook(geom)
     offset = math.radians(CODEBOOK_OFFSETS_DEG[idx])
     sample = pure_los_sample(geom, geom.rx.azimuth + offset)
-    rates = [rate(cb.codewords[c], sample.h, sample.g, RATE) for c in range(4)]
+    rates = [rate(cb.codewords[c], sample.h, sample.g, LINK) for c in range(4)]
     assert int(np.argmax(rates)) == idx
 
 
@@ -113,7 +113,7 @@ def test_label_tie_breaks_to_lowest_index():
         g=np.zeros(geom.num_elements, dtype=complex),
         eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex),
     )
-    assert label(zero, cb, RATE) == 0
+    assert label(zero, cb, LINK) == 0
 
 
 def test_label_matches_exhaustive_reevaluation():
@@ -122,8 +122,8 @@ def test_label_matches_exhaustive_reevaluation():
     rng = np.random.default_rng(8)
     for _ in range(25):
         sample = gen_channel_pair(geom, rng)
-        got = label(sample, cb, RATE)
-        rates = [scalar_rate_oracle(cb.codewords[c], sample.h, sample.g, RATE) for c in range(4)]
+        got = label(sample, cb, LINK)
+        rates = [scalar_rate_oracle(cb.codewords[c], sample.h, sample.g, LINK) for c in range(4)]
         assert got == int(np.argmax(rates))
 
 
@@ -131,10 +131,10 @@ def test_label_permutation_equivariance():
     geom = small_geometry()
     cb = build_codebook(geom)
     sample = gen_channel_pair(geom, np.random.default_rng(9))
-    base = label(sample, cb, RATE)
+    base = label(sample, cb, LINK)
     perm = [3, 2, 1, 0]
     permuted = Codebook(codewords=cb.codewords[perm])
-    assert perm[label(sample, permuted, RATE)] == base
+    assert perm[label(sample, permuted, LINK)] == base
 
 
 def test_raw_features_shape_and_zero_case():
@@ -154,7 +154,7 @@ def test_raw_features_shape_and_zero_case():
 
 def test_standardization_statistics_on_fitting_set():
     geom = small_geometry()
-    profile = WorkerProfile(0, geom, RATE)
+    profile = WorkerProfile(0, geom, LINK)
     ds = gen_dataset(profile, 300, np.random.default_rng(10))
     train, _ = split(ds, 0.8, np.random.default_rng(11))
     assert np.max(np.abs(train.features.mean(axis=0))) < 1e-10
@@ -173,7 +173,7 @@ def test_feature_round_trip():
 
 def test_gen_dataset_and_split_contracts():
     geom = small_geometry()
-    profile = WorkerProfile(3, geom, RATE)
+    profile = WorkerProfile(3, geom, LINK)
     ds = gen_dataset(profile, 200, np.random.default_rng(13))
     ds_again = gen_dataset(profile, 200, np.random.default_rng(13))
     assert np.array_equal(ds.features, ds_again.features)
@@ -189,19 +189,19 @@ def test_gen_dataset_and_split_contracts():
 
 def test_every_generated_label_is_rate_optimal():
     geom = small_geometry()
-    profile = WorkerProfile(0, geom, RATE)
+    profile = WorkerProfile(0, geom, LINK)
     cb = build_codebook(geom)
     ds = gen_dataset(profile, 150, np.random.default_rng(15))
     for j in range(len(ds)):
         h, g = decode_features(ds.features[j], None)
-        rates = np.array([rate(cb.codewords[c], h, g, RATE) for c in range(4)])
+        rates = np.array([rate(cb.codewords[c], h, g, LINK) for c in range(4)])
         best = rates[ds.labels[j]]
         assert np.all(best >= rates - 1e-12)
         assert int(np.argmax(rates)) == ds.labels[j]
 
 
 def test_split_standardizes_gathered_copies_and_leaves_its_input_unchanged():
-    ds = gen_dataset(WorkerProfile(0, small_geometry(), RATE), 120, np.random.default_rng(17))
+    ds = gen_dataset(WorkerProfile(0, small_geometry(), LINK), 120, np.random.default_rng(17))
     raw = ds.features.tobytes()
     train, test = split(ds, 0.75, np.random.default_rng(18))
     assert ds.features.tobytes() == raw
@@ -229,7 +229,7 @@ def test_rowwise_dot_of_conjugate_equals_vdot_bit_for_bit(J, seed):
 
 def test_split_rejects_bad_ratio():
     geom = small_geometry()
-    ds = gen_dataset(WorkerProfile(0, geom, RATE), 50, np.random.default_rng(16))
+    ds = gen_dataset(WorkerProfile(0, geom, LINK), 50, np.random.default_rng(16))
     for ratio in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             split(ds, ratio, np.random.default_rng(0))
@@ -237,7 +237,7 @@ def test_split_rejects_bad_ratio():
 
 def test_dataset_save_load_round_trip(tmp_path):
     geom = small_geometry()
-    ds = gen_dataset(WorkerProfile(2, geom, RATE), 60, np.random.default_rng(17))
+    ds = gen_dataset(WorkerProfile(2, geom, LINK), 60, np.random.default_rng(17))
     train, _ = split(ds, 0.8, np.random.default_rng(18))
     stem = str(tmp_path / "worker2_train")
     save_dataset(train, stem, extra_meta={"note": "test"})
