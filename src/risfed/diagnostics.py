@@ -241,9 +241,8 @@ def theory_check(config: harness.ExperimentConfig, n_probes: int) -> Iterator[di
 
     The check overrides N and m (the one worker, N = m = 1) and K, tau,
     alpha and gamma (the rate-matched schedule).  It ignores algorithms and
-    eval_every.  Every other setting (B, J, train_fraction, the two seeds,
-    the geometry keys that :func:`harness.theory_worker_data` reads) comes
-    from ``config``.
+    eval_every.  Every other setting (B, J and the two seeds) comes from
+    ``config``.
     """
     base = replace(config, N=1, m=1)
     for s in config.seeds:

@@ -49,6 +49,14 @@ ANCHOR_RX_ELEVATION_DEG = 4.0
 ALIAS_RAMP_OFFSET = 0.02  # cycles per element column
 TX_DISTANCE_M = 30.0
 RX_DISTANCE_M = 20.0
+# The scene around each RIS is fixed; workers differ only in element spacing.
+# The 10x10 array's 100 elements give h and g, the MLP's 400 features.
+# Scatterer paths are 5% to 30% longer than the TX path.
+RIS_ROWS = RIS_COLS = 10
+N_SCATTERERS = 4
+SCATTER_CONE_DEG = 15.0
+SCATTER_EXTRA_LO, SCATTER_EXTRA_HI = 0.05, 0.30
+TRAIN_FRACTION = 0.8
 # The carrier (28 GHz) and the link budget are fixed.  Neither can change a
 # label, the argmax over codewords of a rate that grows with |cascade|^2, nor
 # a standardized feature, as the wavelength scales every path amplitude by
@@ -74,16 +82,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     eval_every: int = 10
     J: int = 2500
-    train_fraction: float = 0.8
     dataset_seed: int = 20240
     profile_seed: int = 7
-    ris_rows: int = 10
-    ris_cols: int = 10
     spacings: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0)  # in wavelengths
-    n_scatterers: int = 4
-    scatter_cone_deg: float = 15.0
-    scatter_extra_lo: float = 0.05
-    scatter_extra_hi: float = 0.30
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ class ExperimentConfig:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
         # gamma = 0 freezes lambda; the FedAvg-reduction checks rely on it
-        for key in ("gamma", "scatter_cone_deg", "profile_seed", "dataset_seed"):
+        for key in ("gamma", "profile_seed", "dataset_seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
         if not self.seeds or any(s < 0 for s in self.seeds) or len(set(self.seeds)) < len(self.seeds):
@@ -103,16 +104,13 @@ class ExperimentConfig:
                 or not set(self.algorithms) <= set(fed.ALGORITHMS)):
             raise ValueError(f"algorithms must be a nonempty list of distinct names from {fed.ALGORITHMS}, "
                              f"got {self.algorithms!r}")
-        if self.ris_rows * self.ris_cols != FEATURE_DIM // 4:
-            raise ValueError(f"ris_rows x ris_cols must be {FEATURE_DIM // 4} (the {FEATURE_DIM} features are "
-                             f"h and g), got {self.ris_rows}x{self.ris_cols}")
-        if not -1.0 < self.scatter_extra_lo <= self.scatter_extra_hi:
-            raise ValueError(f"need -1 < scatter_extra_lo <= scatter_extra_hi, got "
-                             f"{self.scatter_extra_lo!r} and {self.scatter_extra_hi!r}")
-        train_count(self.J, self.train_fraction)  # raises unless both splits are nonempty
-        if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0 for s in self.spacings):
+        train_count(self.J, TRAIN_FRACTION)  # raises unless both splits are nonempty
+        if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0
+                                        and math.isfinite(2 * math.pi * s * (RIS_ROWS + RIS_COLS))
+                                        for s in self.spacings):
             raise ValueError(f"spacings must be a nonempty list of values that stay > 0 in meters (times the "
-                             f"{CARRIER_WAVELENGTH_M} m carrier wavelength), got {self.spacings!r}")
+                             f"{CARRIER_WAVELENGTH_M} m carrier wavelength) and keep every steering phase, at "
+                             f"most 2 pi x spacing x {RIS_ROWS + RIS_COLS}, finite; got {self.spacings!r}")
         _worker_angles(self)  # the alias geometry must be feasible
         if not self.out_dir:
             raise ValueError(f"out_dir must be a nonempty path, got {self.out_dir!r}")
@@ -122,7 +120,7 @@ class ExperimentConfig:
         return replace(self, algorithms=(algorithm,))
 
 
-_POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J", "ris_rows", "ris_cols", "n_scatterers")
+_POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J")
 _LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -262,17 +260,9 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
         geom = make_worker_geometry(
-            ris_rows=config.ris_rows,
-            ris_cols=config.ris_cols,
-            element_spacing=spacing * CARRIER_WAVELENGTH_M,
-            carrier_wavelength=CARRIER_WAVELENGTH_M,
-            tx=tx,
-            rx=rx,
-            n_scatterers=config.n_scatterers,
-            rng=rng,
-            cone_halfwidth=math.radians(config.scatter_cone_deg),
-            extra_travel_lo=config.scatter_extra_lo,
-            extra_travel_hi=config.scatter_extra_hi,
+            RIS_ROWS, RIS_COLS, spacing * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx, N_SCATTERERS, rng,
+            cone_halfwidth=math.radians(SCATTER_CONE_DEG), extra_travel_lo=SCATTER_EXTRA_LO,
+            extra_travel_hi=SCATTER_EXTRA_HI,
         )
         profiles.append(WorkerProfile(worker_id=w, geometry=geom, rate=LINK))
     return profiles
@@ -283,7 +273,7 @@ def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: 
     """One worker's J samples from substream (dataset_seed, key), split into
     train and test by the same generator."""
     rng = fed.substream(dataset_seed, key)
-    return split(gen_dataset(profile, config.J, rng), config.train_fraction, rng)
+    return split(gen_dataset(profile, config.J, rng), TRAIN_FRACTION, rng)
 
 
 def generate_data(config: ExperimentConfig,
@@ -302,14 +292,14 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     """Single well-conditioned worker for the convergence-rate check: a
     full-wavelength array at a small azimuth with distant scatterers, which
     trains to interpolation under the rate-matched schedule.  The worker fixes
-    its own placements, spacing and scatter travel (0.25 to 0.5); the other
-    geometry keys come from ``config``."""
+    its own placements, spacing and scatter travel (0.25 to 0.5); the array,
+    the scatterer count and cone are the fixed scene's."""
     rng = fed.substream(config.profile_seed, THEORY_STREAM)
     geom = make_worker_geometry(
-        config.ris_rows, config.ris_cols, CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M,
+        RIS_ROWS, RIS_COLS, CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
         rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=config.n_scatterers, rng=rng, cone_halfwidth=math.radians(config.scatter_cone_deg),
+        n_scatterers=N_SCATTERERS, rng=rng, cone_halfwidth=math.radians(SCATTER_CONE_DEG),
         extra_travel_lo=0.25, extra_travel_hi=0.5,
     )
     train, test = _draw_split(config, WorkerProfile(0, geom, LINK), dataset_seed, THEORY_STREAM)

@@ -213,10 +213,10 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
 
 def train_count(J: int, ratio: float) -> int:
     """Rows of a J-row dataset that :func:`split` puts in the training part;
-    ``ratio`` (the train_fraction key) must leave both parts nonempty."""
+    ``ratio`` must leave both parts nonempty."""
     n_train = int(round(J * ratio))
     if not 0.0 < ratio < 1.0 or n_train in (0, J):
-        raise ValueError(f"train_fraction={ratio!r} must split J={J} rows into nonempty train and test parts")
+        raise ValueError(f"J={J} rows split at ratio {ratio!r} leave the train or the test part empty")
     return n_train
 
 

@@ -184,11 +184,13 @@ def test_build_profiles_design():
     assert again[2].geometry.scatterers == profiles[2].geometry.scatterers
 
 
+# new cases are appended, and a case whose key leaves the config is replaced
+# in place by another refusal, so the generated ids of the others stay put
 @pytest.mark.parametrize("overrides,key", [
     ({"alpha": math.nan}, "alpha"),
     ({"gamma": math.inf}, "gamma"),
-    ({"train_fraction": math.nan}, "train_fraction"),
-    ({"scatter_extra_hi": math.inf}, "scatter_extra_hi"),
+    ({"spacings": (0.125, math.nan)}, "spacings"),
+    ({"N": 2.5}, "N must be an integer"),
     ({"spacings": (0.125, math.inf)}, "spacings"),
     ({"tau": 2.5}, "tau"),
     ({"tau": 1.0}, "tau"),
@@ -196,20 +198,20 @@ def test_build_profiles_design():
     ({"m": 2.0}, "m"),
     ({"N": 5}, "spacings"),
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
-    ({"J": 1}, "train_fraction"),
-    ({"J": 2}, "train_fraction"),
-    ({"J": 50, "train_fraction": 0.99}, "train_fraction"),
-    ({"ris_rows": 5}, "ris_rows x ris_cols"),
-    ({"ris_cols": 20}, "ris_rows x ris_cols"),
-    ({"ris_rows": -10, "ris_cols": -10}, "ris_rows"),
-    ({"ris_rows": 0}, "ris_rows"),
-    ({"n_scatterers": 0}, "n_scatterers"),
-    ({"n_scatterers": -2}, "n_scatterers"),
-    ({"scatter_extra_lo": 0.4}, "scatter_extra_lo"),
-    ({"scatter_extra_lo": -1.0, "scatter_extra_hi": 0.3}, "scatter_extra_lo"),
-    ({"scatter_cone_deg": -1.0}, "scatter_cone_deg"),
+    ({"J": 1}, "J=1"),
+    ({"J": 2}, "J=2"),
+    ({"J": 2.5}, "J must be an integer"),
+    ({"K": 1.5}, "K must be an integer"),
+    ({"eval_every": 0.5}, "eval_every must be an integer"),
+    ({"profile_seed": 0.5}, "profile_seed must be an integer"),
+    ({"seeds": (0, 1.5)}, "seeds must be an integer"),
+    ({"N": 0}, "N=0"),
+    ({"N": -1}, "N=-1"),
+    ({"J": -5}, "J must be > 0"),
+    ({"eval_every": -1}, "eval_every must be > 0"),
+    ({"m": -1}, "m=-1"),
     ({"J": 0}, "J must be > 0"),
-    ({"ris_cols": 0}, "ris_cols must be > 0"),
+    ({"algorithms": ("fgdra", "sgd")}, "algorithms"),
     ({"dataset_seed": 0.5}, "dataset_seed"),
     ({"spacings": (0.125, 0.0)}, "spacings"),
     ({"spacings": (0.125, -0.25)}, "spacings"),
@@ -234,6 +236,8 @@ def test_build_profiles_design():
     ({"algorithms": ("sgd",)}, "algorithms"),
     ({"out_dir": ""}, "out_dir"),
     ({"N": 1, "m": 1, "spacings": (5e-324,)}, "spacings"),  # 0 m once times the carrier wavelength
+    ({"spacings": (0.125, 0.25, 0.5, 1e307)}, "spacings"),  # an infinite steering phase
+    ({"N": 1, "m": 1, "spacings": (1e308,)}, "spacings"),
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -241,11 +245,9 @@ def test_config_rejects_bad_values_naming_the_key(overrides, key):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_shortest_scatterer_path_synthesizes_finite_data():
-    # every scatterer path 30 m * (1 + extra) = 3.3e-15 m long, the shortest any config admits,
-    # so its path loss and the rates are the largest the fixed link budget can produce
-    extra = math.nextafter(-1.0, 0.0)
-    cfg = ExperimentConfig(scatter_extra_lo=extra, scatter_extra_hi=extra, J=40)
+def test_huge_accepted_spacing_synthesizes_finite_data():
+    # 2 pi * 1e306 * (RIS_ROWS + RIS_COLS) is finite, so the config admits it; 1e307 is refused
+    cfg = ExperimentConfig(spacings=(0.125, 0.25, 0.5, 1e306), J=40)
     train_sets, test_sets, _ = harness.generate_data(cfg)
     for ds in train_sets + test_sets:
         assert np.all(np.isfinite(ds.features)) and np.all(np.isfinite(ds.rates)) and ds.rates.max() > 0
@@ -267,14 +269,8 @@ def test_alias_geometry_rejected_at_config_or_buildable(N, spacings):
     assert len(harness.build_profiles(cfg)) == N
 
 
-GRID_ROWS = [1, 2, 4, 5, 10, 20, 25, 50, 100]  # divisors of the 100-element grid
 VALID = {
     "J": st.integers(2, 40),
-    "train_fraction": st.floats(0.05, 0.95),
-    "n_scatterers": st.integers(1, 6),
-    "scatter_extra_lo": st.floats(-0.9, 0.5),
-    "scatter_extra_hi": st.floats(0.5, 2.0),
-    "scatter_cone_deg": st.floats(0.0, 90.0),
     "profile_seed": st.integers(0, 10_000),
     "dataset_seed": st.integers(0, 10_000),
 }
@@ -285,12 +281,7 @@ INVALID = {
     "tau": st.integers(-3, 0),
     "m": st.sampled_from([-1, 0, 9, 20]),  # N is at most 8
     "J": st.integers(-2, 1),
-    "train_fraction": st.sampled_from([-0.3, 0.0, 0.99, 1.0, 1.5]),
-    "ris_rows": st.sampled_from([-10, 0, 3, 7, 30]),
-    "ris_cols": st.sampled_from([-10, 0, 3, 7, 30]),
-    "n_scatterers": st.integers(-3, 0),
-    "scatter_extra_lo": st.sampled_from([-5.0, -1.0, 2.5]),
-    "scatter_cone_deg": st.floats(-90.0, -1e-6),
+    "spacings": st.floats(1e307, 1.7e308).map(lambda huge: (0.125, huge)),  # an infinite steering phase
     "profile_seed": st.integers(-100, -1),
     "dataset_seed": st.integers(-100, -1),
 }
@@ -300,8 +291,7 @@ INVALID = {
 def config_overrides(draw):
     """Valid values for every key, then at most two keys set invalid."""
     N = draw(st.integers(1, 8))
-    rows = draw(st.sampled_from(GRID_ROWS))
-    overrides = {"N": N, "m": draw(st.integers(1, N)), "ris_rows": rows, "ris_cols": 100 // rows,
+    overrides = {"N": N, "m": draw(st.integers(1, N)),
                  # worker 0's spacing is the smallest, so every worker can alias to it
                  "spacings": (0.125, *draw(st.lists(st.floats(0.15, 2.0), min_size=N - 1, max_size=N - 1)))}
     overrides.update({key: draw(strategy) for key, strategy in VALID.items()})
@@ -320,8 +310,8 @@ def test_parsed_configs_build_and_run_one_round(drawn):
     try:
         cfg = ExperimentConfig(K=1, seeds=(0,), algorithms=("fgdra",), **overrides)
     except ValueError as exc:
-        J, fraction = overrides["J"], overrides["train_fraction"]
-        culprits = set(bad) | ({"train_fraction"} if J >= 1 and round(J * fraction) in (0, J) else set())
+        J = overrides["J"]
+        culprits = set(bad) | ({"J"} if J >= 1 and round(J * harness.TRAIN_FRACTION) in (0, J) else set())
         # as a whole word, so one-letter keys such as m and B are not found inside others
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in culprits), str(exc)
         event("refused")
@@ -632,13 +622,6 @@ def test_cli_diagnose_trains_the_first_seed_on_its_own_data_draw(tmp_path, monke
     assert features.tobytes() != cache.for_seed(0)[0][0].features.tobytes()
 
 
-def test_theory_worker_data_reads_the_scatter_cone():
-    cfg = ExperimentConfig(J=40)
-    (default,), _ = harness.theory_worker_data(cfg, 5)
-    (narrow,), _ = harness.theory_worker_data(replace(cfg, scatter_cone_deg=2.0), 5)
-    assert default.features.tobytes() != narrow.features.tobytes()
-
-
 def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
     settings = ["--set", "J=120", "--set", "B=10", "--set", "dataset_seed=5"]
@@ -670,7 +653,7 @@ def test_cli_subcommands(tmp_path):
 # each case is a risfed command line: a config the parser refuses, or a
 # command that cannot run on its config or inputs
 @pytest.mark.parametrize("overrides, named", [
-    (["train", "--set", "K=1", "--set", "J=1"], "train_fraction"),
+    (["train", "--set", "K=1", "--set", "J=1"], "J=1"),
     (["train", "--set", "bogus=1"], "'bogus'"),
     (["train", "--set", "K"], "'K'"),
     (["train", "--set", "alpha=nan"], "alpha"),
@@ -692,6 +675,16 @@ def test_cli_subcommands(tmp_path):
     (["gen-data", "--set", "J=8", "--set", "wavelength=1e160"], "'wavelength'"),
     (["gen-data", "--set", "N=1", "--set", "m=1", "--set", "spacings=5e-324", "--set", "J=8"], "spacings"),
     (["gen-data", "--set", "wavelength=0.0107"], "'wavelength'"),
+    (["gen-data", "--set", "J=8", "--set", "spacings=0.125,0.25,0.5,1e307"], "spacings"),
+    (["gen-data", "--set", "N=1", "--set", "m=1", "--set", "spacings=1e308", "--set", "J=8"], "spacings"),
+    # the scene's former keys, each at its old default, are unknown keys
+    (["gen-data", "--set", "ris_rows=10"], "unknown config key 'ris_rows'"),
+    (["gen-data", "--set", "ris_cols=10"], "unknown config key 'ris_cols'"),
+    (["gen-data", "--set", "n_scatterers=4"], "unknown config key 'n_scatterers'"),
+    (["gen-data", "--set", "scatter_cone_deg=15.0"], "unknown config key 'scatter_cone_deg'"),
+    (["gen-data", "--set", "scatter_extra_lo=0.05"], "unknown config key 'scatter_extra_lo'"),
+    (["gen-data", "--set", "scatter_extra_hi=0.3"], "unknown config key 'scatter_extra_hi'"),
+    (["gen-data", "--set", "train_fraction=0.8"], "unknown config key 'train_fraction'"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)
