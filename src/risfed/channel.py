@@ -10,6 +10,11 @@ gains).  The geometric factors depend on the geometry alone, so each
 :class:`ScenarioGeometry` computes them once, at construction, and every draw
 reads them from ``ScenarioGeometry.paths``.
 
+The scene around each RIS is fixed, and this module owns it: a
+``RIS_ROWS`` x ``RIS_COLS`` array at the ``CARRIER_WAVELENGTH_M`` carrier,
+and ``N_SCATTERERS`` scatterers drawn within ``SCATTER_CONE_DEG`` of the TX
+direction.  Workers differ only in element spacing and placements.
+
 All generators are pure functions of (geometry, rng): callers own the rng
 stream, so concurrent generation across workers is safe.
 """
@@ -25,6 +30,15 @@ import numpy as np
 Q0 = 0.285
 
 TWO_PI = 2.0 * math.pi
+
+# The 10x10 array's 100 elements give h and g, the MLP's 400 features.
+RIS_ROWS = RIS_COLS = 10
+NUM_ELEMENTS = RIS_ROWS * RIS_COLS
+# The carrier (28 GHz) scales every path amplitude by one constant, so it
+# sets only the rate, never a label or a standardized feature.
+CARRIER_WAVELENGTH_M = 0.0107
+N_SCATTERERS = 4
+SCATTER_CONE_DEG = 15.0
 
 
 @dataclass(frozen=True)
@@ -52,11 +66,11 @@ class Placement:
 class ScenarioGeometry:
     """Physical layout of one worker's scenario.
 
-    The RIS is a rows x cols uniform planar array with element spacing
-    ``element_spacing`` (meters).  ``scatterers`` holds the per-worker
-    scatterer placements; they are part of the worker profile and stay fixed
-    across channel draws, which is what makes worker data distributions
-    heterogeneous.
+    The RIS is a ``RIS_ROWS`` x ``RIS_COLS`` uniform planar array with
+    element spacing ``element_spacing`` (meters).  ``scatterers`` holds the
+    per-worker scatterer placements; they are part of the worker profile and
+    stay fixed across channel draws, which is what makes worker data
+    distributions heterogeneous.
 
     ``paths`` is computed at construction and holds one read-only
     ``(amplitude, steering vector)`` pair per propagation path, in the order
@@ -65,29 +79,18 @@ class ScenarioGeometry:
     so it takes no part in ``repr``, ``==`` or ``hash``.
     """
 
-    ris_rows: int
-    ris_cols: int
     element_spacing: float
-    carrier_wavelength: float
     tx: Placement
     rx: Placement
     scatterers: tuple[Placement, ...]
     paths: tuple[tuple[float, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.ris_rows <= 0 or self.ris_cols <= 0:
-            raise ValueError("RIS grid must have positive dimensions")
         if not self.element_spacing > 0.0:
             raise ValueError("element_spacing must be > 0")
-        if not self.carrier_wavelength > 0.0:
-            raise ValueError("carrier_wavelength must be > 0")
         if len(self.scatterers) < 1:
             raise ValueError("at least one scatterer is required")
         object.__setattr__(self, "paths", tuple(_path(p, self) for p in (self.rx, self.tx, *self.scatterers)))
-
-    @property
-    def num_elements(self) -> int:
-        return self.ris_rows * self.ris_cols
 
     @property
     def num_scatterers(self) -> int:
@@ -125,11 +128,11 @@ def radiation_gain(elevation) -> np.ndarray | float:
     return gain
 
 
-def path_loss(distance: float, wavelength: float) -> float:
-    """Free-space power loss (wavelength / (4 pi d))^2."""
+def path_loss(distance: float) -> float:
+    """Free-space power loss (wavelength / (4 pi d))^2 at the carrier."""
     if not distance > 0.0:
         raise ValueError(f"distance must be > 0, got {distance}")
-    return (wavelength / (4.0 * math.pi * distance)) ** 2
+    return (CARRIER_WAVELENGTH_M / (4.0 * math.pi * distance)) ** 2
 
 
 def array_response(azimuth: float, elevation: float, geom: ScenarioGeometry) -> np.ndarray:
@@ -139,9 +142,9 @@ def array_response(azimuth: float, elevation: float, geom: ScenarioGeometry) -> 
     (2 pi / wavelength) * spacing * (r sin b + c sin a cos b); the vector is
     flattened row-major, so element (0, 0) always has phase zero.
     """
-    k = TWO_PI / geom.carrier_wavelength
-    rows = np.arange(geom.ris_rows)[:, None]
-    cols = np.arange(geom.ris_cols)[None, :]
+    k = TWO_PI / CARRIER_WAVELENGTH_M
+    rows = np.arange(RIS_ROWS)[:, None]
+    cols = np.arange(RIS_COLS)[None, :]
     phase = k * geom.element_spacing * (
         rows * math.sin(elevation) + cols * math.sin(azimuth) * math.cos(elevation)
     )
@@ -150,7 +153,7 @@ def array_response(azimuth: float, elevation: float, geom: ScenarioGeometry) -> 
 
 def _path(placement: Placement, geom: ScenarioGeometry) -> tuple[float, np.ndarray]:
     """Amplitude sqrt(G(b) L(d)) and read-only steering vector of one path."""
-    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance, geom.carrier_wavelength))
+    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance))
     steering = array_response(placement.azimuth, placement.elevation, geom)
     steering.flags.writeable = False
     return amp, steering
@@ -184,7 +187,7 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
     gammas = (parts[:, :S] + 1j * parts[:, S:]) / math.sqrt(2.0)
     (amp_g, a_g), (amp_h, a_h), *scatter_paths = geom.paths
     g = (amp_g * np.exp(1j * eta_g))[:, None] * a_g
-    h = np.zeros((J, geom.num_elements), dtype=complex)
+    h = np.zeros((J, NUM_ELEMENTS), dtype=complex)
     for gamma, (amp, a) in zip(gammas.T, scatter_paths):
         h += (gamma * amp)[:, None] * a
     h /= S
@@ -201,38 +204,26 @@ def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> Channe
 
 
 def make_worker_geometry(
-    ris_rows: int,
-    ris_cols: int,
     element_spacing: float,
-    carrier_wavelength: float,
     tx: Placement,
     rx: Placement,
-    n_scatterers: int,
     rng: np.random.Generator,
-    cone_halfwidth: float,
     extra_travel_lo: float,
     extra_travel_hi: float,
 ) -> ScenarioGeometry:
     """Build a worker scenario, drawing its scatterer constellation once.
 
-    Scatterers sit in a cone around the TX direction (azimuth/elevation
-    offsets uniform in +-cone_halfwidth) with travel distance
-    d_T * (1 + U[extra_travel_lo, extra_travel_hi]).  The constellation is
-    fixed for the lifetime of the worker.
+    ``N_SCATTERERS`` scatterers sit in a cone around the TX direction
+    (azimuth/elevation offsets uniform in +-``SCATTER_CONE_DEG``) with travel
+    distance d_T * (1 + U[extra_travel_lo, extra_travel_hi]).  The
+    constellation is fixed for the lifetime of the worker.
     """
+    cone = math.radians(SCATTER_CONE_DEG)
     max_elev = math.pi / 2 - 1e-9
     scatterers = []
-    for _ in range(n_scatterers):
-        az = tx.azimuth + rng.uniform(-cone_halfwidth, cone_halfwidth)
-        el = float(np.clip(tx.elevation + rng.uniform(-cone_halfwidth, cone_halfwidth), -max_elev, max_elev))
+    for _ in range(N_SCATTERERS):
+        az = tx.azimuth + rng.uniform(-cone, cone)
+        el = float(np.clip(tx.elevation + rng.uniform(-cone, cone), -max_elev, max_elev))
         dist = tx.distance * (1.0 + rng.uniform(extra_travel_lo, extra_travel_hi))
         scatterers.append(Placement(distance=dist, azimuth=az, elevation=el))
-    return ScenarioGeometry(
-        ris_rows=ris_rows,
-        ris_cols=ris_cols,
-        element_spacing=element_spacing,
-        carrier_wavelength=carrier_wavelength,
-        tx=tx,
-        rx=rx,
-        scatterers=tuple(scatterers),
-    )
+    return ScenarioGeometry(element_spacing=element_spacing, tx=tx, rx=rx, scatterers=tuple(scatterers))

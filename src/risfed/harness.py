@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from . import fed, metrics
-from .channel import Placement, make_worker_geometry
+from .channel import CARRIER_WAVELENGTH_M, RIS_COLS, RIS_ROWS, Placement, make_worker_geometry
 from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
                        split, train_count)
@@ -49,19 +49,12 @@ ANCHOR_RX_ELEVATION_DEG = 4.0
 ALIAS_RAMP_OFFSET = 0.02  # cycles per element column
 TX_DISTANCE_M = 30.0
 RX_DISTANCE_M = 20.0
-# The scene around each RIS is fixed; workers differ only in element spacing.
-# The 10x10 array's 100 elements give h and g, the MLP's 400 features.
-# Scatterer paths are 5% to 30% longer than the TX path.
-RIS_ROWS = RIS_COLS = 10
-N_SCATTERERS = 4
-SCATTER_CONE_DEG = 15.0
+# The array, the carrier and the scatterer cone are channel's constants.  The
+# profiles' scatterer paths are 5% to 30% longer than the TX path.
 SCATTER_EXTRA_LO, SCATTER_EXTRA_HI = 0.05, 0.30
-TRAIN_FRACTION = 0.8
-# The carrier (28 GHz) and the link budget are fixed.  Neither can change a
-# label, the argmax over codewords of a rate that grows with |cascade|^2, nor
-# a standardized feature, as the wavelength scales every path amplitude by
-# one constant; they set only the diagnostic rate column.
-CARRIER_WAVELENGTH_M = 0.0107
+# The link budget is fixed.  It cannot change a label, the argmax over
+# codewords of a rate that grows with |cascade|^2, nor a standardized
+# feature; it sets only the diagnostic rate column.
 LINK = RateParams(bandwidth=1e7, tx_power=0.5, noise_psd=4e-21)
 
 
@@ -104,7 +97,7 @@ class ExperimentConfig:
                 or not set(self.algorithms) <= set(fed.ALGORITHMS)):
             raise ValueError(f"algorithms must be a nonempty list of distinct names from {fed.ALGORITHMS}, "
                              f"got {self.algorithms!r}")
-        train_count(self.J, TRAIN_FRACTION)  # raises unless both splits are nonempty
+        train_count(self.J)  # raises unless both splits are nonempty
         if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0
                                         and math.isfinite(2 * math.pi * s * (RIS_ROWS + RIS_COLS))
                                         for s in self.spacings):
@@ -259,11 +252,7 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
         rng = fed.substream(config.profile_seed, w)
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
-        geom = make_worker_geometry(
-            RIS_ROWS, RIS_COLS, spacing * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx, N_SCATTERERS, rng,
-            cone_halfwidth=math.radians(SCATTER_CONE_DEG), extra_travel_lo=SCATTER_EXTRA_LO,
-            extra_travel_hi=SCATTER_EXTRA_HI,
-        )
+        geom = make_worker_geometry(spacing * CARRIER_WAVELENGTH_M, tx, rx, rng, SCATTER_EXTRA_LO, SCATTER_EXTRA_HI)
         profiles.append(WorkerProfile(worker_id=w, geometry=geom, rate=LINK))
     return profiles
 
@@ -273,7 +262,7 @@ def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: 
     """One worker's J samples from substream (dataset_seed, key), split into
     train and test by the same generator."""
     rng = fed.substream(dataset_seed, key)
-    return split(gen_dataset(profile, config.J, rng), TRAIN_FRACTION, rng)
+    return split(gen_dataset(profile, config.J, rng), rng)
 
 
 def generate_data(config: ExperimentConfig,
@@ -292,15 +281,14 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     """Single well-conditioned worker for the convergence-rate check: a
     full-wavelength array at a small azimuth with distant scatterers, which
     trains to interpolation under the rate-matched schedule.  The worker fixes
-    its own placements, spacing and scatter travel (0.25 to 0.5); the array,
-    the scatterer count and cone are the fixed scene's."""
+    its own placements, spacing and scatter travel (0.25 to 0.5); the rest of
+    its scene is channel's."""
     rng = fed.substream(config.profile_seed, THEORY_STREAM)
     geom = make_worker_geometry(
-        RIS_ROWS, RIS_COLS, CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M,
+        CARRIER_WAVELENGTH_M,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
         rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
-        n_scatterers=N_SCATTERERS, rng=rng, cone_halfwidth=math.radians(SCATTER_CONE_DEG),
-        extra_travel_lo=0.25, extra_travel_hi=0.5,
+        rng=rng, extra_travel_lo=0.25, extra_travel_hi=0.5,
     )
     train, test = _draw_split(config, WorkerProfile(0, geom, LINK), dataset_seed, THEORY_STREAM)
     return [train], [test]
@@ -534,11 +522,12 @@ def save_dataset(ds: Dataset, stem: str, extra_meta: dict | None = None) -> tupl
 def load_dataset(stem: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    A wrong format version, a missing meta key, a header other than
-    f000..f399,label,rate, a row count other than ``num_samples``, a
-    scaler vector of other than 400 values, a non-finite scaler value, a
-    scaler sd <= 0, a negative worker id, a label other than an integer in
-    0..3 or a non-finite feature or rate is refused, naming the file.
+    A wrong format version, a missing meta key, a ``num_samples`` below 1,
+    a header other than f000..f399,label,rate, a row count other than
+    ``num_samples``, a row of other than the header's 402 cells, a scaler
+    vector of other than 400 values, a non-finite scaler value, a scaler
+    sd <= 0, a negative worker id, a label other than an integer in 0..3
+    or a non-finite feature or rate is refused, naming the file.
     """
     csv_path, meta_path = stem + ".csv", stem + ".meta"
     meta = read_settings(meta_path)
@@ -561,6 +550,8 @@ def load_dataset(stem: str) -> Dataset:
         raise ValueError(f"{meta_path}: a scaler_sd value is <= 0")
     if worker_id < 0:
         raise ValueError(f"{meta_path}: worker_id must be >= 0, got {worker_id}")
+    if n < 1:
+        raise ValueError(f"{meta_path}: num_samples must be >= 1, got {n}")
     with open(csv_path) as f:
         header, *rows = f.read().splitlines() or [""]
     if header.split(",") != _DATASET_COLUMNS:
@@ -571,6 +562,8 @@ def load_dataset(stem: str) -> Dataset:
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
+    if data.shape[1] != len(_DATASET_COLUMNS):
+        raise ValueError(f"{csv_path}: rows have {data.shape[1]} cells, but the header has {len(_DATASET_COLUMNS)}")
     if not np.isin(data[:, FEATURE_DIM], range(NUM_CLASSES)).all():
         raise ValueError(f"{csv_path}: a label is not an integer in 0..{NUM_CLASSES - 1}")
     if not np.isfinite(data).all():
@@ -595,7 +588,7 @@ def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
             "dataset_seed": config.dataset_seed,
             "profile_seed": config.profile_seed,
             "element_spacing_m": profile.geometry.element_spacing,
-            "carrier_wavelength_m": profile.geometry.carrier_wavelength,
+            "carrier_wavelength_m": CARRIER_WAVELENGTH_M,
         }
         for name, ds in (("train", train), ("test", test)):
             stem = os.path.join(out_dir, f"worker{profile.worker_id}_{name}")

@@ -5,7 +5,8 @@ conjugate-matches the TX steering phase and redirects the reflection toward
 azimuth a_R + offset_c, so the label of a CSI draw (the rate-maximizing
 codeword) is a deterministic, physically meaningful function of the channel
 pair.  Datasets are synthesized by labeling i.i.d. channel draws with an
-exhaustive codebook search.
+exhaustive codebook search, and each is split ``TRAIN_FRACTION`` to train
+and the rest to test.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSample, ScenarioGeometry, array_response, gen_channel_pairs
+from .channel import NUM_ELEMENTS, ChannelSample, ScenarioGeometry, array_response, gen_channel_pairs
 from .channel import gen_channel_pair  # noqa: F401  (perfbench's tracer patches it through this module)
 
 NUM_CLASSES = 4
-FEATURE_DIM = 400
+FEATURE_DIM = 4 * NUM_ELEMENTS  # [Re h, Im h, Re g, Im g]
+TRAIN_FRACTION = 0.8
 
 # Azimuth offsets (degrees) of the four steering codewords around the RX.
 CODEBOOK_OFFSETS_DEG = (-20.0, -7.0, 7.0, 20.0)
@@ -148,7 +150,7 @@ def build_codebook(geom: ScenarioGeometry) -> Codebook:
     to exactly unit modulus.  Deterministic per geometry.
     """
     tx_response = array_response(geom.tx.azimuth, geom.tx.elevation, geom)
-    codewords = np.empty((NUM_CLASSES, geom.num_elements), dtype=complex)
+    codewords = np.empty((NUM_CLASSES, NUM_ELEMENTS), dtype=complex)
     for c, offset_deg in enumerate(CODEBOOK_OFFSETS_DEG):
         steer = array_response(geom.rx.azimuth + math.radians(offset_deg), geom.rx.elevation, geom)
         raw = np.conj(tx_response) * steer
@@ -165,9 +167,6 @@ def label(sample: ChannelSample, codebook: Codebook, params: RateParams) -> int:
 def raw_features(sample: ChannelSample) -> np.ndarray:
     """Unscaled 400-dim encoding [Re h, Im h, Re g, Im g] of a CSI sample,
     one row per draw when the sample is a stack of draws."""
-    q = sample.h.shape[-1]
-    if 4 * q != FEATURE_DIM:
-        raise ValueError(f"expected {FEATURE_DIM // 4} elements per channel vector, got {q}")
     return np.concatenate([sample.h.real, sample.h.imag, sample.g.real, sample.g.imag], axis=-1)
 
 
@@ -179,7 +178,7 @@ def decode_features(features: np.ndarray, scaler: FeatureScaler | None = None) -
         raise ValueError(f"expected {FEATURE_DIM} features, got {raw.shape[-1]}")
     if scaler is not None:
         raw = scaler.inverse(raw)
-    q = FEATURE_DIM // 4
+    q = NUM_ELEMENTS
     h = raw[..., 0:q] + 1j * raw[..., q : 2 * q]
     g = raw[..., 2 * q : 3 * q] + 1j * raw[..., 3 * q : 4 * q]
     return h, g
@@ -211,24 +210,24 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
     return Dataset(worker_id=profile.worker_id, features=features, labels=labels, rates=rates)
 
 
-def train_count(J: int, ratio: float) -> int:
+def train_count(J: int) -> int:
     """Rows of a J-row dataset that :func:`split` puts in the training part;
-    ``ratio`` must leave both parts nonempty."""
-    n_train = int(round(J * ratio))
-    if not 0.0 < ratio < 1.0 or n_train in (0, J):
-        raise ValueError(f"J={J} rows split at ratio {ratio!r} leave the train or the test part empty")
+    J must leave both parts nonempty."""
+    n_train = int(round(J * TRAIN_FRACTION))
+    if n_train in (0, J):
+        raise ValueError(f"J={J} rows split at ratio {TRAIN_FRACTION!r} leave the train or the test part empty")
     return n_train
 
 
-def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle, partition at ``ratio``, then standardize both parts
-    with statistics fitted on the training part alone.
+def split(ds: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle, partition at ``TRAIN_FRACTION``, then standardize both
+    parts with statistics fitted on the training part alone.
 
     Each part's rows are gathered once, and that copy is standardized in
     place; ``ds`` is left unchanged.
     """
     J = len(ds)
-    n_train = train_count(J, ratio)
+    n_train = train_count(J)
     order = rng.permutation(J)
     tr, te = order[:n_train], order[n_train:]
     train_raw = ds.features[tr]

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from risfed.channel import Placement, make_worker_geometry
-from risfed.harness import (CARRIER_WAVELENGTH_M, LINK, N_SCATTERERS, RIS_COLS, RIS_ROWS, RX_DISTANCE_M,
-                            SCATTER_CONE_DEG, SCATTER_EXTRA_HI, SCATTER_EXTRA_LO, TRAIN_FRACTION, TX_DISTANCE_M)
+from risfed.channel import CARRIER_WAVELENGTH_M, Placement, make_worker_geometry
+from risfed.harness import LINK, RX_DISTANCE_M, SCATTER_EXTRA_HI, SCATTER_EXTRA_LO, TX_DISTANCE_M
 from risfed.labeling import WorkerProfile, gen_dataset, split
 
 
@@ -13,16 +12,14 @@ def small_geometry(spacing_wl=0.25, rx_az_deg=28.0, tx_az_deg=-22.0, rx_el_deg=2
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
     tx = Placement(distance=TX_DISTANCE_M, azimuth=math.radians(tx_az_deg), elevation=0.0)
     rx = Placement(distance=RX_DISTANCE_M, azimuth=math.radians(rx_az_deg), elevation=math.radians(rx_el_deg))
-    return make_worker_geometry(RIS_ROWS, RIS_COLS, spacing_wl * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx,
-                                N_SCATTERERS, rng, cone_halfwidth=math.radians(SCATTER_CONE_DEG),
-                                extra_travel_lo=SCATTER_EXTRA_LO, extra_travel_hi=SCATTER_EXTRA_HI)
+    return make_worker_geometry(spacing_wl * CARRIER_WAVELENGTH_M, tx, rx, rng, SCATTER_EXTRA_LO, SCATTER_EXTRA_HI)
 
 
 def small_worker_data(worker_id=0, J=240, dataset_seed=99, **geom_kw):
     profile = WorkerProfile(worker_id, small_geometry(key=worker_id + 1, **geom_kw), LINK)
     rng = np.random.default_rng(np.random.SeedSequence(dataset_seed, spawn_key=(worker_id,)))
     ds = gen_dataset(profile, J, rng)
-    return split(ds, TRAIN_FRACTION, rng)
+    return split(ds, rng)
 
 
 @pytest.fixture(scope="session")

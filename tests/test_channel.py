@@ -8,6 +8,11 @@ from scipy import stats
 
 from risfed import harness, labeling
 from risfed.channel import (
+    CARRIER_WAVELENGTH_M,
+    N_SCATTERERS,
+    NUM_ELEMENTS,
+    RIS_COLS,
+    SCATTER_CONE_DEG,
     TWO_PI,
     Placement,
     ScenarioGeometry,
@@ -18,7 +23,7 @@ from risfed.channel import (
     path_loss,
     radiation_gain,
 )
-from risfed.harness import CARRIER_WAVELENGTH_M, LINK
+from risfed.harness import LINK
 
 from conftest import small_geometry
 
@@ -72,41 +77,41 @@ def test_radiation_gain_vectorized():
 
 def test_path_loss_unit_distance():
     d = CARRIER_WAVELENGTH_M / (4 * math.pi)
-    assert path_loss(d, CARRIER_WAVELENGTH_M) == pytest.approx(1.0, rel=1e-12)
+    assert path_loss(d) == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.floats(min_value=0.1, max_value=1e4))
 def test_path_loss_inverse_square(d):
-    assert path_loss(2 * d, CARRIER_WAVELENGTH_M) / path_loss(d, CARRIER_WAVELENGTH_M) == pytest.approx(0.25, rel=1e-9)
+    assert path_loss(2 * d) / path_loss(d) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_path_loss_50m_frozen_value():
     # (0.0107 / (4 pi 50))^2, evaluated independently
-    assert path_loss(50.0, 0.0107) == pytest.approx(2.9001e-10, rel=1e-3)
+    assert path_loss(50.0) == pytest.approx(2.9001e-10, rel=1e-3)
 
 
 def test_path_loss_rejects_nonpositive():
     with pytest.raises(ValueError):
-        path_loss(0.0, CARRIER_WAVELENGTH_M)
+        path_loss(0.0)
     with pytest.raises(ValueError):
-        path_loss(-1.0, CARRIER_WAVELENGTH_M)
+        path_loss(-1.0)
 
 
 def test_array_response_origin_element_and_broadside():
     geom = small_geometry()
     omega = array_response(0.7, -0.3, geom)
     assert omega[0] == pytest.approx(1.0 + 0.0j, abs=1e-15)
-    assert np.allclose(array_response(0.0, 0.0, geom), np.ones(geom.num_elements))
+    assert np.allclose(array_response(0.0, 0.0, geom), np.ones(NUM_ELEMENTS))
 
 
 def test_array_response_indexing_row_major():
     geom = small_geometry()
     a, b = 0.5, 0.2
     omega = array_response(a, b, geom)
-    k = 2 * math.pi / geom.carrier_wavelength
+    k = 2 * math.pi / CARRIER_WAVELENGTH_M
     r, c = 3, 7
     phase = k * geom.element_spacing * (r * math.sin(b) + c * math.sin(a) * math.cos(b))
-    assert omega[r * geom.ris_cols + c] == pytest.approx(np.exp(1j * phase), abs=1e-12)
+    assert omega[r * RIS_COLS + c] == pytest.approx(np.exp(1j * phase), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,8 +132,7 @@ def test_ris_rx_magnitude_flat():
 def test_ris_rx_zero_at_grazing_elevation():
     geom = small_geometry()
     grazing = ScenarioGeometry(
-        ris_rows=geom.ris_rows, ris_cols=geom.ris_cols,
-        element_spacing=geom.element_spacing, carrier_wavelength=geom.carrier_wavelength,
+        element_spacing=geom.element_spacing,
         tx=geom.tx, rx=Placement(geom.rx.distance, geom.rx.azimuth, math.pi / 2),
         scatterers=geom.scatterers,
     )
@@ -150,8 +154,7 @@ def test_tx_ris_los_magnitude_flat_and_distance_scaling():
     assert mags.max() - mags.min() < 1e-12
 
     doubled = ScenarioGeometry(
-        ris_rows=geom.ris_rows, ris_cols=geom.ris_cols,
-        element_spacing=geom.element_spacing, carrier_wavelength=geom.carrier_wavelength,
+        element_spacing=geom.element_spacing,
         tx=Placement(2 * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
@@ -189,7 +192,7 @@ def test_nlos_power_matches_closed_form():
     measured = np.mean(np.abs(draws) ** 2)
     S = geom.num_scatterers
     expected = sum(
-        radiation_gain(sc.elevation) * path_loss(sc.distance, geom.carrier_wavelength)
+        radiation_gain(sc.elevation) * path_loss(sc.distance)
         for sc in geom.scatterers
     ) / S ** 2
     assert measured == pytest.approx(expected, rel=0.05)
@@ -244,12 +247,11 @@ def test_channel_pair_scatterers_on_los_direction():
     # of the LoS steering vector
     base = small_geometry()
     geom = ScenarioGeometry(
-        ris_rows=base.ris_rows, ris_cols=base.ris_cols,
-        element_spacing=base.element_spacing, carrier_wavelength=base.carrier_wavelength,
+        element_spacing=base.element_spacing,
         tx=base.tx, rx=base.rx, scatterers=(base.tx,) * 4,
     )
     sample = gen_channel_pair(geom, FixedGammaRng(1.0))
-    amp = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance, geom.carrier_wavelength))
+    amp = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance))
     h_los = amp * np.exp(1j * sample.eta_h) * array_response(geom.tx.azimuth, geom.tx.elevation, geom)
     expected = h_los * (1.0 + np.exp(-1j * sample.eta_h))
     assert np.allclose(sample.h, expected, atol=1e-15)
@@ -259,8 +261,7 @@ def test_los_power_scales_inverse_square_with_distance():
     geom = small_geometry()
     kappa = 3.0
     scaled = ScenarioGeometry(
-        ris_rows=geom.ris_rows, ris_cols=geom.ris_cols,
-        element_spacing=geom.element_spacing, carrier_wavelength=geom.carrier_wavelength,
+        element_spacing=geom.element_spacing,
         tx=Placement(kappa * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
@@ -280,27 +281,25 @@ def test_placement_validation():
 def test_geometry_validation():
     tx = Placement(10.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        ScenarioGeometry(0, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, tx, (tx,))
+        ScenarioGeometry(0.0, tx, tx, (tx,))
     with pytest.raises(ValueError):
-        ScenarioGeometry(10, 10, 0.0, CARRIER_WAVELENGTH_M, tx, tx, (tx,))
-    with pytest.raises(ValueError):
-        ScenarioGeometry(10, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, tx, ())
+        ScenarioGeometry(1e-3, tx, tx, ())
 
 
 def test_make_worker_geometry_scatterer_cone():
     rng = np.random.default_rng(11)
     tx = Placement(30.0, -0.5, 0.05)
     rx = Placement(20.0, 0.4, 0.0)
-    geom = make_worker_geometry(10, 10, 1e-3, CARRIER_WAVELENGTH_M, tx, rx, 6, rng,
-                                cone_halfwidth=math.radians(15.0), extra_travel_lo=0.05, extra_travel_hi=0.30)
-    assert geom.num_scatterers == 6
+    geom = make_worker_geometry(1e-3, tx, rx, rng, extra_travel_lo=0.05, extra_travel_hi=0.30)
+    assert geom.num_scatterers == N_SCATTERERS
     for sc in geom.scatterers:
-        assert abs(sc.azimuth - tx.azimuth) <= math.radians(15.0) + 1e-12
+        assert abs(sc.azimuth - tx.azimuth) <= math.radians(SCATTER_CONE_DEG) + 1e-12
+        assert abs(sc.elevation - tx.elevation) <= math.radians(SCATTER_CONE_DEG) + 1e-12
         assert 1.05 * tx.distance <= sc.distance <= 1.30 * tx.distance
 
 
 def fresh_path(placement, geom):
-    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance, geom.carrier_wavelength))
+    amp = math.sqrt(radiation_gain(placement.elevation) * path_loss(placement.distance))
     return amp, array_response(placement.azimuth, placement.elevation, geom)
 
 
@@ -357,7 +356,7 @@ def reference_dataset(profile, J, rng):
         h_los = amp * np.exp(1j * eta_h) * a
         S = geom.num_scatterers
         gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
-        acc = np.zeros(geom.num_elements, dtype=complex)
+        acc = np.zeros(NUM_ELEMENTS, dtype=complex)
         for gamma, sc in zip(gammas, geom.scatterers):
             amp, a = fresh_path(sc, geom)
             acc += gamma * amp * a
@@ -386,21 +385,25 @@ def test_gen_dataset_matches_per_draw_reference(worker):
         assert_matches_reference(profile, J, np.random.SeedSequence(J, spawn_key=(worker,)))
 
 
+# a scatterer as (extra travel over the TX path, azimuth offset, elevation offset) from the TX, offsets in degrees
+SCATTERER_OFFSETS = st.tuples(st.floats(min_value=0.05, max_value=0.30), st.floats(min_value=-60.0, max_value=60.0),
+                              st.floats(min_value=-60.0, max_value=60.0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    n_scatterers=st.integers(min_value=1, max_value=8),
+    offsets=st.lists(SCATTERER_OFFSETS, min_size=1, max_size=8),
     spacing_wl=st.floats(min_value=0.05, max_value=2.0),
-    cone_deg=st.floats(min_value=0.0, max_value=60.0),
     grazing_rx=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     J=st.integers(min_value=1, max_value=12),
 )
-def test_gen_dataset_matches_reference_over_scenario_geometry(n_scatterers, spacing_wl, cone_deg, grazing_rx, seed, J):
+def test_gen_dataset_matches_reference_over_scenario_geometry(offsets, spacing_wl, grazing_rx, seed, J):
     tx = Placement(30.0, math.radians(-22.0), 0.0)
     rx = Placement(20.0, math.radians(28.0), math.pi / 2 if grazing_rx else math.radians(2.0))
-    geom = make_worker_geometry(10, 10, spacing_wl * CARRIER_WAVELENGTH_M, CARRIER_WAVELENGTH_M, tx, rx, n_scatterers,
-                                np.random.default_rng(seed), cone_halfwidth=math.radians(cone_deg),
-                                extra_travel_lo=0.05, extra_travel_hi=0.30)
+    scatterers = tuple(Placement(tx.distance * (1.0 + extra), tx.azimuth + math.radians(d_az),
+                                 tx.elevation + math.radians(d_el)) for extra, d_az, d_el in offsets)
+    geom = ScenarioGeometry(spacing_wl * CARRIER_WAVELENGTH_M, tx, rx, scatterers)
     ds = assert_matches_reference(labeling.WorkerProfile(0, geom, LINK), J, seed)
     if grazing_rx:
         # a grazing RX receives nothing: every codeword's rate is 0 and the tie goes to codeword 0

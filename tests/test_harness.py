@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from risfed import cli, diagnostics, fed, harness, metrics, mlp
+from risfed import channel, cli, diagnostics, fed, harness, labeling, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides
 from risfed.labeling import Dataset, FeatureScaler
 
@@ -172,13 +172,13 @@ def test_build_profiles_design():
     cfg = ExperimentConfig()
     profiles = harness.build_profiles(cfg)
     assert len(profiles) == 4
-    spacings = [p.geometry.element_spacing / harness.CARRIER_WAVELENGTH_M for p in profiles]
+    spacings = [p.geometry.element_spacing / channel.CARRIER_WAVELENGTH_M for p in profiles]
     assert spacings == pytest.approx([0.125, 0.25, 0.5, 1.0])
     anchor = profiles[0].geometry
     assert math.degrees(anchor.rx.azimuth) == pytest.approx(110.0)
     base = 0.125 * math.sin(anchor.rx.azimuth)
     for p in profiles[1:]:
-        sp = p.geometry.element_spacing / harness.CARRIER_WAVELENGTH_M
+        sp = p.geometry.element_spacing / channel.CARRIER_WAVELENGTH_M
         assert sp * math.sin(p.geometry.rx.azimuth) == pytest.approx(base + harness.ALIAS_RAMP_OFFSET)
     again = harness.build_profiles(cfg)
     assert again[2].geometry.scatterers == profiles[2].geometry.scatterers
@@ -311,7 +311,7 @@ def test_parsed_configs_build_and_run_one_round(drawn):
         cfg = ExperimentConfig(K=1, seeds=(0,), algorithms=("fgdra",), **overrides)
     except ValueError as exc:
         J = overrides["J"]
-        culprits = set(bad) | ({"J"} if J >= 1 and round(J * harness.TRAIN_FRACTION) in (0, J) else set())
+        culprits = set(bad) | ({"J"} if J >= 1 and round(J * labeling.TRAIN_FRACTION) in (0, J) else set())
         # as a whole word, so one-letter keys such as m and B are not found inside others
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in culprits), str(exc)
         event("refused")
@@ -555,6 +555,13 @@ def _set_first_row_cell(path, column, text):
     Path(path).write_text("".join([header, ",".join(cells) + "\n", *rest]))
 
 
+def _set_row_width(path, width):
+    """Cut every row after the header to ``width`` cells, or pad it with 0.5 cells."""
+    header, *rows = Path(path).read_text().splitlines()
+    cells = [(row.split(",") + ["0.5"] * width)[:width] for row in rows]
+    Path(path).write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+
+
 def _edit_meta(path, key, value):
     meta = harness.read_settings(path)
     if value is None:
@@ -582,6 +589,10 @@ def _edit_meta(path, key, value):
     (lambda stem: _edit_meta(stem + ".meta", "scaler_sd", ",".join(["1.0"] * 399 + ["0.0"])), ".meta",
      "scaler_sd value is <= 0"),
     (lambda stem: _edit_meta(stem + ".meta", "worker_id", "-3"), ".meta", "worker_id must be >= 0, got -3"),
+    (lambda stem: (_keep_rows(stem + ".csv", 0), _edit_meta(stem + ".meta", "num_samples", "0")), ".meta",
+     "num_samples must be >= 1, got 0"),
+    (lambda stem: _set_row_width(stem + ".csv", 401), ".csv", "rows have 401 cells, but the header has 402"),
+    (lambda stem: _set_row_width(stem + ".csv", 403), ".csv", "rows have 403 cells, but the header has 402"),
 ])
 def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, file, message):
     stem = _saved_dataset(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from risfed.channel import ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
+from risfed.channel import NUM_ELEMENTS, ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
 from risfed.harness import LINK, load_dataset, save_dataset
 from risfed.labeling import (
     _rowwise_dot,
@@ -36,8 +36,8 @@ def scalar_rate_oracle(phi, h, g, params):
 
 
 def pure_los_sample(geom, rx_azimuth):
-    amp_h = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance, geom.carrier_wavelength))
-    amp_g = math.sqrt(radiation_gain(geom.rx.elevation) * path_loss(geom.rx.distance, geom.carrier_wavelength))
+    amp_h = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance))
+    amp_g = math.sqrt(radiation_gain(geom.rx.elevation) * path_loss(geom.rx.distance))
     h = amp_h * array_response(geom.tx.azimuth, geom.tx.elevation, geom)
     g = amp_g * array_response(rx_azimuth, geom.rx.elevation, geom)
     return ChannelSample(h=h, g=g, eta_g=0.0, eta_h=0.0, gammas=np.zeros(geom.num_scatterers, dtype=complex))
@@ -90,7 +90,7 @@ def test_codebook_unit_modulus_and_deterministic():
     geom = small_geometry()
     cb1 = build_codebook(geom)
     cb2 = build_codebook(geom)
-    assert cb1.codewords.shape == (4, geom.num_elements)
+    assert cb1.codewords.shape == (4, NUM_ELEMENTS)
     assert np.max(np.abs(np.abs(cb1.codewords) - 1.0)) < 1e-12
     assert np.array_equal(cb1.codewords, cb2.codewords)
 
@@ -109,8 +109,8 @@ def test_label_tie_breaks_to_lowest_index():
     geom = small_geometry()
     cb = build_codebook(geom)
     zero = ChannelSample(
-        h=np.zeros(geom.num_elements, dtype=complex),
-        g=np.zeros(geom.num_elements, dtype=complex),
+        h=np.zeros(NUM_ELEMENTS, dtype=complex),
+        g=np.zeros(NUM_ELEMENTS, dtype=complex),
         eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex),
     )
     assert label(zero, cb, LINK) == 0
@@ -138,7 +138,6 @@ def test_label_permutation_equivariance():
 
 
 def test_raw_features_shape_and_zero_case():
-    geom = small_geometry()
     zero = ChannelSample(
         h=np.zeros(100, dtype=complex), g=np.zeros(100, dtype=complex),
         eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex),
@@ -146,17 +145,13 @@ def test_raw_features_shape_and_zero_case():
     feats = raw_features(zero)
     assert feats.shape == (400,)
     assert np.all(feats == 0)
-    bad = ChannelSample(h=np.zeros(9, dtype=complex), g=np.zeros(9, dtype=complex),
-                        eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex))
-    with pytest.raises(ValueError):
-        raw_features(bad)
 
 
 def test_standardization_statistics_on_fitting_set():
     geom = small_geometry()
     profile = WorkerProfile(0, geom, LINK)
     ds = gen_dataset(profile, 300, np.random.default_rng(10))
-    train, _ = split(ds, 0.8, np.random.default_rng(11))
+    train, _ = split(ds, np.random.default_rng(11))
     assert np.max(np.abs(train.features.mean(axis=0))) < 1e-10
     assert np.max(np.abs(train.features.std(axis=0) - 1.0)) < 1e-10
 
@@ -180,7 +175,7 @@ def test_gen_dataset_and_split_contracts():
     assert np.array_equal(ds.labels, ds_again.labels)
     assert len(ds.labels) == 200 and set(ds.labels.tolist()) <= {0, 1, 2, 3}
 
-    train, test = split(ds, 0.8, np.random.default_rng(14))
+    train, test = split(ds, np.random.default_rng(14))
     assert len(train) + len(test) == 200
     assert len(train) == 160
     assert train.worker_id == test.worker_id == 3
@@ -203,10 +198,10 @@ def test_every_generated_label_is_rate_optimal():
 def test_split_standardizes_gathered_copies_and_leaves_its_input_unchanged():
     ds = gen_dataset(WorkerProfile(0, small_geometry(), LINK), 120, np.random.default_rng(17))
     raw = ds.features.tobytes()
-    train, test = split(ds, 0.75, np.random.default_rng(18))
+    train, test = split(ds, np.random.default_rng(18))
     assert ds.features.tobytes() == raw
     order = np.random.default_rng(18).permutation(120)
-    for part, idx in ((train, order[:90]), (test, order[90:])):
+    for part, idx in ((train, order[:96]), (test, order[96:])):
         assert not np.shares_memory(part.features, ds.features)
         expected = (ds.features[idx] - train.scaler.mean) / train.scaler.sd
         assert part.features.tobytes() == expected.tobytes()
@@ -227,18 +222,10 @@ def test_rowwise_dot_of_conjugate_equals_vdot_bit_for_bit(J, seed):
     assert _rowwise_dot(np.conjugate(g), x).tobytes() == expected.tobytes()
 
 
-def test_split_rejects_bad_ratio():
-    geom = small_geometry()
-    ds = gen_dataset(WorkerProfile(0, geom, LINK), 50, np.random.default_rng(16))
-    for ratio in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            split(ds, ratio, np.random.default_rng(0))
-
-
 def test_dataset_save_load_round_trip(tmp_path):
     geom = small_geometry()
     ds = gen_dataset(WorkerProfile(2, geom, LINK), 60, np.random.default_rng(17))
-    train, _ = split(ds, 0.8, np.random.default_rng(18))
+    train, _ = split(ds, np.random.default_rng(18))
     stem = str(tmp_path / "worker2_train")
     save_dataset(train, stem, extra_meta={"note": "test"})
     loaded = load_dataset(stem)
