@@ -92,27 +92,6 @@ class ScenarioGeometry:
             raise ValueError("at least one scatterer is required")
         object.__setattr__(self, "paths", tuple(_path(p, self) for p in (self.rx, self.tx, *self.scatterers)))
 
-    @property
-    def num_scatterers(self) -> int:
-        return len(self.scatterers)
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One CSI draw, or J draws stacked on a leading axis: channel vectors
-    plus the random draws that produced them.
-
-    ``h`` is the TX-RIS channel (LoS + scatterer part), ``g`` the RIS-RX
-    channel, both of length Q.  The retained draws (``eta_h``, ``eta_g``,
-    ``gammas``) make every sample auditable.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-    eta_g: float | np.ndarray
-    eta_h: float | np.ndarray
-    gammas: np.ndarray
-
 
 def radiation_gain(elevation) -> np.ndarray | float:
     """Element radiation pattern 2(2*Q0 + 1) * cos(b)^(2*Q0).
@@ -159,8 +138,9 @@ def _path(placement: Placement, geom: ScenarioGeometry) -> tuple[float, np.ndarr
     return amp, steering
 
 
-def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) -> ChannelSample:
-    """Draw J CSI samples, stacked on a leading axis.
+def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw J CSI samples: the TX-RIS channels h and the RIS-RX channels g,
+    each a (J, NUM_ELEMENTS) array.
 
     Per sample, in this order: (eta_g, eta_h) ~ U[0, 2pi) and the real then
     imaginary parts of gamma_s ~ CN(0, 1), one per scatterer.  Then
@@ -176,7 +156,7 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
     """
     if J <= 0:
         raise ValueError("J must be > 0")
-    S = geom.num_scatterers
+    S = len(geom.scatterers)
     etas = np.empty((J, 2))
     parts = np.empty((J, 2 * S))
     for j in range(J):
@@ -192,15 +172,13 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
         h += (gamma * amp)[:, None] * a
     h /= S
     h += (amp_h * np.exp(1j * eta_h))[:, None] * a_h
-    return ChannelSample(h=h, g=g, eta_g=eta_g, eta_h=eta_h, gammas=gammas)
+    return h, g
 
 
-def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> ChannelSample:
-    """Draw one CSI sample: :func:`gen_channel_pairs` with J = 1."""
-    batch = gen_channel_pairs(geom, rng, 1)
-    return ChannelSample(
-        h=batch.h[0], g=batch.g[0], eta_g=float(batch.eta_g[0]), eta_h=float(batch.eta_h[0]), gammas=batch.gammas[0]
-    )
+def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one CSI sample (h, g): :func:`gen_channel_pairs` with J = 1."""
+    h, g = gen_channel_pairs(geom, rng, 1)
+    return h[0], g[0]
 
 
 def make_worker_geometry(

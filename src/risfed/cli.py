@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(config: harness.ExperimentConfig, args) -> int:
-    written = harness.export_datasets(config, config.out_dir)
+    written = harness.export_datasets(config)
     for path in written:
         print(path)
     return 0

@@ -93,9 +93,9 @@ def grad_norm_trace(result: fed.RunResult, train_sets: list[Dataset], checkpoint
 
 def estimate_constants(
     train_sets: list[Dataset],
-    n_probes: int = 200,
-    rng: np.random.Generator | None = None,
-    batch_size: int = 50,
+    n_probes: int,
+    rng: np.random.Generator,
+    batch_size: int,
     pair_scale: float = 1e-2,
 ) -> TheoryEstimates:
     """Estimate the assumption constants as maxima over probe gradients.
@@ -111,7 +111,6 @@ def estimate_constants(
     """
     if n_probes < MIN_PROBES:
         raise ValueError(f"n_probes must be >= {MIN_PROBES}")
-    rng = np.random.default_rng(0) if rng is None else rng
     N = len(train_sets)
 
     theta_f0 = mlp.init(rng)

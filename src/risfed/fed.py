@@ -150,27 +150,17 @@ def local_sgd(
     return theta, snapshot
 
 
-def dual_update(lambda_n: float, loss: float, gamma: float, shift: float = 0.0) -> float:
-    """Exponentiated-ascent factor: lambda_n * exp(gamma * loss - shift).
-
-    A zero weight is absorbing; its exponent is not evaluated, so it cannot
-    overflow.
-    """
-    if lambda_n == 0.0:
-        return 0.0
-    return lambda_n * math.exp(gamma * loss - shift)
-
-
 def dual_step(lam: np.ndarray, losses: dict[int, float], gamma: float) -> np.ndarray:
-    """One round's dual step: lift each sampled entry n by ``dual_update`` on
-    its loss, then ``normalize``.
+    """One round's dual step, exponentiated ascent: lift each sampled entry n
+    to lambda_n * exp(gamma * L_n - s) on its loss L_n, then ``normalize``.
 
     All entries share one shift s, the largest exponent gamma * L_n of a
     sampled entry with positive weight when ``math.exp`` of it would
     overflow, and 0 otherwise; the unsampled entries are scaled by exp(-s) to
     match.  The shift cancels in the normalization, and s = 0 at ordinary
-    step sizes leaves every bit as in the unshifted update.  Zero-weight
-    entries stay zero whatever their loss, so they do not set the shift.
+    step sizes leaves every bit as in the unshifted update.  A zero weight
+    is absorbing: its exponent is not evaluated, so it cannot overflow, and
+    it does not set the shift.
     The lifted vector keeps a positive sum: at s = 0 no factor is below 1,
     and at s > 0 the entry that set s keeps its positive weight.
     """
@@ -178,7 +168,8 @@ def dual_step(lam: np.ndarray, losses: dict[int, float], gamma: float) -> np.nda
     shift = top if top > _EXP_MAX else 0.0
     new_lam = lam * math.exp(-shift)
     for n, loss in losses.items():
-        new_lam[n] = dual_update(float(lam[n]), loss, gamma, shift)
+        if lam[n] > 0.0:
+            new_lam[n] = lam[n] * math.exp(gamma * loss - shift)
     return normalize(new_lam)
 
 
@@ -203,15 +194,15 @@ def run(
     config: ExperimentConfig,
     train_sets: list[Dataset],
     test_sets: list[Dataset],
-    seed: int | None = None,
-    eval_every: int = 1,
-    checkpoint_rounds: set[int] | None = None,
     *,
+    seed: int,
+    eval_every: int,
+    checkpoint_rounds: set[int] | None = None,
     algorithm: str,
 ) -> RunResult:
     """Train ``algorithm`` for ``config.K`` rounds on one dataset per worker.
 
-    ``seed`` defaults to the config's first seed.  The model is evaluated
+    ``seed`` keys every substream of the run.  The model is evaluated
     on the test sets every ``eval_every`` rounds and at the last round; the
     model before each round in ``checkpoint_rounds`` (K for the final one)
     is kept.  A round that leaves the model or lambda non-finite (a step
@@ -220,7 +211,6 @@ def run(
     """
     if len(train_sets) != config.N or len(test_sets) != config.N:
         raise ValueError(f"expected {config.N} train and test sets")
-    seed = config.seeds[0] if seed is None else seed
     dual_at = DUAL_LOSS_AT[algorithm]
     at_snapshot = dual_at == "snapshot"
     comm_cost = 2 if at_snapshot else 1

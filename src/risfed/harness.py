@@ -131,10 +131,11 @@ def _check_numbers(config: ExperimentConfig) -> None:
 
 
 def _parse_value(key: str, text: str):
-    if key in _LIST_KEYS:
-        conv = _LIST_KEYS[key]
-        items = [s.strip() for s in text.split(",") if s.strip()]
-        return tuple(conv(s) for s in items)
+    if key in _LIST_KEYS:  # blank text is the empty list, which the config refuses by name
+        items = [s.strip() for s in text.split(",")] if text.strip() else []
+        if "" in items:
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(map(_LIST_KEYS[key], items))
     ftype = _FIELD_TYPES[key]
     if ftype == "int":
         return int(text)
@@ -577,10 +578,10 @@ def load_dataset(stem: str) -> Dataset:
     )
 
 
-def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
-    """Write every worker's train/test split with :func:`save_dataset`.
-    ``out_dir`` is made before any synthesis, so an unusable one is refused at once."""
-    os.makedirs(out_dir, exist_ok=True)
+def export_datasets(config: ExperimentConfig) -> list[str]:
+    """Write every worker's train/test split to ``config.out_dir`` with :func:`save_dataset`.
+    The directory is made before any synthesis, so an unusable one is refused at once."""
+    os.makedirs(config.out_dir, exist_ok=True)
     train_sets, test_sets, profiles = generate_data(config)
     written = []
     for profile, train, test in zip(profiles, train_sets, test_sets):
@@ -591,7 +592,7 @@ def export_datasets(config: ExperimentConfig, out_dir: str) -> list[str]:
             "carrier_wavelength_m": CARRIER_WAVELENGTH_M,
         }
         for name, ds in (("train", train), ("test", test)):
-            stem = os.path.join(out_dir, f"worker{profile.worker_id}_{name}")
+            stem = os.path.join(config.out_dir, f"worker{profile.worker_id}_{name}")
             save_dataset(ds, stem, extra_meta=meta)
             written.append(stem + ".csv")
     return written

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NUM_ELEMENTS, ChannelSample, ScenarioGeometry, array_response, gen_channel_pairs
+from .channel import NUM_ELEMENTS, ScenarioGeometry, array_response, gen_channel_pairs
 from .channel import gen_channel_pair  # noqa: F401  (perfbench's tracer patches it through this module)
 
 NUM_CLASSES = 4
@@ -158,16 +158,17 @@ def build_codebook(geom: ScenarioGeometry) -> Codebook:
     return Codebook(codewords=codewords)
 
 
-def label(sample: ChannelSample, codebook: Codebook, params: RateParams) -> int:
-    """Index of the rate-maximizing codeword; ties resolve to the lowest index."""
-    rates = [rate(codebook.codewords[c], sample.h, sample.g, params) for c in range(NUM_CLASSES)]
+def label(h: np.ndarray, g: np.ndarray, codebook: Codebook, params: RateParams) -> int:
+    """Index of the rate-maximizing codeword for the channel pair (h, g);
+    ties resolve to the lowest index."""
+    rates = [rate(codebook.codewords[c], h, g, params) for c in range(NUM_CLASSES)]
     return int(np.argmax(rates))
 
 
-def raw_features(sample: ChannelSample) -> np.ndarray:
-    """Unscaled 400-dim encoding [Re h, Im h, Re g, Im g] of a CSI sample,
-    one row per draw when the sample is a stack of draws."""
-    return np.concatenate([sample.h.real, sample.h.imag, sample.g.real, sample.g.imag], axis=-1)
+def raw_features(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unscaled 400-dim encoding [Re h, Im h, Re g, Im g] of a channel pair,
+    one row per draw when h and g are stacks of draws."""
+    return np.concatenate([h.real, h.imag, g.real, g.imag], axis=-1)
 
 
 def decode_features(features: np.ndarray, scaler: FeatureScaler | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +197,10 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
     Features are left raw; standardization happens in :func:`split`, on the
     training portion only.
     """
-    batch = gen_channel_pairs(profile.geometry, rng, J)
+    h, g = gen_channel_pairs(profile.geometry, rng, J)
     codebook = build_codebook(profile.geometry)
-    features = raw_features(batch)  # copies g, so g can be conjugated in place
-    h, g_conj = batch.h, np.conjugate(batch.g, out=batch.g)
+    features = raw_features(h, g)  # copies g, so g can be conjugated in place
+    g_conj = np.conjugate(g, out=g)
     cascades = np.empty((J, NUM_CLASSES), dtype=complex)
     for c, phi in enumerate(codebook.codewords):
         cascades[:, c] = _rowwise_dot(g_conj, phi * h)

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LAYER_SIZES = (400, 64, 32, 4)
-# 400*64 + 64 + 64*32 + 32 + 32*4 + 4
-PARAM_COUNT = 27_876
+from .labeling import FEATURE_DIM, NUM_CLASSES
+
+LAYER_SIZES = (FEATURE_DIM, 64, 32, NUM_CLASSES)
 PROB_FLOOR = 1e-15
 
 # (slice of theta, shape) of W1, b1, W2, b2, W3, b3, with Python-int bounds
 _SHAPES = [s for d_in, d_out in zip(LAYER_SIZES, LAYER_SIZES[1:]) for s in ((d_out, d_in), (d_out,))]
 _OFFSETS = [0, *itertools.accumulate(math.prod(s) for s in _SHAPES)]
 _BLOCKS = [(slice(a, b), s) for a, b, s in zip(_OFFSETS, _OFFSETS[1:], _SHAPES)]
+PARAM_COUNT = _OFFSETS[-1]
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ def _forward_pass(views: list[np.ndarray], x: np.ndarray):
 
 def forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a single input (400,) or a batch (B, 400)."""
-    probs = _forward_pass(layers(theta), np.atleast_2d(x))[-1]
-    return probs[0] if x.ndim == 1 else probs
+    return _forward_pass(layers(theta), x)[-1]
 
 
 def loss(theta: np.ndarray, batch: MiniBatch) -> float:

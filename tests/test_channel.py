@@ -123,10 +123,9 @@ def test_array_response_unit_modulus(a, b):
 
 def test_ris_rx_magnitude_flat():
     geom = small_geometry()
-    sample = gen_channel_pair(geom, np.random.default_rng(0))
-    mags = np.abs(sample.g)
+    _, g = gen_channel_pair(geom, np.random.default_rng(0))
+    mags = np.abs(g)
     assert mags.max() - mags.min() < 1e-12
-    assert 0.0 <= sample.eta_g < 2 * math.pi
 
 
 def test_ris_rx_zero_at_grazing_elevation():
@@ -136,12 +135,13 @@ def test_ris_rx_zero_at_grazing_elevation():
         tx=geom.tx, rx=Placement(geom.rx.distance, geom.rx.azimuth, math.pi / 2),
         scatterers=geom.scatterers,
     )
-    assert np.all(gen_channel_pair(grazing, np.random.default_rng(0)).g == 0)
+    _, g = gen_channel_pair(grazing, np.random.default_rng(0))
+    assert np.all(g == 0)
 
 
 def test_ris_rx_phase_uniform_ks():
     geom = small_geometry()
-    g = gen_channel_pairs(geom, np.random.default_rng(1234), 10_000).g
+    _, g = gen_channel_pairs(geom, np.random.default_rng(1234), 10_000)
     phases = np.angle(g[:, 0]) % (2 * math.pi)
     p = stats.kstest(phases / (2 * math.pi), "uniform").pvalue
     assert p > 0.01
@@ -149,7 +149,7 @@ def test_ris_rx_phase_uniform_ks():
 
 def test_tx_ris_los_magnitude_flat_and_distance_scaling():
     geom = small_geometry()
-    h = gen_channel_pair(geom, FixedGammaRng(0.0)).h
+    h, _ = gen_channel_pair(geom, FixedGammaRng(0.0))
     mags = np.abs(h)
     assert mags.max() - mags.min() < 1e-12
 
@@ -158,28 +158,29 @@ def test_tx_ris_los_magnitude_flat_and_distance_scaling():
         tx=Placement(2 * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
-    h2 = gen_channel_pair(doubled, FixedGammaRng(0.0)).h
+    h2, _ = gen_channel_pair(doubled, FixedGammaRng(0.0))
     assert np.abs(h2[0]) == pytest.approx(np.abs(h[0]) / 2.0, rel=1e-9)
 
 
 def test_eta_h_eta_g_independent():
+    # element (0, 0) has phase 0, so g[:, 0] carries eta_g; scatterers at
+    # grazing elevation have zero gain, so h is its LoS term and h[:, 0] carries eta_h
     geom = small_geometry()
-    rng = np.random.default_rng(77)
-    batch = gen_channel_pairs(geom, rng, 10_000)
-    corr = np.corrcoef(batch.eta_g, batch.eta_h)[0, 1]
+    grazing = tuple(Placement(sc.distance, sc.azimuth, math.pi / 2) for sc in geom.scatterers)
+    h, g = gen_channel_pairs(dataclasses.replace(geom, scatterers=grazing), np.random.default_rng(77), 10_000)
+    corr = np.corrcoef(np.angle(g[:, 0]), np.angle(h[:, 0]))[0, 1]
     assert abs(corr) < 0.05
 
 
 def test_nlos_zero_when_gamma_zero():
     geom = small_geometry()
-    sample = gen_channel_pair(without_los(geom), FixedGammaRng(0.0))
-    assert np.all(sample.gammas == 0)
-    assert np.all(sample.h == 0)
+    h, _ = gen_channel_pair(without_los(geom), FixedGammaRng(0.0))
+    assert np.all(h == 0)
 
 
 def test_nlos_zero_mean():
     geom = small_geometry()
-    draws = gen_channel_pairs(without_los(geom), np.random.default_rng(5), 10_000).h
+    draws, _ = gen_channel_pairs(without_los(geom), np.random.default_rng(5), 10_000)
     for part in (draws.real, draws.imag):
         mean = part.mean(axis=0)
         sd = part.std(axis=0)
@@ -188,9 +189,9 @@ def test_nlos_zero_mean():
 
 def test_nlos_power_matches_closed_form():
     geom = small_geometry()
-    draws = gen_channel_pairs(without_los(geom), np.random.default_rng(6), 10_000).h
+    draws, _ = gen_channel_pairs(without_los(geom), np.random.default_rng(6), 10_000)
     measured = np.mean(np.abs(draws) ** 2)
-    S = geom.num_scatterers
+    S = len(geom.scatterers)
     expected = sum(
         radiation_gain(sc.elevation) * path_loss(sc.distance)
         for sc in geom.scatterers
@@ -200,26 +201,23 @@ def test_nlos_power_matches_closed_form():
 
 def test_channel_pair_deterministic_bytes():
     geom = small_geometry()
-    s1 = gen_channel_pair(geom, np.random.default_rng(42))
-    s2 = gen_channel_pair(geom, np.random.default_rng(42))
-    assert s1.h.tobytes() == s2.h.tobytes()
-    assert s1.g.tobytes() == s2.g.tobytes()
-    assert s1.eta_g == s2.eta_g and s1.eta_h == s2.eta_h
-    s3 = gen_channel_pair(geom, np.random.default_rng(43))
-    assert s3.h.tobytes() != s1.h.tobytes()
+    h1, g1 = gen_channel_pair(geom, np.random.default_rng(42))
+    h2, g2 = gen_channel_pair(geom, np.random.default_rng(42))
+    assert h1.tobytes() == h2.tobytes()
+    assert g1.tobytes() == g2.tobytes()
+    h3, _ = gen_channel_pair(geom, np.random.default_rng(43))
+    assert h3.tobytes() != h1.tobytes()
 
 
 @pytest.mark.parametrize("J", [1, 7, 2000])
 def test_batched_draw_consumes_the_rng_like_four_scalar_calls(J):
     geom = small_geometry()
-    S = geom.num_scatterers
     batch_rng, scalar_rng = np.random.default_rng(21), np.random.default_rng(21)
-    batch = gen_channel_pairs(geom, batch_rng, J)
+    h, g = gen_channel_pairs(geom, batch_rng, J)
     for j in range(J):
-        assert batch.eta_g[j] == scalar_rng.uniform(0.0, TWO_PI)
-        assert batch.eta_h[j] == scalar_rng.uniform(0.0, TWO_PI)
-        re, im = scalar_rng.standard_normal(S), scalar_rng.standard_normal(S)
-        assert batch.gammas[j].tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
+        h_j, g_j = reference_pair(geom, scalar_rng)
+        assert h[j].tobytes() == h_j.tobytes()
+        assert g[j].tobytes() == g_j.tobytes()
     assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
@@ -230,10 +228,9 @@ def test_draws_do_not_depend_on_how_they_are_batched():
     parts = [gen_channel_pairs(geom, rng, 3), gen_channel_pairs(geom, rng, 4)]
     rng = np.random.default_rng(22)
     singles = [gen_channel_pair(geom, rng) for _ in range(7)]
-    for field in ("h", "g", "eta_g", "eta_h", "gammas"):
-        expected = getattr(whole, field)
-        assert np.concatenate([getattr(p, field) for p in parts]).tobytes() == expected.tobytes()
-        assert np.array([getattr(s, field) for s in singles]).tobytes() == expected.tobytes()
+    for i, expected in enumerate(whole):  # h, then g
+        assert np.concatenate([p[i] for p in parts]).tobytes() == expected.tobytes()
+        assert np.array([s[i] for s in singles]).tobytes() == expected.tobytes()
 
 
 def test_gen_channel_pairs_rejects_nonpositive_count():
@@ -250,11 +247,10 @@ def test_channel_pair_scatterers_on_los_direction():
         element_spacing=base.element_spacing,
         tx=base.tx, rx=base.rx, scatterers=(base.tx,) * 4,
     )
-    sample = gen_channel_pair(geom, FixedGammaRng(1.0))
+    h, _ = gen_channel_pair(geom, FixedGammaRng(1.0))
     amp = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance))
-    h_los = amp * np.exp(1j * sample.eta_h) * array_response(geom.tx.azimuth, geom.tx.elevation, geom)
-    expected = h_los * (1.0 + np.exp(-1j * sample.eta_h))
-    assert np.allclose(sample.h, expected, atol=1e-15)
+    h_los = amp * array_response(geom.tx.azimuth, geom.tx.elevation, geom)  # FixedGammaRng zeroes eta_h
+    assert np.allclose(h, 2.0 * h_los, atol=1e-15)
 
 
 def test_los_power_scales_inverse_square_with_distance():
@@ -265,8 +261,8 @@ def test_los_power_scales_inverse_square_with_distance():
         tx=Placement(kappa * geom.tx.distance, geom.tx.azimuth, geom.tx.elevation),
         rx=geom.rx, scatterers=geom.scatterers,
     )
-    h1 = gen_channel_pair(geom, FixedGammaRng(0.0)).h
-    h2 = gen_channel_pair(scaled, FixedGammaRng(0.0)).h
+    h1, _ = gen_channel_pair(geom, FixedGammaRng(0.0))
+    h2, _ = gen_channel_pair(scaled, FixedGammaRng(0.0))
     assert np.abs(h2[0]) ** 2 == pytest.approx(np.abs(h1[0]) ** 2 / kappa ** 2, rel=1e-9)
 
 
@@ -291,7 +287,7 @@ def test_make_worker_geometry_scatterer_cone():
     tx = Placement(30.0, -0.5, 0.05)
     rx = Placement(20.0, 0.4, 0.0)
     geom = make_worker_geometry(1e-3, tx, rx, rng, extra_travel_lo=0.05, extra_travel_hi=0.30)
-    assert geom.num_scatterers == N_SCATTERERS
+    assert len(geom.scatterers) == N_SCATTERERS
     for sc in geom.scatterers:
         assert abs(sc.azimuth - tx.azimuth) <= math.radians(SCATTER_CONE_DEG) + 1e-12
         assert abs(sc.elevation - tx.elevation) <= math.radians(SCATTER_CONE_DEG) + 1e-12
@@ -306,7 +302,7 @@ def fresh_path(placement, geom):
 def test_paths_cache_equals_fresh_factors_bit_for_bit():
     geom = small_geometry()
     placements = (geom.rx, geom.tx, *geom.scatterers)
-    assert len(geom.paths) == len(placements) == 2 + geom.num_scatterers
+    assert len(geom.paths) == len(placements) == 2 + len(geom.scatterers)
     for (amp, a), placement in zip(geom.paths, placements):
         fresh_amp, fresh_a = fresh_path(placement, geom)
         assert amp == fresh_amp
@@ -338,6 +334,24 @@ def test_eq_hash_and_repr_ignore_paths():
     assert "paths" not in repr(geom)
 
 
+def reference_pair(geom, rng):
+    """One draw (h, g) from four scalar rng calls, in the documented order,
+    with every geometric factor recomputed."""
+    eta_g = float(rng.uniform(0.0, TWO_PI))
+    amp, a = fresh_path(geom.rx, geom)
+    g = amp * np.exp(1j * eta_g) * a
+    eta_h = float(rng.uniform(0.0, TWO_PI))
+    amp, a = fresh_path(geom.tx, geom)
+    h_los = amp * np.exp(1j * eta_h) * a
+    S = len(geom.scatterers)
+    gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
+    acc = np.zeros(NUM_ELEMENTS, dtype=complex)
+    for gamma, sc in zip(gammas, geom.scatterers):
+        amp, a = fresh_path(sc, geom)
+        acc += gamma * amp * a
+    return h_los + acc / S, g
+
+
 def reference_dataset(profile, J, rng):
     """gen_dataset with every geometric factor recomputed on every draw."""
     geom, params = profile.geometry, profile.rate
@@ -348,19 +362,7 @@ def reference_dataset(profile, J, rng):
         codewords.append(raw / np.abs(raw))
     features, labels, rates = [], [], []
     for _ in range(J):
-        eta_g = float(rng.uniform(0.0, TWO_PI))
-        amp, a = fresh_path(geom.rx, geom)
-        g = amp * np.exp(1j * eta_g) * a
-        eta_h = float(rng.uniform(0.0, TWO_PI))
-        amp, a = fresh_path(geom.tx, geom)
-        h_los = amp * np.exp(1j * eta_h) * a
-        S = geom.num_scatterers
-        gammas = (rng.standard_normal(S) + 1j * rng.standard_normal(S)) / math.sqrt(2.0)
-        acc = np.zeros(NUM_ELEMENTS, dtype=complex)
-        for gamma, sc in zip(gammas, geom.scatterers):
-            amp, a = fresh_path(sc, geom)
-            acc += gamma * amp * a
-        h = h_los + acc / S
+        h, g = reference_pair(geom, rng)
         r = [labeling.rate(cw, h, g, params) for cw in codewords]
         c = int(np.argmax(r))
         features.append(np.concatenate([h.real, h.imag, g.real, g.imag]))

@@ -122,7 +122,7 @@ def test_estimate_constants_contracts(tiny_fleet):
     est = estimate_constants(train_sets, n_probes=100, rng=np.random.default_rng(0), batch_size=20)
     assert est.sigma_hat > 0 and est.nu_hat > 0 and est.L_hat > 0 and est.F0 > 0
     with pytest.raises(ValueError):
-        estimate_constants(train_sets, n_probes=50)
+        estimate_constants(train_sets, n_probes=50, rng=np.random.default_rng(0), batch_size=20)
 
 
 def test_estimate_constants_full_batch_gives_zero_nu(tiny_fleet):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from risfed import fed, harness, mlp
 from risfed.fed import (
     dual_step,
-    dual_update,
     local_sgd,
     normalize,
     ps_aggregate,
@@ -120,17 +119,22 @@ def test_local_sgd_snapshot_is_pre_step_iterate(tiny_fleet):
     assert snap1.tobytes() == one_step.tobytes()
 
 
-def test_dual_update_gamma_zero_and_absorbing():
-    assert dual_update(0.25, 1.3, 0.0) == 0.25
-    assert dual_update(0.0, 1.3, 5e-3) == 0.0
+def test_dual_step_gamma_zero_and_absorbing():
+    lam = np.array([0.5, 0.25, 0.125, 0.125])
+    assert dual_step(lam, {0: 1.3, 2: 0.7}, 0.0).tobytes() == lam.tobytes()
+    # exp(1e4 * 1.3) would overflow, but a zero weight's exponent is not evaluated
+    out = dual_step(np.array([0.5, 0.0, 0.25, 0.25]), {1: 1.3, 2: 1e-3}, 1e4)
+    assert out[1] == 0.0 and np.all(np.isfinite(out))
 
 
-def test_dual_update_direct_evaluation():
-    # zero params give exactly ln(4) loss, so the factor is exp(gamma ln 4)
+def test_dual_step_direct_evaluation():
+    # zero params give exactly ln(4) loss, so the lifted entry is 0.25 exp(gamma ln 4);
+    # the unsampled entries keep 0.25, so the renormalized ratio recovers it
     theta = np.zeros(mlp.PARAM_COUNT)
     batch = mlp.MiniBatch(inputs=np.random.default_rng(0).standard_normal((10, 400)),
                           labels=np.random.default_rng(1).integers(0, 4, 10))
-    got = dual_update(0.25, mlp.loss(theta, batch), 5e-3)
+    out = dual_step(np.full(4, 0.25), {0: mlp.loss(theta, batch)}, 5e-3)
+    got = 0.25 * out[0] / out[1]
     assert got == pytest.approx(0.25 * math.exp(5e-3 * math.log(4.0)), rel=1e-12)
     assert got == pytest.approx(0.251736, abs=1e-5)
 
@@ -140,7 +144,7 @@ def test_dual_step_shifts_only_when_exp_would_overflow():
     losses = {0: 1.2, 2: 1.5, 3: 0.9}
     plain = lam.copy()
     for n, ell in losses.items():
-        plain[n] = dual_update(0.25, ell, 5e-3)
+        plain[n] = 0.25 * math.exp(5e-3 * ell)
     assert dual_step(lam, losses, 5e-3).tobytes() == normalize(plain).tobytes()
     # exp(1e4 * 1.5) overflows a float; the shifted step keeps the exact limit
     big = dual_step(lam, losses, 1e4)
@@ -281,17 +285,14 @@ def test_monotone_dual_pressure(tiny_fleet):
 
 @pytest.mark.parametrize("algorithm,loss_scale", [("fgdra", 1.0), ("drfa", 4 / 3)])
 def test_lambda_history_replays_the_dual_step(tiny_fleet, algorithm, loss_scale):
-    # every round: sampled entries lifted by dual_update on the recorded loss
-    # (drfa's scaled by N/m), then the vector renormalized
+    # every round: dual_step on the recorded losses (drfa's gamma scaled by N/m)
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=6, tau=2, B=10)
     result = fed.RUNNERS[algorithm](cfg, train_sets, test_sets, seed=6, eval_every=6)
     for k, losses in enumerate(result.dual_loss_history):
         assert len(losses) == cfg.m
-        lam = result.lambda_history[k].copy()
-        for n, ell in losses.items():
-            lam[n] = dual_update(float(lam[n]), ell, cfg.gamma * loss_scale)
-        assert normalize(lam).tobytes() == result.lambda_history[k + 1].tobytes()
+        lam = dual_step(result.lambda_history[k], losses, cfg.gamma * loss_scale)
+        assert lam.tobytes() == result.lambda_history[k + 1].tobytes()
 
 
 @pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
@@ -301,8 +302,8 @@ def test_run_result_names_its_algorithm(tiny_fleet, algorithm):
     cfg = ExperimentConfig(K=1, tau=1, B=10)
     assert tuple(fed.RUNNERS) == fed.ALGORITHMS
     assert getattr(fed, f"run_{algorithm}") is fed.RUNNERS[algorithm]
-    bound = fed.RUNNERS[algorithm](cfg, train_sets, test_sets)
-    direct = fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
+    bound = fed.RUNNERS[algorithm](cfg, train_sets, test_sets, seed=0, eval_every=1)
+    direct = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm=algorithm)
     assert bound.final_theta.tobytes() == direct.final_theta.tobytes()
     assert bound.lambda_history.tobytes() == direct.lambda_history.tobytes()
     for result in (bound, direct):
@@ -316,10 +317,11 @@ def test_run_stops_at_the_first_round_that_leaves_the_model_non_finite(tiny_flee
     cfg = ExperimentConfig(K=5, tau=2, B=10, alpha=1e12)
     named = r"round \d+ left the model or lambda non-finite; alpha=1e\+12 "
     with pytest.raises(FloatingPointError, match=named) as exc:
-        fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
+        fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm=algorithm)
     first = int(re.search(r"round (\d+)", str(exc.value)).group(1))
     if first > 1:  # the rounds before it ran as usual
-        earlier = fed.run(replace(cfg, K=first - 1), train_sets, test_sets, algorithm=algorithm)
+        earlier = fed.run(replace(cfg, K=first - 1), train_sets, test_sets, seed=0, eval_every=1,
+                          algorithm=algorithm)
         assert np.isfinite(earlier.final_theta).all() and np.isfinite(earlier.lambda_history).all()
 
 
@@ -329,7 +331,7 @@ def test_run_names_gamma_too_when_the_dual_step_overflows(tiny_fleet, algorithm)
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=1, tau=1, B=10, gamma=1e308)
     with pytest.raises(FloatingPointError, match=r"round 1 .* alpha=0.002 or gamma=1e\+308 is too large a step"):
-        fed.run(cfg, train_sets, test_sets, algorithm=algorithm)
+        fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm=algorithm)
 
 
 def test_run_reproducibility(tiny_fleet):

@@ -319,7 +319,7 @@ def test_parsed_configs_build_and_run_one_round(drawn):
     assert not bad
     event("ran")
     train_sets, test_sets, _ = harness.generate_data(cfg)
-    result = fed.run(cfg, train_sets, test_sets, eval_every=1, algorithm="fgdra")
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=1, algorithm="fgdra")
     acc = result.round_logs[-1].per_worker_acc
     assert acc.shape == (cfg.N,) and np.all((0.0 <= acc) & (acc <= 100.0))
     lam = result.lambda_history[-1]
@@ -526,7 +526,7 @@ def test_run_experiment_writes_the_figure_series(tmp_path):
 
 def test_export_datasets_round_trip(tmp_path):
     cfg = small_config(tmp_path, J=80)
-    written = harness.export_datasets(cfg, cfg.out_dir)
+    written = harness.export_datasets(cfg)
     assert len(written) == 8  # 4 workers x train/test
     ds = harness.load_dataset(written[0][:-4])
     assert len(ds) == 64
@@ -696,6 +696,8 @@ def test_cli_subcommands(tmp_path):
     (["gen-data", "--set", "scatter_extra_lo=0.05"], "unknown config key 'scatter_extra_lo'"),
     (["gen-data", "--set", "scatter_extra_hi=0.3"], "unknown config key 'scatter_extra_hi'"),
     (["gen-data", "--set", "train_fraction=0.8"], "unknown config key 'train_fraction'"),
+    (["train", "--set", "seeds=0,,1"], "invalid value for 'seeds': empty item in '0,,1'"),
+    (["train", "--set", "algorithms=fgdra,"], "invalid value for 'algorithms': empty item in 'fgdra,'"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)

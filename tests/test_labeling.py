@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from risfed.channel import NUM_ELEMENTS, ChannelSample, array_response, gen_channel_pair, path_loss, radiation_gain
+from risfed.channel import NUM_ELEMENTS, array_response, gen_channel_pair, path_loss, radiation_gain
 from risfed.harness import LINK, load_dataset, save_dataset
 from risfed.labeling import (
     _rowwise_dot,
@@ -35,12 +35,12 @@ def scalar_rate_oracle(phi, h, g, params):
     return params.bandwidth * math.log2(1.0 + snr)
 
 
-def pure_los_sample(geom, rx_azimuth):
+def pure_los_pair(geom, rx_azimuth):
     amp_h = math.sqrt(radiation_gain(geom.tx.elevation) * path_loss(geom.tx.distance))
     amp_g = math.sqrt(radiation_gain(geom.rx.elevation) * path_loss(geom.rx.distance))
     h = amp_h * array_response(geom.tx.azimuth, geom.tx.elevation, geom)
     g = amp_g * array_response(rx_azimuth, geom.rx.elevation, geom)
-    return ChannelSample(h=h, g=g, eta_g=0.0, eta_h=0.0, gammas=np.zeros(geom.num_scatterers, dtype=complex))
+    return h, g
 
 
 def test_rate_zero_channel():
@@ -100,20 +100,16 @@ def test_codeword_optimal_for_matching_los_offset(idx):
     geom = small_geometry()
     cb = build_codebook(geom)
     offset = math.radians(CODEBOOK_OFFSETS_DEG[idx])
-    sample = pure_los_sample(geom, geom.rx.azimuth + offset)
-    rates = [rate(cb.codewords[c], sample.h, sample.g, LINK) for c in range(4)]
+    h, g = pure_los_pair(geom, geom.rx.azimuth + offset)
+    rates = [rate(cb.codewords[c], h, g, LINK) for c in range(4)]
     assert int(np.argmax(rates)) == idx
 
 
 def test_label_tie_breaks_to_lowest_index():
     geom = small_geometry()
     cb = build_codebook(geom)
-    zero = ChannelSample(
-        h=np.zeros(NUM_ELEMENTS, dtype=complex),
-        g=np.zeros(NUM_ELEMENTS, dtype=complex),
-        eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex),
-    )
-    assert label(zero, cb, LINK) == 0
+    zero = np.zeros(NUM_ELEMENTS, dtype=complex)
+    assert label(zero, zero, cb, LINK) == 0
 
 
 def test_label_matches_exhaustive_reevaluation():
@@ -121,28 +117,25 @@ def test_label_matches_exhaustive_reevaluation():
     cb = build_codebook(geom)
     rng = np.random.default_rng(8)
     for _ in range(25):
-        sample = gen_channel_pair(geom, rng)
-        got = label(sample, cb, LINK)
-        rates = [scalar_rate_oracle(cb.codewords[c], sample.h, sample.g, LINK) for c in range(4)]
+        h, g = gen_channel_pair(geom, rng)
+        got = label(h, g, cb, LINK)
+        rates = [scalar_rate_oracle(cb.codewords[c], h, g, LINK) for c in range(4)]
         assert got == int(np.argmax(rates))
 
 
 def test_label_permutation_equivariance():
     geom = small_geometry()
     cb = build_codebook(geom)
-    sample = gen_channel_pair(geom, np.random.default_rng(9))
-    base = label(sample, cb, LINK)
+    h, g = gen_channel_pair(geom, np.random.default_rng(9))
+    base = label(h, g, cb, LINK)
     perm = [3, 2, 1, 0]
     permuted = Codebook(codewords=cb.codewords[perm])
-    assert perm[label(sample, permuted, LINK)] == base
+    assert perm[label(h, g, permuted, LINK)] == base
 
 
 def test_raw_features_shape_and_zero_case():
-    zero = ChannelSample(
-        h=np.zeros(100, dtype=complex), g=np.zeros(100, dtype=complex),
-        eta_g=0.0, eta_h=0.0, gammas=np.zeros(4, dtype=complex),
-    )
-    feats = raw_features(zero)
+    zero = np.zeros(100, dtype=complex)
+    feats = raw_features(zero, zero)
     assert feats.shape == (400,)
     assert np.all(feats == 0)
 
@@ -158,12 +151,12 @@ def test_standardization_statistics_on_fitting_set():
 
 def test_feature_round_trip():
     geom = small_geometry()
-    sample = gen_channel_pair(geom, np.random.default_rng(12))
+    h, g = gen_channel_pair(geom, np.random.default_rng(12))
     scaler = FeatureScaler(mean=np.full(400, 0.3), sd=np.full(400, 2.0))
-    encoded = scaler.transform(raw_features(sample))
-    h, g = decode_features(encoded, scaler)
-    assert np.allclose(h, sample.h, atol=1e-9)
-    assert np.allclose(g, sample.g, atol=1e-9)
+    encoded = scaler.transform(raw_features(h, g))
+    h2, g2 = decode_features(encoded, scaler)
+    assert np.allclose(h2, h, atol=1e-9)
+    assert np.allclose(g2, g, atol=1e-9)
 
 
 def test_gen_dataset_and_split_contracts():
