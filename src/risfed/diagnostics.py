@@ -198,8 +198,9 @@ def prescribed_schedule(base: harness.ExperimentConfig, K: int, est: TheoryEstim
     """Step sizes and local-iteration count matched to the rate guarantee.
 
     tau = T^(1/4) with T = K * tau, i.e. tau = round(K^(1/3)); then
-    alpha = 1 / (L_hat sqrt(T)) and gamma = 1 / (sqrt(N) T).  Every other
-    field (N, m, B, ...) is kept from ``base``.
+    alpha = 1 / (L_hat sqrt(T)) and gamma = 1 / (sqrt(N) T), N being the
+    number of ``base.spacings``.  Every other field (spacings, m, B, ...) is
+    kept from ``base``.
     """
     tau = max(1, int(round(K ** (1.0 / 3.0))))
     T = K * tau
@@ -238,12 +239,12 @@ def theory_check(config: harness.ExperimentConfig, n_probes: int) -> Iterator[di
     the squared gradient norm, the theorem bound, and ``held``: whether that
     running mean is at most the bound.
 
-    The check overrides N and m (the one worker, N = m = 1) and K, tau,
-    alpha and gamma (the rate-matched schedule).  It ignores algorithms and
-    eval_every.  Every other setting (B, J and the two seeds) comes from
-    ``config``.
+    The check overrides spacings and m (its one worker's one-wavelength
+    spacing, so N = m = 1) and K, tau, alpha and gamma (the rate-matched
+    schedule).  It ignores algorithms and eval_every.  Every other setting
+    (B, J, seeds and dataset_seed) comes from ``config``.
     """
-    base = replace(config, N=1, m=1)
+    base = replace(config, spacings=(1.0,), m=1)
     for s in config.seeds:
         train_sets, test_sets = harness.theory_worker_data(config, config.dataset_seed + s)
         est = estimate_constants(train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),

@@ -11,9 +11,9 @@ summary.csv, sweep.csv and the fig_*.csv series all read it, and
 :func:`run_experiment` writes the fig_*.csv series next to summary.csv.
 
 Every config key is optional; omitted keys fall back to the default
-experiment: four heterogeneous workers whose RIS designs differ in element
-spacing (1/8 to 1 wavelength), trained with alpha=2e-3, gamma=5e-3, B=50,
-tau=10, m=3 for K=800 rounds over five seeds.
+experiment: four heterogeneous workers, one per RIS design of ``spacings``
+(element spacings of 1/8 to 1 wavelength), trained with alpha=2e-3,
+gamma=5e-3, B=50, tau=10, m=3 for K=800 rounds over five seeds.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ SCATTER_EXTRA_LO, SCATTER_EXTRA_HI = 0.05, 0.30
 # codewords of a rate that grows with |cascade|^2, nor a standardized
 # feature; it sets only the diagnostic rate column.
 LINK = RateParams(bandwidth=1e7, tx_power=0.5, noise_psd=4e-21)
+# The workers' scatterer constellations, and the convergence-check worker's,
+# are drawn once from this seed and stay fixed.
+PROFILE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class ExperimentConfig:
     alpha: float = 2e-3
     gamma: float = 5e-3
     B: int = 50
-    N: int = 4
     tau: int = 10
     m: int = 3
     K: int = 800
@@ -76,19 +78,31 @@ class ExperimentConfig:
     eval_every: int = 10
     J: int = 2500
     dataset_seed: int = 20240
-    profile_seed: int = 7
-    spacings: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0)  # in wavelengths
+    spacings: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0)  # one worker per RIS design, in wavelengths
     out_dir: str = "out"
+
+    @property
+    def N(self) -> int:
+        """The number of workers: one per entry of ``spacings``."""
+        return len(self.spacings)
 
     def __post_init__(self) -> None:
         _check_numbers(self)
+        # the fleet first: N, which bounds m, is its size
+        if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0
+                                        and math.isfinite(2 * math.pi * s * (RIS_ROWS + RIS_COLS))
+                                        for s in self.spacings):
+            raise ValueError(f"spacings must be a nonempty list of values that stay > 0 in meters (times the "
+                             f"{CARRIER_WAVELENGTH_M} m carrier wavelength) and keep every steering phase, at "
+                             f"most 2 pi x spacing x {RIS_ROWS + RIS_COLS}, finite; got {self.spacings!r}")
+        _worker_angles(self)  # the alias geometry must be feasible
         if not 1 <= self.m <= self.N:
-            raise ValueError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
+            raise ValueError(f"need 1 <= m <= N = len(spacings) = {self.N}, got m={self.m}")
         for key in _POSITIVE_KEYS:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
         # gamma = 0 freezes lambda; the FedAvg-reduction checks rely on it
-        for key in ("gamma", "profile_seed", "dataset_seed"):
+        for key in ("gamma", "dataset_seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
         if not self.seeds or any(s < 0 for s in self.seeds) or len(set(self.seeds)) < len(self.seeds):
@@ -98,13 +112,6 @@ class ExperimentConfig:
             raise ValueError(f"algorithms must be a nonempty list of distinct names from {fed.ALGORITHMS}, "
                              f"got {self.algorithms!r}")
         train_count(self.J)  # raises unless both splits are nonempty
-        if not self.spacings or not all(s * CARRIER_WAVELENGTH_M > 0
-                                        and math.isfinite(2 * math.pi * s * (RIS_ROWS + RIS_COLS))
-                                        for s in self.spacings):
-            raise ValueError(f"spacings must be a nonempty list of values that stay > 0 in meters (times the "
-                             f"{CARRIER_WAVELENGTH_M} m carrier wavelength) and keep every steering phase, at "
-                             f"most 2 pi x spacing x {RIS_ROWS + RIS_COLS}, finite; got {self.spacings!r}")
-        _worker_angles(self)  # the alias geometry must be feasible
         if not self.out_dir:
             raise ValueError(f"out_dir must be a nonempty path, got {self.out_dir!r}")
 
@@ -214,7 +221,8 @@ def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> Expe
 
 
 def _worker_angles(config: ExperimentConfig) -> list[tuple[float, float, float]]:
-    """(RX azimuth, TX azimuth, RX elevation) of every worker, in radians.
+    """(RX azimuth, TX azimuth, RX elevation) of every worker, in radians;
+    worker w has spacing ``spacings[w]``.
 
     Worker 0 sits at the anchor angles.  Every other worker's RX azimuth is
     phase-ramp matched to the anchor at its own spacing
@@ -228,29 +236,26 @@ def _worker_angles(config: ExperimentConfig) -> list[tuple[float, float, float]]
     s_rx = math.sin(rx0) * config.spacings[0]
     s_tx = math.sin(tx0) * config.spacings[0]
     angles = [(rx0, tx0, math.radians(ANCHOR_RX_ELEVATION_DEG))]
-    for w in range(1, config.N):
-        spacing = config.spacings[w % len(config.spacings)]
+    for w, spacing in enumerate(config.spacings[1:], start=1):
         sin_rx = (s_rx + ALIAS_RAMP_OFFSET) / spacing
         if sin_rx > 1.0:
             raise ValueError(
-                f"spacings {config.spacings} with N={config.N}: worker {w} (spacing {spacing!r}) cannot "
-                f"be phase-ramp matched to worker 0 (sin of its RX azimuth would be {sin_rx:.4f})")
+                f"spacings {config.spacings}: worker {w} (spacing {spacing!r}) cannot be phase-ramp matched "
+                f"to worker 0 (sin of its RX azimuth would be {sin_rx:.4f})")
         angles.append((math.asin(sin_rx), math.asin(s_tx / spacing), 0.0))
     return angles
 
 
 def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
-    """Construct the N worker scenarios deterministically from profile_seed.
+    """Construct one worker scenario per ``spacings`` entry, deterministically.
 
-    Worker w gets element spacing spacings[w mod len(spacings)] (in
-    wavelengths) and the placement angles of :func:`_worker_angles`.
-    Scatterer constellations are drawn once per worker from profile_seed
-    and stay fixed.
+    Worker w gets element spacing spacings[w] (in wavelengths) and the
+    placement angles of :func:`_worker_angles`.  Scatterer constellations
+    are drawn once per worker from :data:`PROFILE_SEED` and stay fixed.
     """
     profiles = []
-    for w, (rx_az, tx_az, rx_el) in enumerate(_worker_angles(config)):
-        spacing = config.spacings[w % len(config.spacings)]
-        rng = fed.substream(config.profile_seed, w)
+    for w, (spacing, (rx_az, tx_az, rx_el)) in enumerate(zip(config.spacings, _worker_angles(config))):
+        rng = fed.substream(PROFILE_SEED, w)
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
         geom = make_worker_geometry(spacing * CARRIER_WAVELENGTH_M, tx, rx, rng, SCATTER_EXTRA_LO, SCATTER_EXTRA_HI)
@@ -284,7 +289,7 @@ def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[lis
     trains to interpolation under the rate-matched schedule.  The worker fixes
     its own placements, spacing and scatter travel (0.25 to 0.5); the rest of
     its scene is channel's."""
-    rng = fed.substream(config.profile_seed, THEORY_STREAM)
+    rng = fed.substream(PROFILE_SEED, THEORY_STREAM)
     geom = make_worker_geometry(
         CARRIER_WAVELENGTH_M,
         tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
@@ -587,7 +592,7 @@ def export_datasets(config: ExperimentConfig) -> list[str]:
     for profile, train, test in zip(profiles, train_sets, test_sets):
         meta = {
             "dataset_seed": config.dataset_seed,
-            "profile_seed": config.profile_seed,
+            "profile_seed": PROFILE_SEED,
             "element_spacing_m": profile.geometry.element_spacing,
             "carrier_wavelength_m": CARRIER_WAVELENGTH_M,
         }

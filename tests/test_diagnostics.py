@@ -76,7 +76,7 @@ def test_round_checkpoints_cover_transient_and_end():
 
 def test_grad_norm_trace_single_worker_oracle(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = ExperimentConfig(N=1, m=1, K=6, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg = ExperimentConfig(spacings=(0.125,), m=1, K=6, tau=3, alpha=2e-3, gamma=0.0, B=10)
     result = fed.run(cfg, train_sets[:1], test_sets[:1], seed=0, eval_every=6,
                      checkpoint_rounds={0, 3, 6}, algorithm="fgdra")
     trace = grad_norm_trace(result, train_sets[:1], [0, 3, 6])
@@ -153,7 +153,7 @@ def test_prescribed_schedule_shapes():
     assert sched.alpha == pytest.approx(1.0 / (2.0 * math.sqrt(T)))
     assert sched.gamma == pytest.approx(1.0 / (2.0 * T))
     assert (sched.N, sched.m, sched.B) == (4, 2, 10)  # everything but K, tau, alpha, gamma is kept
-    one = prescribed_schedule(ExperimentConfig(N=1, m=1), 50, est)
+    one = prescribed_schedule(ExperimentConfig(spacings=(1.0,), m=1), 50, est)
     assert one.m == 1 and one.N == 1
     with pytest.raises(ValueError):
         prescribed_schedule(base, 50, TheoryEstimates(1.0, 1.0, 0.0, 1.0))

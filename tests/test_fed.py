@@ -192,8 +192,8 @@ def run_pair(algorithm_a, algorithm_b, cfg_a, cfg_b, fleet, seed=0, K=None):
 
 
 def test_fgdra_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
-    cfg_f = ExperimentConfig(N=4, m=4, K=25, tau=3, alpha=2e-3, gamma=0.0, B=10)
-    cfg_a = ExperimentConfig(N=4, m=4, K=25, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
+    cfg_f = ExperimentConfig(m=4, K=25, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg_a = ExperimentConfig(m=4, K=25, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("fgdra", "fedavg", cfg_f, cfg_a, tiny_fleet)
     drift = sum(
         float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
@@ -203,8 +203,8 @@ def test_fgdra_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
 
 
 def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
-    cfg_d = ExperimentConfig(N=4, m=3, K=20, tau=3, alpha=2e-3, gamma=0.0, B=10)
-    cfg_a = ExperimentConfig(N=4, m=3, K=20, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
+    cfg_d = ExperimentConfig(m=3, K=20, tau=3, alpha=2e-3, gamma=0.0, B=10)
+    cfg_a = ExperimentConfig(m=3, K=20, tau=3, alpha=2e-3 / 4, gamma=5e-3, B=10)
     ra, rb = run_pair("drfa", "fedavg", cfg_d, cfg_a, tiny_fleet)
     drift = sum(
         float(np.linalg.norm(ra.theta_checkpoints[k] - rb.theta_checkpoints[k]))
@@ -216,7 +216,7 @@ def test_drfa_gamma_zero_matches_fedavg_quarter_step(tiny_fleet):
 
 def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
     train_sets, test_sets = tiny_fleet
-    cfg = ExperimentConfig(N=1, m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
+    cfg = ExperimentConfig(spacings=(0.125,), m=1, K=8, tau=4, alpha=3e-3, gamma=5e-3, B=10)
     result = fed.run(cfg, train_sets[:1], test_sets[:1], seed=5, eval_every=8, algorithm="fgdra")
     theta = mlp.init(fed.substream(5, 0))
     for k in range(cfg.K):
@@ -230,7 +230,7 @@ def test_fgdra_single_worker_reduces_to_local_sgd(tiny_fleet):
 def test_fedavg_one_round_equals_centralized_step(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     J = len(train_sets[0])
-    cfg = ExperimentConfig(N=4, m=4, K=1, tau=1, alpha=1e-3, gamma=5e-3, B=J)
+    cfg = ExperimentConfig(m=4, K=1, tau=1, alpha=1e-3, gamma=5e-3, B=J)
     result = fed.run(cfg, train_sets, test_sets, seed=2, eval_every=1, checkpoint_rounds={0, 1},
                      algorithm="fedavg")
     theta0 = result.theta_checkpoints[0]

@@ -97,8 +97,8 @@ def test_parse_config_rejects_invalid_value(tmp_path):
 
 def test_parse_config_rejects_m_greater_than_N(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("N = 2\nm = 3\n")
-    with pytest.raises(ValueError):
+    path.write_text("spacings = 0.125, 0.25\nm = 3\n")
+    with pytest.raises(ValueError, match="N = len.spacings. = 2, got m=3"):
         config_from_file(str(path))
 
 
@@ -135,9 +135,9 @@ def test_examples_cfg_names_every_key_at_its_default():
 
 
 def test_cli_config_file_and_set_items_are_validated_together(tmp_path):
-    # N = 2 alone is refused (m defaults to 3); with --set m=2 the merged settings are valid
+    # two spacings alone are refused (m defaults to 3); with --set m=2 the merged settings are valid
     path = tmp_path / "two.cfg"
-    path.write_text("N = 2\nK = 5\n")
+    path.write_text("spacings = 0.125,0.25\nK = 5\n")
     args = cli.build_parser().parse_args(["train", "--config", str(path), "--set", "m=2", "--set", "K = 7"])
     cfg = cli._load_config(args)
     assert (cfg.N, cfg.m, cfg.K) == (2, 2, 7)
@@ -166,6 +166,9 @@ def test_apply_overrides():
     assert cfg.K == 12 and cfg.seeds == (7, 8) and cfg.out_dir == "elsewhere"
     with pytest.raises(ValueError, match="bogus"):
         apply_overrides(cfg, {"bogus": "1"})
+    for key, value in (("N", "4"), ("profile_seed", "7")):  # former keys, at their old defaults
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            apply_overrides(cfg, {key: value})
 
 
 def test_build_profiles_design():
@@ -190,23 +193,23 @@ def test_build_profiles_design():
     ({"alpha": math.nan}, "alpha"),
     ({"gamma": math.inf}, "gamma"),
     ({"spacings": (0.125, math.nan)}, "spacings"),
-    ({"N": 2.5}, "N must be an integer"),
+    ({"m": 2.5}, "m must be an integer"),
     ({"spacings": (0.125, math.inf)}, "spacings"),
     ({"tau": 2.5}, "tau"),
     ({"tau": 1.0}, "tau"),
     ({"B": math.nan}, "B"),
     ({"m": 2.0}, "m"),
-    ({"N": 5}, "spacings"),
+    ({"spacings": (0.125, 0.25, 0.5, 1.0, 0.125)}, "spacings"),  # a fifth worker that cannot alias
     ({"spacings": (1.0, 0.5, 0.25, 0.125)}, "spacings"),
     ({"J": 1}, "J=1"),
     ({"J": 2}, "J=2"),
     ({"J": 2.5}, "J must be an integer"),
     ({"K": 1.5}, "K must be an integer"),
     ({"eval_every": 0.5}, "eval_every must be an integer"),
-    ({"profile_seed": 0.5}, "profile_seed must be an integer"),
+    ({"spacings": (0.125, -math.inf)}, "spacings must be finite"),
     ({"seeds": (0, 1.5)}, "seeds must be an integer"),
-    ({"N": 0}, "N=0"),
-    ({"N": -1}, "N=-1"),
+    ({"spacings": (), "m": 0}, "spacings must be a nonempty list"),  # the empty fleet, before m
+    ({"spacings": (1.0,), "m": 3}, "m <= N = len.spacings. = 1, got m=3"),
     ({"J": -5}, "J must be > 0"),
     ({"eval_every": -1}, "eval_every must be > 0"),
     ({"m": -1}, "m=-1"),
@@ -215,7 +218,7 @@ def test_build_profiles_design():
     ({"dataset_seed": 0.5}, "dataset_seed"),
     ({"spacings": (0.125, 0.0)}, "spacings"),
     ({"spacings": (0.125, -0.25)}, "spacings"),
-    ({"profile_seed": -1}, "profile_seed"),
+    ({"spacings": (0.125, 0.25), "m": 3}, "m=3"),
     ({"dataset_seed": -1}, "dataset_seed"),
     ({"eval_every": 0}, "eval_every"),
     ({"spacings": ()}, "spacings"),
@@ -235,9 +238,9 @@ def test_build_profiles_design():
     ({"algorithms": ("fgdra", "fgdra")}, "algorithms"),
     ({"algorithms": ("sgd",)}, "algorithms"),
     ({"out_dir": ""}, "out_dir"),
-    ({"N": 1, "m": 1, "spacings": (5e-324,)}, "spacings"),  # 0 m once times the carrier wavelength
+    ({"spacings": (5e-324,)}, "spacings"),  # 0 m once times the carrier wavelength; refused before m=3
     ({"spacings": (0.125, 0.25, 0.5, 1e307)}, "spacings"),  # an infinite steering phase
-    ({"N": 1, "m": 1, "spacings": (1e308,)}, "spacings"),
+    ({"spacings": (1e308,)}, "spacings"),  # refused before m=3
 ])
 def test_config_rejects_bad_values_naming_the_key(overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -259,19 +262,19 @@ def test_config_admits_gamma_zero():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4))
-def test_alias_geometry_rejected_at_config_or_buildable(N, spacings):
+@given(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=8))
+def test_alias_geometry_rejected_at_config_or_buildable(spacings):
     try:
-        cfg = ExperimentConfig(N=N, m=1, spacings=tuple(spacings))
+        cfg = ExperimentConfig(m=1, spacings=tuple(spacings))
     except ValueError as exc:
-        assert "spacings" in str(exc) and f"N={N}" in str(exc)
+        assert str(exc).startswith(f"spacings {tuple(spacings)}: worker ")
         return
-    assert len(harness.build_profiles(cfg)) == N
+    profiles = harness.build_profiles(cfg)
+    assert [p.geometry.element_spacing for p in profiles] == [s * channel.CARRIER_WAVELENGTH_M for s in spacings]
 
 
 VALID = {
     "J": st.integers(2, 40),
-    "profile_seed": st.integers(0, 10_000),
     "dataset_seed": st.integers(0, 10_000),
 }
 INVALID = {
@@ -279,10 +282,9 @@ INVALID = {
     "gamma": st.sampled_from([-1.0, -1e-9, math.inf, math.nan]),
     "B": st.integers(-3, 0),
     "tau": st.integers(-3, 0),
-    "m": st.sampled_from([-1, 0, 9, 20]),  # N is at most 8
+    "m": st.sampled_from([-1, 0, 9, 20]),  # there are at most 8 spacings
     "J": st.integers(-2, 1),
     "spacings": st.floats(1e307, 1.7e308).map(lambda huge: (0.125, huge)),  # an infinite steering phase
-    "profile_seed": st.integers(-100, -1),
     "dataset_seed": st.integers(-100, -1),
 }
 
@@ -290,10 +292,9 @@ INVALID = {
 @st.composite
 def config_overrides(draw):
     """Valid values for every key, then at most two keys set invalid."""
-    N = draw(st.integers(1, 8))
-    overrides = {"N": N, "m": draw(st.integers(1, N)),
-                 # worker 0's spacing is the smallest, so every worker can alias to it
-                 "spacings": (0.125, *draw(st.lists(st.floats(0.15, 2.0), min_size=N - 1, max_size=N - 1)))}
+    # one to eight workers; worker 0's spacing is the smallest, so every worker can alias to it
+    spacings = (0.125, *draw(st.lists(st.floats(0.15, 2.0), max_size=7)))
+    overrides = {"spacings": spacings, "m": draw(st.integers(1, len(spacings)))}
     overrides.update({key: draw(strategy) for key, strategy in VALID.items()})
     bad = draw(st.lists(st.sampled_from(sorted(INVALID)), max_size=2, unique=True))
     overrides.update({key: draw(INVALID[key]) for key in bad})
@@ -327,13 +328,18 @@ def test_parsed_configs_build_and_run_one_round(drawn):
 
 
 def test_run_experiment_row_count_and_rerun_identical(tmp_path):
-    cfg = small_config(tmp_path, eval_every=1)
-    result = harness.run_experiment(cfg)
-    rows = open(result.csv_path).read().strip().split("\n")
-    assert len(rows) - 1 == len(cfg.algorithms) * len(cfg.seeds) * cfg.K
-    first = open(result.csv_path, "rb").read()
-    harness.run_experiment(cfg)
-    assert open(result.csv_path, "rb").read() == first
+    # the default four workers, then a fleet of five: one worker per spacing
+    for N, fleet in ((4, {}), (5, {"spacings": (0.125, 0.25, 0.5, 1.0, 0.5)})):
+        cfg = small_config(tmp_path / f"N{N}", eval_every=1, **fleet)
+        assert cfg.N == N
+        result = harness.run_experiment(cfg)
+        header, *rows = open(result.csv_path).read().strip().split("\n")
+        assert header.split(",")[len(harness.RUNS_COLUMNS):] == [*(f"acc_w{i}" for i in range(N)),
+                                                                 *(f"lambda_{i}" for i in range(N))]
+        assert len(rows) == len(cfg.algorithms) * len(cfg.seeds) * cfg.K
+        first = open(result.csv_path, "rb").read()
+        harness.run_experiment(cfg)
+        assert open(result.csv_path, "rb").read() == first
 
 
 def read_table(path):
@@ -684,10 +690,10 @@ def test_cli_subcommands(tmp_path):
                                                      f"minimum of {diagnostics.MIN_CHECKPOINTS}"),
     (["gen-data", "--set", "J=8", "--set", "wavelength=1e80"], "'wavelength'"),  # not a config key
     (["gen-data", "--set", "J=8", "--set", "wavelength=1e160"], "'wavelength'"),
-    (["gen-data", "--set", "N=1", "--set", "m=1", "--set", "spacings=5e-324", "--set", "J=8"], "spacings"),
+    (["gen-data", "--set", "m=1", "--set", "spacings=5e-324", "--set", "J=8"], "spacings"),
     (["gen-data", "--set", "wavelength=0.0107"], "'wavelength'"),
     (["gen-data", "--set", "J=8", "--set", "spacings=0.125,0.25,0.5,1e307"], "spacings"),
-    (["gen-data", "--set", "N=1", "--set", "m=1", "--set", "spacings=1e308", "--set", "J=8"], "spacings"),
+    (["gen-data", "--set", "spacings=1e308", "--set", "J=8"], "spacings"),  # refused before m=3
     # the scene's former keys, each at its old default, are unknown keys
     (["gen-data", "--set", "ris_rows=10"], "unknown config key 'ris_rows'"),
     (["gen-data", "--set", "ris_cols=10"], "unknown config key 'ris_cols'"),
@@ -698,6 +704,9 @@ def test_cli_subcommands(tmp_path):
     (["gen-data", "--set", "train_fraction=0.8"], "unknown config key 'train_fraction'"),
     (["train", "--set", "seeds=0,,1"], "invalid value for 'seeds': empty item in '0,,1'"),
     (["train", "--set", "algorithms=fgdra,"], "invalid value for 'algorithms': empty item in 'fgdra,'"),
+    # the fleet's former keys, at their old defaults: N is len(spacings), the profile seed a constant
+    (["gen-data", "--set", "J=40", "--set", "N=4"], "unknown config key 'N'"),
+    (["gen-data", "--set", "J=40", "--set", "profile_seed=7"], "unknown config key 'profile_seed'"),
 ])
 def test_cli_refused_config_exits_2_with_one_line_naming_the_key(tmp_path, capsys, monkeypatch, overrides, named):
     assert_refused_before_any_work(overrides, named, tmp_path, capsys, monkeypatch)
