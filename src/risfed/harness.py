@@ -34,15 +34,15 @@ from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RatePar
 
 SWEEP_AXES = ("tau", "B", "m")
 
-# Anchor geometry of the default heterogeneity profile.  Worker 0 is the
-# minority design: its RX sits past broadside (azimuth > 90 deg), which
-# reverses the sweep direction of its codebook fan.  The other workers'
-# azimuths are chosen so that spacing * sin(angle) lands a fixed offset
-# above worker 0's value (their standardized features occupy the same
-# phase-ramp band) while their wider fans make them fast majority learners.
-# Uniform loss weighting then drives the shared model toward the majority
-# mapping at worker 0's expense, which is the regime the robust algorithms
-# are meant to fix.
+# Anchor geometry of the default heterogeneity profile.  Worker 0's RX sits
+# past broadside (azimuth > 90 deg), which reverses the sweep direction of
+# its codebook fan.  The other workers' azimuths are chosen so that
+# spacing * sin(angle) lands a fixed offset above worker 0's value, so their
+# standardized features occupy the same phase-ramp band.  Trained alone, the
+# workers' models transfer in two clusters, {0, 3} and {1, 2}, and worker
+# 0's is anti-aligned with worker 2's.  Uniform loss weighting leaves worker
+# 0 the worst worker (fedavg's, at every seed 0-9), which is the regime the
+# robust algorithms are meant to fix.
 ANCHOR_RX_AZIMUTH_DEG = 110.0
 ANCHOR_TX_AZIMUTH_DEG = -20.0
 ANCHOR_RX_ELEVATION_DEG = 4.0

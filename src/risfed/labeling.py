@@ -25,6 +25,11 @@ TRAIN_FRACTION = 0.8
 
 # Azimuth offsets (degrees) of the four steering codewords around the RX.
 CODEBOOK_OFFSETS_DEG = (-20.0, -7.0, 7.0, 20.0)
+# A sample is labelled from all four rates when another codeword's cascade
+# modulus is within this relative band of the peak's, or the peak SNR is
+# below this floor (see _labels_and_rates).
+TIE_BAND = 1e-6
+SNR_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class RateParams:
@@ -81,10 +86,19 @@ class FeatureScaler:
 
 
 def fit_scaler(raw_features: np.ndarray) -> FeatureScaler:
-    """Column mean/sd on the fitting set; constant columns keep sd = 1."""
+    """Fit column mean/sd on the fitting set and standardize it in place;
+    constant columns keep sd = 1.
+
+    The rows are centred once and the sd is taken from the centred rows with
+    the operations of numpy's ``std(axis=0)`` (sum of squares over n, then
+    sqrt), so mean, sd and the standardized rows are bit-identical to
+    ``mean(axis=0)``, ``std(axis=0)`` and ``(raw - mean) / sd``.
+    """
     mean = raw_features.mean(axis=0)
-    sd = raw_features.std(axis=0)
+    centred = np.subtract(raw_features, mean, out=raw_features)
+    sd = np.sqrt(np.add.reduce(np.square(centred), axis=0) / len(centred))
     sd = np.where(sd > 0.0, sd, 1.0)
+    np.divide(centred, sd, out=centred)
     return FeatureScaler(mean=mean, sd=sd)
 
 
@@ -129,6 +143,46 @@ def _rates_of_moduli(rows: list[list[float]], params: RateParams) -> list[list[f
     w, p = params.bandwidth, params.tx_power
     noise = w * params.noise_psd
     return [[w * math.log2(1.0 + (m ** 2) * p / noise) for m in row] for row in rows]
+
+
+def _labels_and_rates(moduli: np.ndarray, params: RateParams) -> tuple[np.ndarray, np.ndarray]:
+    """First argmax and maximum of the :func:`_rates_of_moduli` rates of each
+    row of (J, 4) non-negative cascade moduli, bit for bit, from one rate
+    per row where that is exact.
+
+    A row's label is the first argmax of its moduli, and only that
+    codeword's rate is computed.  The Python-float rate m -> m**2 -> * p ->
+    / (w N0) -> 1 + s -> log2 -> * w is a chain of steps that are each
+    correctly rounded or within one ulp, so it is monotone in m up to a few
+    ulp.  Suppose every other modulus is below (1 - TIE_BAND) times the
+    peak, the peak SNR s is at least SNR_FLOOR and the peak's rate is
+    finite.  Then the two arguments of log2 differ by a relative
+    2 * TIE_BAND * s / (1 + s), at least about 2e-9 or some 10^7 ulp, and
+    their log2 by at least 2.8e-9 against values of at most 1024 (ulp
+    2.3e-13).  So the peak's rate is strictly the largest, and the first
+    argmax of the four rates is the peak.
+
+    Every other row takes all four rates, as :func:`label` does: a rival
+    within the band (exact ties included), an SNR so small that 1 + s drops
+    the difference, or a peak rate that is not finite.  The last two also
+    catch every non-finite modulus: argmax takes a NaN as the peak, which
+    fails the SNR floor, and an infinite peak has an infinite rate.
+    """
+    J = len(moduli)
+    labels = moduli.argmax(axis=1)
+    peak = moduli[np.arange(J), labels]
+    with np.errstate(over="ignore"):
+        snr = np.square(peak) * params.tx_power / (params.bandwidth * params.noise_psd)
+        rivals = np.count_nonzero(moduli >= peak[:, None] * (1.0 - TIE_BAND), axis=1) > 1
+    single = np.flatnonzero(~rivals & (snr >= SNR_FLOOR))
+    rates = np.full(J, np.nan)  # NaN marks the rows still to be labelled from four rates
+    rates[single] = _rates_of_moduli([peak[single].tolist()], params)[0]
+    redo = np.flatnonzero(~np.isfinite(rates))
+    if redo.size:
+        all_rates = np.array(_rates_of_moduli(moduli[redo].tolist(), params))
+        labels[redo] = all_rates.argmax(axis=1)
+        rates[redo] = all_rates[np.arange(len(redo)), labels[redo]]
+    return labels, rates
 
 
 def _rowwise_dot(g_conj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -190,10 +244,12 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
 
     Each label is the first rate-maximizing codeword, and ``rates`` holds its
     rate.  The cascades are one stacked BLAS dot per codeword
-    (:func:`_rowwise_dot`), bit-identical to ``np.vdot``, and every rate
-    goes through :func:`_rates_of_moduli`, so the dataset is bit-identical to
-    calling :func:`label` and :func:`rate` on each sample of
-    :func:`gen_channel_pair`.
+    (:func:`_rowwise_dot`), bit-identical to ``np.vdot``.  Each sample is
+    labelled from its four cascade moduli by :func:`_labels_and_rates`,
+    which computes one :func:`_rates_of_moduli` rate per sample and all four
+    only on the rows where the rates could tie or change order, so the
+    dataset is bit-identical to calling :func:`label` and :func:`rate` on
+    each sample of :func:`gen_channel_pair`.
     Features are left raw; standardization happens in :func:`split`, on the
     training portion only.
     """
@@ -204,10 +260,7 @@ def gen_dataset(profile: WorkerProfile, J: int, rng: np.random.Generator) -> Dat
     cascades = np.empty((J, NUM_CLASSES), dtype=complex)
     for c, phi in enumerate(codebook.codewords):
         cascades[:, c] = _rowwise_dot(g_conj, phi * h)
-    moduli = np.hypot(cascades.real, cascades.imag)
-    all_rates = np.array(_rates_of_moduli(moduli.tolist(), profile.rate))
-    labels = all_rates.argmax(axis=1)
-    rates = all_rates[np.arange(J), labels]
+    labels, rates = _labels_and_rates(np.hypot(cascades.real, cascades.imag), profile.rate)
     return Dataset(worker_id=profile.worker_id, features=features, labels=labels, rates=rates)
 
 
@@ -231,13 +284,10 @@ def split(ds: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     n_train = train_count(J)
     order = rng.permutation(J)
     tr, te = order[:n_train], order[n_train:]
-    train_raw = ds.features[tr]
-    scaler = fit_scaler(train_raw)
-    make = lambda idx, raw: Dataset(
-        worker_id=ds.worker_id,
-        features=scaler.transform(raw, out=raw),
-        labels=ds.labels[idx],
-        rates=ds.rates[idx],
-        scaler=scaler,
-    )
-    return make(tr, train_raw), make(te, ds.features[te])
+    train_features = ds.features[tr]
+    scaler = fit_scaler(train_features)
+    test_features = ds.features[te]
+    scaler.transform(test_features, out=test_features)
+    make = lambda idx, features: Dataset(
+        worker_id=ds.worker_id, features=features, labels=ds.labels[idx], rates=ds.rates[idx], scaler=scaler)
+    return make(tr, train_features), make(te, test_features)

@@ -7,6 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from risfed.channel import NUM_ELEMENTS, array_response, gen_channel_pair, path_loss, radiation_gain
 from risfed.harness import LINK, load_dataset, save_dataset
 from risfed.labeling import (
+    TIE_BAND,
+    _labels_and_rates,
+    _rates_of_moduli,
     _rowwise_dot,
     CODEBOOK_OFFSETS_DEG,
     Codebook,
@@ -21,6 +24,7 @@ from risfed.labeling import (
     rate,
     raw_features,
     split,
+    train_count,
 )
 
 from conftest import small_geometry
@@ -147,6 +151,9 @@ def test_standardization_statistics_on_fitting_set():
     train, _ = split(ds, np.random.default_rng(11))
     assert np.max(np.abs(train.features.mean(axis=0))) < 1e-10
     assert np.max(np.abs(train.features.std(axis=0) - 1.0)) < 1e-10
+    train_raw = ds.features[np.random.default_rng(11).permutation(300)[:train_count(300)]]
+    assert train.scaler.mean.tobytes() == train_raw.mean(axis=0).tobytes()
+    assert train.scaler.sd.tobytes() == train_raw.std(axis=0).tobytes()
 
 
 def test_feature_round_trip():
@@ -244,5 +251,73 @@ def test_fit_scaler_handles_constant_columns():
     X = np.zeros((10, 400))
     scaler = fit_scaler(X)
     assert np.all(scaler.sd == 1.0)
-    assert np.all(scaler.transform(X) == 0.0)
+    assert np.all(X == 0.0)
+
+    raw = np.random.default_rng(19).standard_normal((37, 400)) * 3.0 + 0.7
+    raw[:, 5] = 2.5
+    X = raw.copy()
+    scaler = fit_scaler(X)  # standardizes X in place
+    sd = raw.std(axis=0)
+    assert sd[5] == 0.0 and scaler.sd[5] == 1.0
+    assert scaler.mean.tobytes() == raw.mean(axis=0).tobytes()
+    assert scaler.sd.tobytes() == np.where(sd > 0.0, sd, 1.0).tobytes()
+    assert X.tobytes() == ((raw - scaler.mean) / scaler.sd).tobytes()
+
+
+def four_rate_reference(moduli, params):
+    """The label as :func:`label` takes it: every codeword's rate, then the first argmax."""
+    all_rates = np.array(_rates_of_moduli(moduli.tolist(), params))
+    labels = all_rates.argmax(axis=1)
+    return labels, all_rates[np.arange(len(moduli)), labels]
+
+
+PEAK = 0.5
+# from 0 to past where the SNR overflows; a modulus of about 2.8e-7 has SNR 1 at LINK
+PEAKS = st.floats(min_value=0.0, max_value=1e150)
+MODULI = PEAKS | st.sampled_from([math.nan, math.inf])
+
+
+def ulps_below(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def near(peak):
+    """A modulus equal to ``peak``, a few ulp or up to twice the tie band below it, or any modulus."""
+    return st.one_of(
+        st.just(peak),
+        st.integers(min_value=1, max_value=4).map(lambda k: ulps_below(peak, k)),
+        st.floats(min_value=0.0, max_value=2.0 * TIE_BAND).map(lambda r: peak * (1.0 - r)),
+        MODULI,
+    )
+
+
+ROWS = st.lists(PEAKS.flatmap(lambda peak: st.lists(near(peak), min_size=4, max_size=4)), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ROWS)
+@example(rows=[[0.3, PEAK, PEAK, 0.1]])  # exact tie: the lowest index wins
+@example(rows=[[PEAK, PEAK, PEAK, PEAK]])
+@example(rows=[[math.nextafter(PEAK, 0.0), PEAK, 0.2, 0.1]])  # an earlier codeword 1 ulp below the peak
+@example(rows=[[PEAK * (1.0 - TIE_BAND / 2), PEAK, 0.2, 0.1]])  # half the tie band below
+@example(rows=[[0.0, 0.0, 0.0, 0.0]])
+@example(rows=[[1e-17, 2e-17, 2.8e-17, 5e-18]])  # SNR about 1e-20: every rate 0.0, label 0
+@example(rows=[[1e100, 2e100, 3e99, 0.0]])  # huge but finite rates
+@example(rows=[[1e149, 1e150, 0.0, 0.0]])  # both rates overflow to inf: label 0
+@example(rows=[[0.1, math.nan, 0.3, 0.2]])
+@example(rows=[[0.1, math.inf, 0.3, math.inf]])
+@example(rows=[[0.3, 0.1, 0.2, 0.05], [PEAK, PEAK, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.2, 0.4, 0.1, 0.3]])
+def test_labels_and_rates_match_the_four_rate_reference_bit_for_bit(rows):
+    moduli = np.array(rows)
+    labels, rates = _labels_and_rates(moduli, LINK)
+    expected_labels, expected_rates = four_rate_reference(moduli, LINK)
+    assert labels.dtype == expected_labels.dtype
+    assert labels.tobytes() == expected_labels.tobytes()
+    assert rates.tobytes() == expected_rates.tobytes()
+    # below 1e-15 a modulus has SNR < 1.3e-17 at LINK, so 1 + SNR rounds to 1: where every codeword's does,
+    # every rate is 0.0 and the tie goes to codeword 0
+    silent = np.all(moduli < 1e-15, axis=1)
+    assert np.all(labels[silent] == 0) and np.all(rates[silent] == 0.0)
 
