@@ -93,18 +93,15 @@ class ScenarioGeometry:
         object.__setattr__(self, "paths", tuple(_path(p, self) for p in (self.rx, self.tx, *self.scatterers)))
 
 
-def radiation_gain(elevation) -> np.ndarray | float:
-    """Element radiation pattern 2(2*Q0 + 1) * cos(b)^(2*Q0).
+def radiation_gain(elevation: float) -> float:
+    """Element radiation pattern 2(2*Q0 + 1) * cos(b)^(2*Q0) of one elevation.
 
-    Zero outside the front hemisphere (|b| >= pi/2).  Accepts scalars or
-    arrays; total on the reals.
+    Zero outside the front hemisphere (|b| >= pi/2) and at NaN.  ``math.cos`` and ``**`` give
+    the bits of numpy's ``np.cos(b) ** (2 * Q0)`` on a 0-d array; ``np.power`` does not.
     """
-    b = np.asarray(elevation, dtype=float)
-    inside = np.abs(b) < math.pi / 2
-    gain = np.where(inside, 2.0 * (2.0 * Q0 + 1.0) * np.cos(np.where(inside, b, 0.0)) ** (2.0 * Q0), 0.0)
-    if np.ndim(elevation) == 0:
-        return float(gain)
-    return gain
+    if not abs(elevation) < math.pi / 2:
+        return 0.0
+    return 2.0 * (2.0 * Q0 + 1.0) * math.cos(elevation) ** (2.0 * Q0)
 
 
 def path_loss(distance: float) -> float:
@@ -176,7 +173,8 @@ def gen_channel_pairs(geom: ScenarioGeometry, rng: np.random.Generator, J: int) 
 
 
 def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one CSI sample (h, g): :func:`gen_channel_pairs` with J = 1."""
+    """Draw one CSI sample (h, g): :func:`gen_channel_pairs` with J = 1.  No command calls it;
+    it is the tests' per-sample oracle and a perfbench tracer target."""
     h, g = gen_channel_pairs(geom, rng, 1)
     return h[0], g[0]
 

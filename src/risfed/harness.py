@@ -32,6 +32,9 @@ from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
                        split, train_count)
 
+# run_sweep shares one SeedDataCache, keyed by run seed only, across its cells, so a J, spacings
+# or dataset_seed axis would silently train every cell on the base config's draw: key the cache
+# by those settings before adding such an axis.
 SWEEP_AXES = ("tau", "B", "m")
 
 # Anchor geometry of the default heterogeneity profile.  Worker 0's RX sits
@@ -122,13 +125,13 @@ class ExperimentConfig:
 
 _POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J")
 _LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float}
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_KINDS = {f.name: _LIST_KEYS.get(f.name) or {"int": int, "float": float, "str": str}[f.type]
+          for f in fields(ExperimentConfig)}
 
 
 def _check_numbers(config: ExperimentConfig) -> None:
     """Reject non-finite values of float keys and non-integers in int keys."""
-    for key, ftype in _FIELD_TYPES.items():
-        kind = _LIST_KEYS.get(key) or {"int": int, "float": float}.get(ftype)
+    for key, kind in _KINDS.items():
         values = getattr(config, key) if key in _LIST_KEYS else (getattr(config, key),)
         for v in values:
             if kind is float and not math.isfinite(v):
@@ -142,13 +145,8 @@ def _parse_value(key: str, text: str):
         items = [s.strip() for s in text.split(",")] if text.strip() else []
         if "" in items:
             raise ValueError(f"empty item in {text!r}")
-        return tuple(map(_LIST_KEYS[key], items))
-    ftype = _FIELD_TYPES[key]
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
-    return text
+        return tuple(map(_KINDS[key], items))
+    return _KINDS[key](text)
 
 
 def _format_value(value) -> str:
@@ -211,7 +209,7 @@ def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> Expe
     """Parse ``key = value`` settings and apply them on top of a config."""
     parsed = {}
     for key, text in overrides.items():
-        if key not in _FIELD_TYPES:
+        if key not in _KINDS:
             raise ValueError(f"unknown config key {key!r}")
         try:
             parsed[key] = _parse_value(key, text)
@@ -500,7 +498,7 @@ _DATASET_COLUMNS = [f"f{i:03d}" for i in range(FEATURE_DIM)] + ["label", "rate"]
 _DATASET_META_KEYS = ("worker_id", "num_samples", "scaler_mean", "scaler_sd")
 
 
-def save_dataset(ds: Dataset, stem: str, extra_meta: dict | None = None) -> tuple[str, str]:
+def save_dataset(ds: Dataset, stem: str, extra_meta: dict) -> tuple[str, str]:
     """Write ``<stem>.csv`` plus a ``<stem>.meta`` header file.
 
     CSV: header row, then one row per sample: f000..f399 (floats, shortest
@@ -518,7 +516,7 @@ def save_dataset(ds: Dataset, stem: str, extra_meta: dict | None = None) -> tupl
         "num_samples": len(ds),
         "scaler_mean": ds.scaler.mean.tolist() if ds.scaler else (),
         "scaler_sd": ds.scaler.sd.tolist() if ds.scaler else (),
-        **(extra_meta or {}),
+        **extra_meta,
     }
     with open(meta_path, "w") as f:
         f.write(format_settings(meta))

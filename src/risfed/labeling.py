@@ -76,10 +76,10 @@ class FeatureScaler:
     mean: np.ndarray
     sd: np.ndarray
 
-    def transform(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(raw - mean) / sd; ``out=raw`` standardizes ``raw`` in place."""
-        out = np.subtract(raw, self.mean, out=out)
-        return np.divide(out, self.sd, out=out)
+    def transform(self, raw: np.ndarray) -> np.ndarray:
+        """Standardize ``raw`` in place, to (raw - mean) / sd, and return it."""
+        np.subtract(raw, self.mean, out=raw)
+        return np.divide(raw, self.sd, out=raw)
 
     def inverse(self, standardized: np.ndarray) -> np.ndarray:
         return standardized * self.sd + self.mean
@@ -126,23 +126,20 @@ class Dataset:
 
 
 def rate(phi: np.ndarray, h: np.ndarray, g: np.ndarray, params: RateParams) -> float:
-    """Downlink rate w * log2(1 + |g^H diag(phi) h|^2 p / (w N0)) in bit/s."""
-    phi = np.asarray(phi)
-    h = np.asarray(h)
-    g = np.asarray(g)
+    """Downlink rate w * log2(1 + |g^H diag(phi) h|^2 p / (w N0)) in bit/s; phi, h, g are arrays."""
     if not (phi.shape == h.shape == g.shape):
         raise ValueError(f"shape mismatch: phi {phi.shape}, h {h.shape}, g {g.shape}")
     cascade = np.vdot(g, phi * h)  # vdot conjugates its first argument
-    return _rates_of_moduli([[float(abs(cascade))]], params)[0][0]
+    return _rates_of_moduli([float(abs(cascade))], params)[0]
 
 
-def _rates_of_moduli(rows: list[list[float]], params: RateParams) -> list[list[float]]:
-    """:func:`rate` of each modulus |g^H diag(phi) h| in nested lists, in
+def _rates_of_moduli(moduli: list[float], params: RateParams) -> list[float]:
+    """:func:`rate` of each modulus |g^H diag(phi) h| of a flat list, in
     Python floats: numpy's array square and log2 can differ from these in
     the last bit."""
     w, p = params.bandwidth, params.tx_power
     noise = w * params.noise_psd
-    return [[w * math.log2(1.0 + (m ** 2) * p / noise) for m in row] for row in rows]
+    return [w * math.log2(1.0 + (m ** 2) * p / noise) for m in moduli]
 
 
 def _labels_and_rates(moduli: np.ndarray, params: RateParams) -> tuple[np.ndarray, np.ndarray]:
@@ -176,10 +173,10 @@ def _labels_and_rates(moduli: np.ndarray, params: RateParams) -> tuple[np.ndarra
         rivals = np.count_nonzero(moduli >= peak[:, None] * (1.0 - TIE_BAND), axis=1) > 1
     single = np.flatnonzero(~rivals & (snr >= SNR_FLOOR))
     rates = np.full(J, np.nan)  # NaN marks the rows still to be labelled from four rates
-    rates[single] = _rates_of_moduli([peak[single].tolist()], params)[0]
+    rates[single] = _rates_of_moduli(peak[single].tolist(), params)
     redo = np.flatnonzero(~np.isfinite(rates))
     if redo.size:
-        all_rates = np.array(_rates_of_moduli(moduli[redo].tolist(), params))
+        all_rates = np.array([_rates_of_moduli(row, params) for row in moduli[redo].tolist()])
         labels[redo] = all_rates.argmax(axis=1)
         rates[redo] = all_rates[np.arange(len(redo)), labels[redo]]
     return labels, rates
@@ -212,6 +209,7 @@ def build_codebook(geom: ScenarioGeometry) -> Codebook:
     return Codebook(codewords=codewords)
 
 
+# no command calls label: it is the tests' per-sample oracle and a perfbench tracer target
 def label(h: np.ndarray, g: np.ndarray, codebook: Codebook, params: RateParams) -> int:
     """Index of the rate-maximizing codeword for the channel pair (h, g);
     ties resolve to the lowest index."""
@@ -287,7 +285,7 @@ def split(ds: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     train_features = ds.features[tr]
     scaler = fit_scaler(train_features)
     test_features = ds.features[te]
-    scaler.transform(test_features, out=test_features)
+    scaler.transform(test_features)
     make = lambda idx, features: Dataset(
         worker_id=ds.worker_id, features=features, labels=ds.labels[idx], rates=ds.rates[idx], scaler=scaler)
     return make(tr, train_features), make(te, test_features)

@@ -120,15 +120,13 @@ def predict(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.argmax(forward(theta, x), axis=-1)
 
 
-def add_scaled(p: np.ndarray, q: np.ndarray, coeff: float, out: np.ndarray | None = None) -> np.ndarray:
-    """p + coeff * q, as a new vector, or written into ``out`` and returned.
+def add_scaled(p: np.ndarray, q: np.ndarray, coeff: float, out: np.ndarray) -> np.ndarray:
+    """p + coeff * q, written into ``out`` and returned.
 
     ``out`` may be q (its values are consumed) but never p, which is read
-    after out is first written.  Both forms do the same two IEEE operations
-    in the same order, so they agree bit for bit.
+    after out is first written.  The two IEEE operations, coeff * q and then
+    p + that, are those of ``p + coeff * q``, so the result is the same bits.
     """
-    if out is None:
-        return p + coeff * q
     if np.may_share_memory(out, p):
         raise ValueError("add_scaled cannot write into p")
     np.multiply(q, coeff, out=out)
@@ -142,6 +140,7 @@ def average(thetas: list[np.ndarray]) -> np.ndarray:
     return sum(thetas) / len(thetas)
 
 
+# to_vector and from_vector: no command calls them; perfbench's tracer and gate bind them
 def to_vector(theta: np.ndarray) -> np.ndarray:
     """The canonical flat form, which theta already is: returned unchanged."""
     return theta
@@ -160,12 +159,15 @@ _CKPT_HEADER = f"risfed-mlp-v1 layers={','.join(map(str, LAYER_SIZES))} dtype=<f
 
 
 def save_params(theta: np.ndarray, path: str) -> None:
+    """Write the checkpoint header line, then theta as little-endian float64."""
     with open(path, "wb") as f:
         f.write(_CKPT_HEADER.encode("ascii"))
-        f.write(to_vector(theta).astype("<f8").tobytes())
+        f.write(theta.astype("<f8").tobytes())
 
 
 def load_params(path: str) -> np.ndarray:
+    """A float64 copy of a :func:`save_params` checkpoint's values; a header other than
+    this network's, or a payload other than PARAM_COUNT float64 values, is refused."""
     with open(path, "rb") as f:
         header = f.readline().decode("ascii")
         if header != _CKPT_HEADER:
@@ -174,4 +176,4 @@ def load_params(path: str) -> np.ndarray:
     expected = PARAM_COUNT * struct.calcsize("<d")
     if len(payload) != expected:
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, expected {expected}")
-    return from_vector(np.frombuffer(payload, dtype="<f8"))
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64)

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from risfed import harness, labeling
@@ -68,11 +69,28 @@ def test_radiation_gain_closed_form_at_60_degrees():
     assert radiation_gain(math.pi / 3) == pytest.approx(3.14 * 0.5 ** 0.57, rel=1e-10)
 
 
-def test_radiation_gain_vectorized():
-    b = np.array([0.0, math.pi / 3, math.pi / 2])
-    out = radiation_gain(b)
-    assert out.shape == (3,)
-    assert out[2] == 0.0
+def array_radiation_gain(elevation):
+    """The pattern as a numpy expression over a 0-d array, zero where |b| >= pi/2."""
+    b = np.asarray(elevation, dtype=float)
+    inside = np.abs(b) < math.pi / 2
+    return float(np.where(inside, 2.0 * (2.0 * 0.285 + 1.0) * np.cos(np.where(inside, b, 0.0)) ** (2.0 * 0.285), 0.0))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(elevation=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2))
+@example(elevation=math.pi / 2)
+@example(elevation=-math.pi / 2)
+@example(elevation=math.pi / 2 - 1e-9)
+@example(elevation=2.0)
+@example(elevation=-2.0)
+@example(elevation=math.nan)
+@example(elevation=0.0)
+@example(elevation=math.radians(2.0))
+@example(elevation=math.radians(4.0))
+def test_radiation_gain_matches_the_array_expression_bit_for_bit(elevation):
+    gain = radiation_gain(elevation)
+    assert type(gain) is float
+    assert struct.pack("<d", gain) == struct.pack("<d", array_radiation_gain(elevation))
 
 
 def test_path_loss_unit_distance():

@@ -112,7 +112,7 @@ def test_trace_near_zero_at_fitted_model(tiny_fleet):
     init_norm = weighted_grad_norm_sq(theta, np.array([1.0]), [ds])
     for _ in range(3000):
         idx = rng.integers(0, len(ds), 32)
-        theta = mlp.add_scaled(theta, mlp.grad(theta, mlp.MiniBatch(ds.features[idx], ds.labels[idx])), -0.05)
+        theta = theta + -0.05 * mlp.grad(theta, mlp.MiniBatch(ds.features[idx], ds.labels[idx]))
     fitted_norm = weighted_grad_norm_sq(theta, np.array([1.0]), [ds])
     assert fitted_norm < 0.05 * init_norm
 

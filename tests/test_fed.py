@@ -63,7 +63,7 @@ def test_local_sgd_single_step_oracle(tiny_fleet):
     theta, _ = local_sgd(ds, theta0, lam_n, 1, alpha, B, np.random.default_rng(6))
     idx = np.random.default_rng(6).integers(0, len(ds), size=B)
     batch = mlp.MiniBatch(ds.features[idx], ds.labels[idx])
-    expected = mlp.add_scaled(theta0, mlp.grad(theta0, batch), -alpha * lam_n)
+    expected = theta0 + (-alpha * lam_n) * mlp.grad(theta0, batch)
     assert theta.tobytes() == expected.tobytes()
 
 
@@ -75,7 +75,7 @@ def reference_local_sgd(ds, theta0, lambda_n, tau, alpha, B, rng, snapshot_at):
             snapshot = theta.copy()
         idx = rng.integers(0, len(ds), size=B)
         batch = mlp.MiniBatch(ds.features[idx], ds.labels[idx])
-        theta = mlp.add_scaled(theta, mlp.grad(theta, batch), -alpha * lambda_n)
+        theta = theta + (-alpha * lambda_n) * mlp.grad(theta, batch)
     return theta, snapshot
 
 
@@ -161,7 +161,7 @@ def test_ps_aggregate_contracts():
     assert ps_aggregate([p]).tobytes() == p.tobytes()
     same = ps_aggregate([p, p, p])
     assert np.allclose(same, p)
-    neg = mlp.add_scaled(p, p, -2.0)
+    neg = p + -2.0 * p
     assert np.allclose(ps_aggregate([p, neg]), 0.0, atol=1e-18)
     with pytest.raises(ValueError):
         ps_aggregate([])

@@ -545,7 +545,7 @@ def _saved_dataset(tmp_path, n=32):
     ds = Dataset(worker_id=1, features=scaler.transform(raw), labels=rng.integers(0, 4, n),
                  rates=rng.uniform(1e7, 2e7, n), scaler=scaler)
     stem = str(tmp_path / "worker1_train")
-    harness.save_dataset(ds, stem)
+    harness.save_dataset(ds, stem, extra_meta={})
     return stem
 
 

@@ -266,7 +266,7 @@ def test_fit_scaler_handles_constant_columns():
 
 def four_rate_reference(moduli, params):
     """The label as :func:`label` takes it: every codeword's rate, then the first argmax."""
-    all_rates = np.array(_rates_of_moduli(moduli.tolist(), params))
+    all_rates = np.array([_rates_of_moduli(row, params) for row in moduli.tolist()])
     labels = all_rates.argmax(axis=1)
     return labels, all_rates[np.arange(len(moduli)), labels]
 

@@ -153,7 +153,7 @@ def test_vector_round_trip_and_add_scaled():
     assert mlp.to_vector(p) is p
     copy = mlp.from_vector(p)
     assert copy is not p and np.array_equal(copy, p)
-    combo = mlp.add_scaled(p, q, -0.5)
+    combo = mlp.add_scaled(p, q, -0.5, out=np.empty(mlp.PARAM_COUNT))
     assert np.allclose(combo, p - 0.5 * q)
     before = p.tobytes()
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_add_scaled_in_place_equals_allocating(seed, coeff):
     rng = np.random.default_rng(seed)
     p, q = mlp.init(rng), rng.standard_normal(mlp.PARAM_COUNT)
     p_bytes, q_bytes = p.tobytes(), q.tobytes()
-    expected = mlp.add_scaled(p, q, coeff).tobytes()
+    expected = (p + coeff * q).tobytes()
     buf = np.empty(mlp.PARAM_COUNT)
     assert mlp.add_scaled(p, q, coeff, out=buf) is buf
     assert buf.tobytes() == expected
@@ -198,7 +198,7 @@ def test_grad_loss_predict_leave_theta_and_inputs_unchanged(B):
 def test_average_params():
     rng = np.random.default_rng(15)
     p = mlp.init(rng)
-    neg = mlp.add_scaled(p, p, -2.0)
+    neg = p + -2.0 * p
     avg = mlp.average([p, neg])
     assert np.allclose(avg, 0.0, atol=1e-18)
     assert np.array_equal(mlp.average([p]), p)
