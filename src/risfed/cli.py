@@ -86,9 +86,8 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
     if n_ckpts < diagnostics.MIN_CHECKPOINTS:
         return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
                        f"fewer than diagnose's minimum of {diagnostics.MIN_CHECKPOINTS}")
-    run = {}
-
-    def rows():  # the estimate and the run, made once write_csv has opened the file
+    path = os.path.join(config.out_dir, "diagnostics.csv")
+    with harness.csv_writer(path, ("t", "grad_norm_sq", "running_mean", "bound")) as write:
         seed = config.seeds[0]
         train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
         est = diagnostics.estimate_constants(
@@ -97,13 +96,7 @@ def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
         )
         T, trace, bound = diagnostics.schedule_matched_trace(config, est, train_sets, test_sets, config.K, seed)
         rm = diagnostics.running_mean(trace)
-        run.update(est=est, T=T, trace=trace, bound=bound, rm=rm)
-        for t, g, r in zip(trace.t, trace.grad_norm_sq, rm):
-            yield int(t), g, r, bound
-
-    path = os.path.join(config.out_dir, "diagnostics.csv")
-    harness.write_csv(path, ("t", "grad_norm_sq", "running_mean", "bound"), rows())
-    est, T, trace, bound, rm = (run[key] for key in ("est", "T", "trace", "bound", "rm"))
+        write((t, g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm))
     later = trace.t > 0  # t = 0 has no place on a log axis
     slope = diagnostics.fit_loglog_slope(trace.t[later], rm[later])
     print(path)
@@ -116,16 +109,13 @@ def cmd_theory(config: harness.ExperimentConfig, args) -> int:
     """Run the convergence-rate check of :func:`diagnostics.theory_check` over
     the seed list, writing each record as it arrives, and report each run
     against the theorem bound."""
-    records = []
     columns = ("seed", "K", "T", "running_mean", "bound")
-
-    def rows():
+    path = os.path.join(config.out_dir, "theory.csv")
+    records = []
+    with harness.csv_writer(path, columns) as write:
         for r in diagnostics.theory_check(config, args.probes):
             records.append(r)
-            yield [r[c] for c in columns]
-
-    path = os.path.join(config.out_dir, "theory.csv")
-    harness.write_csv(path, columns, rows())
+            write([[r[c] for c in columns]])
     print(path)
     for r in records:
         print(f"seed {r['seed']} K={r['K']:4d} T={r['T']:5d} running mean {r['running_mean']:8.4f} "

@@ -4,7 +4,7 @@ hyperparameter sweeps, and every text format risfed reads or writes.
 Config files, ``--set`` items and dataset ``.meta`` files are flat
 ``key = value`` text ('#' starts a comment), read by :func:`read_settings`
 and written by :func:`format_settings`; every table, datasets included, is
-written by :func:`write_csv`.  :func:`run_rows` is the one runs.csv row
+written through :func:`csv_writer`.  :func:`run_rows` is the one runs.csv row
 layout, where each round's statistics over workers are computed from the
 accuracies a run logged, and :func:`seed_series` the one mean over seeds:
 summary.csv, sweep.csv and the fig_*.csv series all read it, and
@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -150,20 +150,18 @@ def _parse_value(key: str, text: str):
 
 
 def _format_value(value) -> str:
-    """Text of a setting or CSV cell.  A float is written as the repr of a
-    Python float, which round-trips exactly; numpy's own scalar repr
-    carries a type prefix.  A tuple or list is comma-joined."""
-    if type(value) is float:  # most cells of a dataset file
-        return repr(value)
+    """Text of a setting or CSV row: a tuple or list is the comma-joined
+    ``str`` of its items, and anything else is its ``str``.  The ``str`` of a
+    Python or numpy float is its shortest decimal that round-trips exactly."""
     if isinstance(value, (tuple, list)):
-        return ",".join(map(_format_value, value))
-    if isinstance(value, np.floating):
-        return repr(float(value))
+        return ",".join(map(str, value))
     return str(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and then ``rows``, every cell through :func:`_format_value`.
+@contextlib.contextmanager
+def csv_writer(path: str, header: Sequence[str]) -> Iterator[Callable[[Iterable[Sequence]], None]]:
+    """Make the directory of ``path``, open it, write ``header``, and yield a
+    function that writes rows, each a tuple or list through :func:`_format_value`.
 
     The file is line buffered: each row reaches it as soon as it is written,
     so the rows of a long computation survive an interruption.
@@ -171,8 +169,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", buffering=1) as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(map(_format_value, row)) + "\n")
+        yield lambda rows: f.writelines(_format_value(row) + "\n" for row in rows)
 
 
 def split_setting(text: str, where: str) -> tuple[str, str]:
@@ -426,29 +423,27 @@ def run_experiment(config: ExperimentConfig,
     The x-axis column ``comm_rounds`` counts communication exchanges (DRFA:
     two per round).
     """
+    csv_path = os.path.join(config.out_dir, "runs.csv")
     runs: dict[tuple[str, int], RunResult] = {}
-
-    def rows():  # runs.csv is open, so out_dir exists
-        for name in ("summary.csv", *FIGURE_FILES):
+    with csv_writer(csv_path, [*RUNS_COLUMNS, *[f"acc_w{i}" for i in range(config.N)],
+                               *[f"lambda_{i}" for i in range(config.N)]]) as write:
+        for name in ("summary.csv", *FIGURE_FILES):  # runs.csv is open, so out_dir exists
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(config.out_dir, name))
         for key, result in run_grid(config, data):
             runs[key] = result
-            yield from run_rows(result)
-
-    csv_path = os.path.join(config.out_dir, "runs.csv")
-    write_csv(csv_path, [*RUNS_COLUMNS, *[f"acc_w{i}" for i in range(config.N)],
-                         *[f"lambda_{i}" for i in range(config.N)]], rows())
+            write(run_rows(result))
     series = seed_series(row for result in runs.values() for row in run_rows(result))
     summary = summarize_runs(series)
-    write_csv(os.path.join(config.out_dir, "summary.csv"),
-              ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
-               "comm_rounds"],
-              [astuple(s) for s in summary.per_algorithm.values()])
+    with csv_writer(os.path.join(config.out_dir, "summary.csv"),
+                    ["algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "acc_sd_mean",
+                     "comm_rounds"]) as write:
+        write(astuple(s) for s in summary.per_algorithm.values())
     points = sorted(series.items())
     for metric, name in zip(SERIES_METRICS, FIGURE_FILES):
-        write_csv(os.path.join(config.out_dir, name), ["algorithm", "round", "comm_rounds", "mean", "se"],
-                  [(*key, comm, *stats[metric]) for key, (comm, stats) in points])
+        with csv_writer(os.path.join(config.out_dir, name),
+                        ["algorithm", "round", "comm_rounds", "mean", "se"]) as write:
+            write((*key, comm, *stats[metric]) for key, (comm, stats) in points)
     return ExperimentResult(runs=runs, summary=summary, csv_path=csv_path)
 
 
@@ -475,21 +470,17 @@ def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[Experi
     """
     cache = data if data is not None else SeedDataCache(config)
     cells = []
-
-    def rows():
+    with csv_writer(os.path.join(config.out_dir, "sweep.csv"),
+                    ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se",
+                     "cell"]) as write:
         for cfg_v in cell_configs:
             summary = summarize_runs(seed_series(row for _, result in run_grid(cfg_v, cache)
                                                  for row in run_rows(result)))
             value = getattr(cfg_v, axis)
-            for s in summary.per_algorithm.values():
-                cells.append((value, s))
-                # the summary's first five fields: algorithm and the four accuracy statistics;
-                # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
-                yield (axis, float(value), *astuple(s)[:5], s.cell)
-
-    write_csv(os.path.join(config.out_dir, "sweep.csv"),
-              ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se", "cell"],
-              rows())
+            cells += ((value, s) for s in summary.per_algorithm.values())
+            # the summary's first five fields: algorithm and the four accuracy statistics;
+            # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
+            write((axis, float(value), *astuple(s)[:5], s.cell) for s in summary.per_algorithm.values())
     return cells
 
 
@@ -508,8 +499,8 @@ def save_dataset(ds: Dataset, stem: str, extra_meta: dict) -> tuple[str, str]:
     then ``extra_meta``.
     """
     csv_path, meta_path = stem + ".csv", stem + ".meta"
-    write_csv(csv_path, _DATASET_COLUMNS,
-              ([*f, label, r] for f, label, r in zip(ds.features.tolist(), ds.labels.tolist(), ds.rates.tolist())))
+    with csv_writer(csv_path, _DATASET_COLUMNS) as write:
+        write([*f, label, r] for f, label, r in zip(ds.features.tolist(), ds.labels.tolist(), ds.rates.tolist()))
     meta = {
         "format": DATASET_FORMAT_VERSION,
         "worker_id": ds.worker_id,

@@ -1,12 +1,13 @@
 import math
 import os
 import re
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from risfed import channel, cli, diagnostics, fed, harness, labeling, metrics, mlp
 from risfed.harness import ExperimentConfig, SeedDataCache, apply_overrides
@@ -112,6 +113,19 @@ def test_config_round_trip_canonical(tmp_path):
     cfg2 = config_from_file(str(path2))
     assert cfg2 == cfg
     assert harness.format_settings(asdict(cfg2)) == canonical
+
+
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(1e-05)
+@example(1e16)
+@example(sys.float_info.max)
+@given(st.floats())
+def test_format_value_writes_a_float_as_its_shortest_round_trip_decimal(x):
+    text = repr(float(x))
+    assert harness._format_value(x) == harness._format_value(np.float64(x)) == text
+    assert harness._format_value((7, x, "fgdra", np.int64(-3), np.float64(x))) == f"7,{text},fgdra,-3,{text}"
 
 
 def test_read_settings_refuses_a_line_without_equals(tmp_path):
@@ -655,6 +669,25 @@ def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, ca
     assert out[-1] == f"bound held in {held}/{len(records)} runs"
 
 
+def test_cli_theory_writes_each_records_row_before_the_next_run_starts(tmp_path, monkeypatch):
+    monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
+    real, seen = diagnostics.schedule_matched_trace, []
+
+    def read_rows_then_run(*args, **kwargs):
+        seen.append(Path(tmp_path, "theory.csv").read_text())
+        if len(seen) == 2:
+            raise RuntimeError("stop")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "schedule_matched_trace", read_rows_then_run)
+    with pytest.raises(RuntimeError, match="stop"):
+        cli.main(["theory", "--seed-list", "0", "--probes", "100", "--set", "J=120", "--set", "B=10",
+                  "--out-dir", str(tmp_path)])
+    assert seen[0] == "seed,K,T,running_mean,bound\n"  # the header, before the first run
+    header, *rows = seen[1].splitlines()
+    assert [row.split(",")[:2] for row in rows] == [["0", "4"]]
+
+
 def test_cli_subcommands(tmp_path):
     out = str(tmp_path / "cli")
     base = ["--set", "K=4", "--set", "J=120", "--set", "eval_every=2", "--seed-list", "0"]
@@ -751,6 +784,7 @@ def test_cli_refuses_a_run_that_diverges_with_one_line_naming_alpha(tmp_path, ca
     (["theory", "--set", "J=40", "--seed-list", "0", "--probes", "100", "--out-dir", "a_file/sub"],
      "Not a directory"),
     (["diagnose", "--set", "J=40", "--set", "K=4", "--probes", "100", "--out-dir", "a_file/sub"], "Not a directory"),
+    (["train", "--set", "J=40", "--set", "K=1", "--out-dir", "a_file/sub"], "Not a directory"),
 ])
 def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
     def no_run(*args, **kwargs):
