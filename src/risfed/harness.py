@@ -2,9 +2,10 @@
 hyperparameter sweeps, and every text format risfed reads or writes.
 
 Config files, ``--set`` items and dataset ``.meta`` files are flat
-``key = value`` text ('#' starts a comment), read by :func:`read_settings`
-and written by :func:`format_settings`; every table, datasets included, is
-written through :func:`csv_writer`.  :func:`run_rows` is the one runs.csv row
+``key = value`` text, read by :func:`read_settings` ('#' at the start of a
+line or after whitespace starts a comment) and written by
+:func:`format_settings`; every table, datasets included, is written through
+:func:`csv_writer`.  :func:`run_rows` is the one runs.csv row
 layout, where each round's statistics over workers are computed from the
 accuracies a run logged, and :func:`seed_series` the one mean over seeds:
 summary.csv, sweep.csv and the fig_*.csv series all read it, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -182,13 +184,15 @@ def split_setting(text: str, where: str) -> tuple[str, str]:
 
 
 def read_settings(path: str) -> dict[str, str]:
-    """The ``key = value`` lines of a text file, in file order.  '#' starts a
-    comment and blank lines are skipped; a line without '=', or one that
-    repeats an earlier line's key, is refused with ``path:lineno``."""
+    """The ``key = value`` lines of a text file, in file order.  '#' at the
+    start of a line or after whitespace starts a comment, so a value such as
+    ``runs#1`` reads as ``--set`` gives it; blank lines are skipped.  A line
+    without '=', or one that repeats an earlier line's key, is refused with
+    ``path:lineno``."""
     settings = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if line:
                 key, value = split_setting(line, f"{path}:{lineno}")
                 if key in settings:

@@ -6,7 +6,9 @@ runtime criteria can be asserted.  Every test prints one PASS line (visible
 under ``pytest -s``); a failure shows up as the test failing.
 """
 
+import csv
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -62,7 +64,7 @@ def theory_battery(config):
     return list(diagnostics.theory_check(replace(config, seeds=(0, 1, 2, 3)), n_probes=120))
 
 
-def test_c01_gradient_correctness(tiny_fleet):
+def test_c01_gradient_correctness():
     """Backprop vs central finite differences, rel err <= 1e-5, < 10 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -154,12 +156,13 @@ def test_c06_fairness_gap_at_m2(m2_battery):
 
 def test_c07_communication_efficiency(default_battery):
     """FGDRA reaches DRFA's final worst accuracy in <= 0.7x the exchanges,
-    read off the seed-mean curve of fig_worst.csv (harness.seed_series)."""
+    read off the seed-mean curve that train wrote to fig_worst.csv."""
     result, _ = default_battery
     drfa = result.summary.per_algorithm["drfa"]
     drfa_final, drfa_comm = drfa.worst_acc_mean, drfa.communication_rounds_consumed
-    series = harness.seed_series(row for run in result.runs.values() for row in harness.run_rows(run))
-    curve = [(comm, stats["worst_acc"][0]) for (alg, _), (comm, stats) in series.items() if alg == "fgdra"]
+    with open(os.path.join(os.path.dirname(result.csv_path), "fig_worst.csv")) as f:
+        curve = [(int(row["comm_rounds"]), float(row["mean"]))
+                 for row in csv.DictReader(f) if row["algorithm"] == "fgdra"]
     crossing = next((c for c, v in curve if v >= drfa_final), None)
     assert crossing is not None, "FGDRA never reached DRFA's final worst accuracy"
     assert crossing <= 0.7 * drfa_comm

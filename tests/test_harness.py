@@ -104,9 +104,13 @@ def test_parse_config_rejects_m_greater_than_N(tmp_path):
 
 
 def test_config_round_trip_canonical(tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace, so runs#1 is one value
     path = tmp_path / "c.cfg"
-    path.write_text("alpha = 0.004   # comment\nseeds = 3, 4,5\nalgorithms = drfa, fgdra\n")
+    path.write_text("alpha = 0.004   # comment\nseeds = 3, 4,5\t#tab\nalgorithms = drfa, fgdra\nout_dir = runs#1\n")
     cfg = config_from_file(str(path))
+    sets = ["alpha=0.004", "seeds=3,4,5", "algorithms=drfa,fgdra", "out_dir=runs#1"]
+    assert cfg == cli._load_config(cli.build_parser().parse_args(["train", *(f"--set={s}" for s in sets)]))
+    assert cfg.out_dir == "runs#1"
     canonical = harness.format_settings(asdict(cfg))
     path2 = tmp_path / "c2.cfg"
     path2.write_text(canonical)
@@ -545,11 +549,18 @@ def test_run_experiment_writes_the_figure_series(tmp_path):
 
 
 def test_export_datasets_round_trip(tmp_path):
+    # every file loads back bit for bit: each float is written as its shortest round-trip decimal
     cfg = small_config(tmp_path, J=80)
     written = harness.export_datasets(cfg)
-    assert len(written) == 8  # 4 workers x train/test
-    ds = harness.load_dataset(written[0][:-4])
-    assert len(ds) == 64
+    train_sets, test_sets, _ = harness.generate_data(cfg)
+    assert written == [os.path.join(cfg.out_dir, f"worker{w}_{part}.csv")
+                       for w in range(cfg.N) for part in ("train", "test")]
+    for path, ds in zip(written, [ds for pair in zip(train_sets, test_sets) for ds in pair], strict=True):
+        loaded = harness.load_dataset(path[:-4])
+        assert loaded.worker_id == ds.worker_id
+        for a, b in ((loaded.features, ds.features), (loaded.labels, ds.labels), (loaded.rates, ds.rates),
+                     (loaded.scaler.mean, ds.scaler.mean), (loaded.scaler.sd, ds.scaler.sd)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _saved_dataset(tmp_path, n=32):
@@ -613,6 +624,9 @@ def _edit_meta(path, key, value):
      "num_samples must be >= 1, got 0"),
     (lambda stem: _set_row_width(stem + ".csv", 401), ".csv", "rows have 401 cells, but the header has 402"),
     (lambda stem: _set_row_width(stem + ".csv", 403), ".csv", "rows have 403 cells, but the header has 402"),
+    (lambda stem: _edit_meta(stem + ".meta", "format", "not-a-dataset"), ".meta", "unsupported dataset format"),
+    (lambda stem: _edit_meta(stem + ".meta", "worker_id", "abc"), ".meta", "invalid literal for int()"),
+    (lambda stem: _set_first_row_cell(stem + ".csv", "f017", "abc"), ".csv", "could not convert string 'abc'"),
 ])
 def test_load_dataset_refuses_truncated_or_malformed_files(tmp_path, damage, file, message):
     stem = _saved_dataset(tmp_path)
@@ -686,18 +700,6 @@ def test_cli_theory_writes_each_records_row_before_the_next_run_starts(tmp_path,
     assert seen[0] == "seed,K,T,running_mean,bound\n"  # the header, before the first run
     header, *rows = seen[1].splitlines()
     assert [row.split(",")[:2] for row in rows] == [["0", "4"]]
-
-
-def test_cli_subcommands(tmp_path):
-    out = str(tmp_path / "cli")
-    base = ["--set", "K=4", "--set", "J=120", "--set", "eval_every=2", "--seed-list", "0"]
-    assert cli.main(["gen-data", "--out-dir", out] + base) == 0
-    assert cli.main(["train", "--out-dir", out] + base) == 0
-    for name in ("runs.csv", "summary.csv", "fig_avg.csv", "fig_worst.csv", "fig_sd.csv"):
-        assert os.path.getsize(os.path.join(out, name)) > 0
-    assert cli.main(["sweep", "tau=1,2", "--out-dir", out] + base) == 0
-    assert cli.main(["diagnose", "--out-dir", out, "--probes", "100"] + base) == 0
-    assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
 # each case is a risfed command line: a config the parser refuses, or a
@@ -785,6 +787,7 @@ def test_cli_refuses_a_run_that_diverges_with_one_line_naming_alpha(tmp_path, ca
      "Not a directory"),
     (["diagnose", "--set", "J=40", "--set", "K=4", "--probes", "100", "--out-dir", "a_file/sub"], "Not a directory"),
     (["train", "--set", "J=40", "--set", "K=1", "--out-dir", "a_file/sub"], "Not a directory"),
+    (["gen-data", "--set", "J=40", "--out-dir", "a_file/sub"], "Not a directory"),
 ])
 def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
     def no_run(*args, **kwargs):

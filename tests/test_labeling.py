@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from risfed.channel import NUM_ELEMENTS, array_response, gen_channel_pair, path_loss, radiation_gain
-from risfed.harness import LINK, load_dataset, save_dataset
+from risfed.harness import LINK
 from risfed.labeling import (
     TIE_BAND,
     _labels_and_rates,
@@ -220,31 +220,6 @@ def test_rowwise_dot_of_conjugate_equals_vdot_bit_for_bit(J, seed):
     x = phi * h
     expected = np.array([np.vdot(g[j], x[j]) for j in range(J)])
     assert _rowwise_dot(np.conjugate(g), x).tobytes() == expected.tobytes()
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    geom = small_geometry()
-    ds = gen_dataset(WorkerProfile(2, geom, LINK), 60, np.random.default_rng(17))
-    train, _ = split(ds, np.random.default_rng(18))
-    stem = str(tmp_path / "worker2_train")
-    save_dataset(train, stem, extra_meta={"note": "test"})
-    loaded = load_dataset(stem)
-    assert loaded.worker_id == 2
-    assert np.allclose(loaded.features, train.features)
-    assert np.array_equal(loaded.labels, train.labels)
-    assert np.allclose(loaded.rates, train.rates)
-    assert np.allclose(loaded.scaler.mean, train.scaler.mean)
-    assert np.allclose(loaded.scaler.sd, train.scaler.sd)
-
-
-def test_load_rejects_unknown_format(tmp_path):
-    stem = str(tmp_path / "bogus")
-    with open(stem + ".meta", "w") as f:
-        f.write("format = not-a-dataset\nworker_id = 0\n")
-    with open(stem + ".csv", "w") as f:
-        f.write("x\n1\n")
-    with pytest.raises(ValueError):
-        load_dataset(stem)
 
 
 def test_fit_scaler_handles_constant_columns():

@@ -223,6 +223,15 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         mlp.load_params(path)
 
 
+def test_checkpoint_rejects_a_payload_one_float_short(tmp_path):
+    path = tmp_path / "short.bin"
+    mlp.save_params(mlp.init(np.random.default_rng(16)), str(path))
+    path.write_bytes(path.read_bytes()[:-8])
+    full = mlp.PARAM_COUNT * 8
+    with pytest.raises(ValueError, match=f"checkpoint payload is {full - 8} bytes, expected {full}"):
+        mlp.load_params(str(path))
+
+
 def test_minibatch_validation():
     with pytest.raises(ValueError):
         mlp.MiniBatch(inputs=np.zeros((0, 400)), labels=np.zeros(0, dtype=int))
