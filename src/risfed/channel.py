@@ -13,7 +13,8 @@ reads them from ``ScenarioGeometry.paths``.
 The scene around each RIS is fixed, and this module owns it: a
 ``RIS_ROWS`` x ``RIS_COLS`` array at the ``CARRIER_WAVELENGTH_M`` carrier,
 and ``N_SCATTERERS`` scatterers drawn within ``SCATTER_CONE_DEG`` of the TX
-direction.  Workers differ only in element spacing and placements.
+direction, on paths 5% to 30% (``SCATTER_EXTRA_LO``, ``SCATTER_EXTRA_HI``)
+longer than the TX path.  Workers differ only in element spacing and placements.
 
 All generators are pure functions of (geometry, rng): callers own the rng
 stream, so concurrent generation across workers is safe.
@@ -39,6 +40,7 @@ NUM_ELEMENTS = RIS_ROWS * RIS_COLS
 CARRIER_WAVELENGTH_M = 0.0107
 N_SCATTERERS = 4
 SCATTER_CONE_DEG = 15.0
+SCATTER_EXTRA_LO, SCATTER_EXTRA_HI = 0.05, 0.30
 
 
 @dataclass(frozen=True)
@@ -179,19 +181,13 @@ def gen_channel_pair(geom: ScenarioGeometry, rng: np.random.Generator) -> tuple[
     return h[0], g[0]
 
 
-def make_worker_geometry(
-    element_spacing: float,
-    tx: Placement,
-    rx: Placement,
-    rng: np.random.Generator,
-    extra_travel_lo: float,
-    extra_travel_hi: float,
-) -> ScenarioGeometry:
+def make_worker_geometry(element_spacing: float, tx: Placement, rx: Placement,
+                         rng: np.random.Generator) -> ScenarioGeometry:
     """Build a worker scenario, drawing its scatterer constellation once.
 
     ``N_SCATTERERS`` scatterers sit in a cone around the TX direction
     (azimuth/elevation offsets uniform in +-``SCATTER_CONE_DEG``) with travel
-    distance d_T * (1 + U[extra_travel_lo, extra_travel_hi]).  The
+    distance d_T * (1 + U[``SCATTER_EXTRA_LO``, ``SCATTER_EXTRA_HI``]).  The
     constellation is fixed for the lifetime of the worker.
     """
     cone = math.radians(SCATTER_CONE_DEG)
@@ -200,6 +196,6 @@ def make_worker_geometry(
     for _ in range(N_SCATTERERS):
         az = tx.azimuth + rng.uniform(-cone, cone)
         el = float(np.clip(tx.elevation + rng.uniform(-cone, cone), -max_elev, max_elev))
-        dist = tx.distance * (1.0 + rng.uniform(extra_travel_lo, extra_travel_hi))
+        dist = tx.distance * (1.0 + rng.uniform(SCATTER_EXTRA_LO, SCATTER_EXTRA_HI))
         scatterers.append(Placement(distance=dist, azimuth=az, elevation=el))
     return ScenarioGeometry(element_spacing=element_spacing, tx=tx, rx=rx, scatterers=tuple(scatterers))

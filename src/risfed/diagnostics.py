@@ -27,6 +27,8 @@ from .labeling import Dataset
 MIN_PROBES = 100
 # Fewest round_checkpoints risfed diagnose accepts; it refuses a K that gives fewer.
 MIN_CHECKPOINTS = 5
+# Relative size of the displacement behind each L_hat probe of estimate_constants.
+PAIR_SCALE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,8 @@ def grad_norm_trace(result: fed.RunResult, train_sets: list[Dataset], checkpoint
     return ConvergenceTrace(t=np.array([k * result.config.tau for k in ks]), grad_norm_sq=values)
 
 
-def estimate_constants(
-    train_sets: list[Dataset],
-    n_probes: int,
-    rng: np.random.Generator,
-    batch_size: int,
-    pair_scale: float = 1e-2,
-) -> TheoryEstimates:
+def estimate_constants(train_sets: list[Dataset], n_probes: int, rng: np.random.Generator,
+                       batch_size: int) -> TheoryEstimates:
     """Estimate the assumption constants as maxima over probe gradients.
 
     Each probe draws a fresh He-initialized parameter set (random theta at
@@ -105,7 +102,7 @@ def estimate_constants(
     replacement, then records the stochastic gradient norm (for sigma_hat)
     and its deviation from the worker's full-batch gradient (for nu_hat).
     Every fifth probe also perturbs theta by a Gaussian displacement of
-    relative size ``pair_scale`` and records the full-batch gradient
+    relative size :data:`PAIR_SCALE` and records the full-batch gradient
     difference ratio (for L_hat).  Maxima over probe supersets are
     monotone, so enlarging n_probes never shrinks the estimates.
     """
@@ -134,7 +131,7 @@ def estimate_constants(
         nu_hat = max(nu_hat, float(np.linalg.norm(g_stoch - g_full)))
         if i % 5 == 0:
             delta = rng.standard_normal(theta.size)
-            delta *= pair_scale * np.linalg.norm(theta) / np.linalg.norm(delta)
+            delta *= PAIR_SCALE * np.linalg.norm(theta) / np.linalg.norm(delta)
             g_full2 = full_batch_grad(theta + delta, ds)
             L_hat = max(L_hat, float(np.linalg.norm(g_full2 - g_full) / np.linalg.norm(delta)))
     return TheoryEstimates(sigma_hat=sigma_hat, nu_hat=nu_hat, L_hat=L_hat, F0=F0)
@@ -232,23 +229,24 @@ def theory_check(config: harness.ExperimentConfig, n_probes: int) -> Iterator[di
     """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
     per seed of ``config.seeds`` and K, each record yielded as its run ends.
 
-    Seed s trains on :func:`harness.theory_worker_data` drawn from
-    dataset_seed + s, through :func:`schedule_matched_trace` with constants
-    estimated from ``n_probes`` probes.  One record per (seed, K) holds seed,
-    K, T (the iteration count), the final iteration-weighted running mean of
-    the squared gradient norm, the theorem bound, and ``held``: whether that
-    running mean is at most the bound.
+    The one worker is the fleet's one-wavelength design (``spacings = 1.0``).
+    Seed s trains on its :class:`harness.SeedDataCache` draw dataset_seed + s,
+    as ``risfed train`` does, through :func:`schedule_matched_trace` with
+    constants estimated from ``n_probes`` probes.  One record per (seed, K)
+    holds seed, K, T (the iteration count), the final iteration-weighted
+    running mean of the squared gradient norm, the theorem bound, and
+    ``held``: whether that running mean is at most the bound.
 
-    The check overrides spacings and m (its one worker's one-wavelength
-    spacing, so N = m = 1) and K, tau, alpha and gamma (the rate-matched
-    schedule).  It ignores algorithms and eval_every.  Every other setting
-    (B, J, seeds and dataset_seed) comes from ``config``.
+    The check overrides spacings and m (so N = m = 1) and K, tau, alpha and
+    gamma (the rate-matched schedule).  It ignores algorithms and eval_every.
+    Every other setting (B, J, seeds and dataset_seed) comes from ``config``.
     """
     base = replace(config, spacings=(1.0,), m=1)
+    data = harness.SeedDataCache(base)
     for s in config.seeds:
-        train_sets, test_sets = harness.theory_worker_data(config, config.dataset_seed + s)
+        train_sets, test_sets = data.for_seed(s)
         est = estimate_constants(train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
-                                 batch_size=config.B, pair_scale=1e-3)
+                                 batch_size=config.B)
         for K in THEORY_KS:
             T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
             final = float(running_mean(trace)[-1])

@@ -54,15 +54,12 @@ ANCHOR_RX_ELEVATION_DEG = 4.0
 ALIAS_RAMP_OFFSET = 0.02  # cycles per element column
 TX_DISTANCE_M = 30.0
 RX_DISTANCE_M = 20.0
-# The array, the carrier and the scatterer cone are channel's constants.  The
-# profiles' scatterer paths are 5% to 30% longer than the TX path.
-SCATTER_EXTRA_LO, SCATTER_EXTRA_HI = 0.05, 0.30
+# The array, the carrier and the scatterers' cone and travel are channel's constants.
 # The link budget is fixed.  It cannot change a label, the argmax over
 # codewords of a rate that grows with |cascade|^2, nor a standardized
 # feature; it sets only the diagnostic rate column.
 LINK = RateParams(bandwidth=1e7, tx_power=0.5, noise_psd=4e-21)
-# The workers' scatterer constellations, and the convergence-check worker's,
-# are drawn once from this seed and stay fixed.
+# The workers' scatterer constellations are drawn once from this seed and stay fixed.
 PROFILE_SEED = 7
 
 
@@ -129,6 +126,7 @@ _POSITIVE_KEYS = ("alpha", "B", "tau", "K", "eval_every", "J")
 _LIST_KEYS = {"algorithms": str, "seeds": int, "spacings": float}
 _KINDS = {f.name: _LIST_KEYS.get(f.name) or {"int": int, "float": float, "str": str}[f.type]
           for f in fields(ExperimentConfig)}
+_COMMENT = re.compile(r"(?:^|\s)#")  # '#' at the start of a text or after whitespace starts a comment
 
 
 def _check_numbers(config: ExperimentConfig) -> None:
@@ -192,7 +190,7 @@ def read_settings(path: str) -> dict[str, str]:
     settings = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if line:
                 key, value = split_setting(line, f"{path}:{lineno}")
                 if key in settings:
@@ -202,8 +200,17 @@ def read_settings(path: str) -> dict[str, str]:
 
 
 def format_settings(settings: dict) -> str:
-    """One ``key = value`` line per item, every value through :func:`_format_value`."""
-    return "".join(f"{key} = {_format_value(value)}\n" for key, value in settings.items())
+    """One ``key = value`` line per item, every value through :func:`_format_value`.
+    A value that :func:`read_settings` would read back otherwise is refused,
+    naming its key: one whose text holds a line break or a comment, or has
+    leading or trailing whitespace."""
+    lines = []
+    for key, value in settings.items():
+        text = _format_value(value)
+        if "\n" in text or "\r" in text or _COMMENT.search(text) or text != text.strip():
+            raise ValueError(f"{key}: the value {text!r} would not read back as written")
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
@@ -257,46 +264,21 @@ def build_profiles(config: ExperimentConfig) -> list[WorkerProfile]:
         rng = fed.substream(PROFILE_SEED, w)
         tx = Placement(distance=TX_DISTANCE_M, azimuth=tx_az, elevation=0.0)
         rx = Placement(distance=RX_DISTANCE_M, azimuth=rx_az, elevation=rx_el)
-        geom = make_worker_geometry(spacing * CARRIER_WAVELENGTH_M, tx, rx, rng, SCATTER_EXTRA_LO, SCATTER_EXTRA_HI)
+        geom = make_worker_geometry(spacing * CARRIER_WAVELENGTH_M, tx, rx, rng)
         profiles.append(WorkerProfile(worker_id=w, geometry=geom, rate=LINK))
     return profiles
 
 
-def _draw_split(config: ExperimentConfig, profile: WorkerProfile, dataset_seed: int,
-                key: int) -> tuple[Dataset, Dataset]:
-    """One worker's J samples from substream (dataset_seed, key), split into
-    train and test by the same generator."""
-    rng = fed.substream(dataset_seed, key)
-    return split(gen_dataset(profile, config.J, rng), rng)
-
-
 def generate_data(config: ExperimentConfig,
                   dataset_seed: int | None = None) -> tuple[list[Dataset], list[Dataset], list[WorkerProfile]]:
-    """Synthesize and split every worker's dataset for one data draw."""
+    """Synthesize and split every worker's dataset for one data draw: worker w's
+    J samples come from substream (dataset_seed, w), and the same generator
+    splits them into train and test."""
     profiles = build_profiles(config)
     seed = config.dataset_seed if dataset_seed is None else dataset_seed
-    train_sets, test_sets = zip(*(_draw_split(config, p, seed, p.worker_id) for p in profiles))
+    rngs = [fed.substream(seed, p.worker_id) for p in profiles]
+    train_sets, test_sets = zip(*(split(gen_dataset(p, config.J, rng), rng) for p, rng in zip(profiles, rngs)))
     return list(train_sets), list(test_sets), profiles
-
-
-THEORY_STREAM = 3  # substream key of the convergence-check worker's scatterers and data
-
-
-def theory_worker_data(config: ExperimentConfig, dataset_seed: int) -> tuple[list[Dataset], list[Dataset]]:
-    """Single well-conditioned worker for the convergence-rate check: a
-    full-wavelength array at a small azimuth with distant scatterers, which
-    trains to interpolation under the rate-matched schedule.  The worker fixes
-    its own placements, spacing and scatter travel (0.25 to 0.5); the rest of
-    its scene is channel's."""
-    rng = fed.substream(PROFILE_SEED, THEORY_STREAM)
-    geom = make_worker_geometry(
-        CARRIER_WAVELENGTH_M,
-        tx=Placement(TX_DISTANCE_M, math.radians(-25.0), 0.0),
-        rx=Placement(RX_DISTANCE_M, math.radians(14.0), math.radians(2.0)),
-        rng=rng, extra_travel_lo=0.25, extra_travel_hi=0.5,
-    )
-    train, test = _draw_split(config, WorkerProfile(0, geom, LINK), dataset_seed, THEORY_STREAM)
-    return [train], [test]
 
 
 class SeedDataCache:

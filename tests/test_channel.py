@@ -14,6 +14,8 @@ from risfed.channel import (
     NUM_ELEMENTS,
     RIS_COLS,
     SCATTER_CONE_DEG,
+    SCATTER_EXTRA_HI,
+    SCATTER_EXTRA_LO,
     TWO_PI,
     Placement,
     ScenarioGeometry,
@@ -304,12 +306,12 @@ def test_make_worker_geometry_scatterer_cone():
     rng = np.random.default_rng(11)
     tx = Placement(30.0, -0.5, 0.05)
     rx = Placement(20.0, 0.4, 0.0)
-    geom = make_worker_geometry(1e-3, tx, rx, rng, extra_travel_lo=0.05, extra_travel_hi=0.30)
+    geom = make_worker_geometry(1e-3, tx, rx, rng)
     assert len(geom.scatterers) == N_SCATTERERS
     for sc in geom.scatterers:
         assert abs(sc.azimuth - tx.azimuth) <= math.radians(SCATTER_CONE_DEG) + 1e-12
         assert abs(sc.elevation - tx.elevation) <= math.radians(SCATTER_CONE_DEG) + 1e-12
-        assert 1.05 * tx.distance <= sc.distance <= 1.30 * tx.distance
+        assert (1 + SCATTER_EXTRA_LO) * tx.distance <= sc.distance <= (1 + SCATTER_EXTRA_HI) * tx.distance
 
 
 def fresh_path(placement, geom):

@@ -119,6 +119,18 @@ def test_config_round_trip_canonical(tmp_path):
     assert harness.format_settings(asdict(cfg2)) == canonical
 
 
+@pytest.mark.parametrize("out_dir", ["runs#1", "my runs #1", "#1", " lead", "trail ", "a\nK = 5", "a\rb"])
+def test_format_settings_writes_only_what_read_settings_reads_back(tmp_path, out_dir):
+    cfg = ExperimentConfig(out_dir=out_dir)
+    if out_dir != "runs#1":
+        with pytest.raises(ValueError, match=f"^out_dir: the value {re.escape(repr(out_dir))} would not read back"):
+            harness.format_settings(asdict(cfg))
+        return
+    path = tmp_path / "c.cfg"
+    path.write_text(harness.format_settings(asdict(cfg)))
+    assert config_from_file(str(path)) == cfg
+
+
 @example(0.0)
 @example(-0.0)
 @example(5e-324)
@@ -681,6 +693,26 @@ def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert out[0] == str(path) and len(out) == len(records) + 4  # path, records, blank, slope, held
     assert out[-1] == f"bound held in {held}/{len(records)} runs"
+
+
+def test_theory_check_trains_the_fleets_one_wavelength_design_on_each_seeds_draw(monkeypatch):
+    monkeypatch.setattr(diagnostics, "THEORY_KS", (4,))
+    real, seen = diagnostics.schedule_matched_trace, []
+
+    def spy(base, est, train_sets, test_sets, K, seed):
+        seen.append((seed, train_sets, test_sets))
+        return real(base, est, train_sets, test_sets, K, seed)
+
+    monkeypatch.setattr(diagnostics, "schedule_matched_trace", spy)
+    config = ExperimentConfig(seeds=(0, 2), J=120, B=10, dataset_seed=5)
+    list(diagnostics.theory_check(config, 100))
+    cache = SeedDataCache(replace(config, spacings=(1.0,), m=1))
+    assert [s for s, _, _ in seen] == [0, 2]
+    for seed, train_sets, test_sets in seen:
+        (train,), (test,) = cache.for_seed(seed)
+        assert len(train_sets) == len(test_sets) == 1
+        assert train_sets[0].features.tobytes() == train.features.tobytes()
+        assert test_sets[0].labels.tobytes() == test.labels.tobytes()
 
 
 def test_cli_theory_writes_each_records_row_before_the_next_run_starts(tmp_path, monkeypatch):
