@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import diagnostics, harness
 
@@ -79,29 +78,23 @@ def cmd_sweep(config: harness.ExperimentConfig, args) -> int:
 
 
 def cmd_diagnose(config: harness.ExperimentConfig, args) -> int:
-    """Instrument one run under the rate-matched schedule and emit the trace.
-    The run takes the first seed s of the seed list and trains on its data
-    draw, dataset_seed + s."""
+    """Trace one fleet run, the one record of :func:`diagnostics.rate_matched_runs`
+    at the first seed of the seed list and K rounds, and report its slope."""
     n_ckpts = len(diagnostics.round_checkpoints(config.K))
     if n_ckpts < diagnostics.MIN_CHECKPOINTS:
         return _refuse(f"diagnose needs K >= 4: K={config.K} gives {n_ckpts} gradient-norm checkpoints, "
                        f"fewer than diagnose's minimum of {diagnostics.MIN_CHECKPOINTS}")
     path = os.path.join(config.out_dir, "diagnostics.csv")
     with harness.csv_writer(path, ("t", "grad_norm_sq", "running_mean", "bound")) as write:
-        seed = config.seeds[0]
-        train_sets, test_sets = harness.SeedDataCache(config).for_seed(seed)
-        est = diagnostics.estimate_constants(
-            train_sets, n_probes=args.probes, rng=np.random.default_rng(config.dataset_seed),
-            batch_size=config.B,
-        )
-        T, trace, bound = diagnostics.schedule_matched_trace(config, est, train_sets, test_sets, config.K, seed)
+        (r,) = diagnostics.rate_matched_runs(replace(config, seeds=config.seeds[:1]), args.probes, (config.K,))
+        trace, est, bound = r["trace"], r["est"], r["bound"]
         rm = diagnostics.running_mean(trace)
-        write((t, g, r, bound) for t, g, r in zip(trace.t, trace.grad_norm_sq, rm))
+        write((t, g, m, bound) for t, g, m in zip(trace.t, trace.grad_norm_sq, rm))
     later = trace.t > 0  # t = 0 has no place on a log axis
     slope = diagnostics.fit_loglog_slope(trace.t[later], rm[later])
     print(path)
     print(f"sigma_hat={est.sigma_hat:.4f} nu_hat={est.nu_hat:.4f} L_hat={est.L_hat:.4f} F0={est.F0:.4f}")
-    print(f"T={T} bound={bound:.6f} final_running_mean={rm[-1]:.6f} slope={slope:.3f}")
+    print(f"T={r['T']} bound={bound:.6f} final_running_mean={rm[-1]:.6f} slope={slope:.3f}")
     return 0
 
 
@@ -147,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name] = sub.add_parser(name, help=help_text)
         _add_common(commands[name])
         commands[name].set_defaults(func=func)
-    for name, default in (("diagnose", 150), ("theory", 120)):
-        commands[name].add_argument("--probes", type=_probe_count, default=default,
+    for name in ("diagnose", "theory"):
+        commands[name].add_argument("--probes", type=_probe_count, default=120,
                                     help=f"probe count for constant estimation (>= {diagnostics.MIN_PROBES})")
     commands["sweep"].add_argument("item", nargs="?", metavar="KEY=V1,V2,...",
                                    help=f"the swept key, one of {', '.join(harness.SWEEP_AXES)}, and its values")

@@ -4,7 +4,7 @@ Estimates the smoothness / gradient-bound / gradient-variance constants from
 probe gradients, evaluates the closed-form rate bound they imply, and traces
 the squared norm of the weighted full-batch gradient along a run's
 round-boundary checkpoints so that the predicted O(1/sqrt(T)) decay can be
-checked against measurements.  :func:`schedule_matched_trace` is the one
+checked against measurements.  :func:`rate_matched_runs` is the one
 rate-matched run behind ``risfed diagnose`` and :func:`theory_check` (C09,
 ``risfed theory``); :func:`running_mean` is the one running average,
 :func:`fit_loglog_slope` the one slope fit, and each :func:`theory_check`
@@ -206,51 +206,44 @@ def prescribed_schedule(base: harness.ExperimentConfig, K: int, est: TheoryEstim
     return replace(base, K=K, tau=tau, alpha=1.0 / (est.L_hat * math.sqrt(T)), gamma=1.0 / (math.sqrt(base.N) * T))
 
 
-def schedule_matched_trace(base: harness.ExperimentConfig, est: TheoryEstimates, train_sets: list[Dataset],
-                           test_sets: list[Dataset], K: int, seed: int) -> tuple[int, ConvergenceTrace, float]:
-    """An fgdra run of K rounds under :func:`prescribed_schedule` for ``est``
-    (every other setting from ``base``), evaluated at its last round only.
+def rate_matched_runs(config: harness.ExperimentConfig, n_probes: int, Ks: tuple[int, ...]) -> Iterator[dict]:
+    """Rate-matched fgdra runs of ``config``'s fleet, one record per seed s of
+    ``config.seeds`` and K of ``Ks``, each yielded as its run ends.
 
-    Returns T (the iteration count), the weighted gradient-norm trace at the
-    :func:`round_checkpoints` of K, and the theorem bound at T.
+    Seed s trains on its :class:`harness.SeedDataCache` draw, as ``risfed
+    train`` does; its constants come from ``n_probes`` probes of the stream
+    ``default_rng(1000 + s)``.  A record holds seed, K, est, T (the iteration
+    count of the :func:`prescribed_schedule`), trace (at the
+    :func:`round_checkpoints` of K) and bound (:func:`theorem_bound` at T).
     """
-    sched = prescribed_schedule(base, K, est)
-    ckpts = round_checkpoints(K)
-    result = fed.RUNNERS["fgdra"](sched, train_sets, test_sets, seed=seed, eval_every=K,
-                                  checkpoint_rounds=set(ckpts))
-    T = sched.K * sched.tau
-    return T, grad_norm_trace(result, train_sets, ckpts), theorem_bound(est, sched.m, T)
+    data = harness.SeedDataCache(config)
+    for s in config.seeds:
+        train_sets, test_sets = data.for_seed(s)
+        est = estimate_constants(train_sets, n_probes, np.random.default_rng(1000 + s), config.B)
+        for K in Ks:
+            sched = prescribed_schedule(config, K, est)
+            ckpts = round_checkpoints(K)
+            result = fed.RUNNERS["fgdra"](sched, train_sets, test_sets, seed=s, eval_every=K,
+                                          checkpoint_rounds=set(ckpts))
+            T = sched.K * sched.tau
+            yield {"seed": s, "K": K, "est": est, "T": T, "trace": grad_norm_trace(result, train_sets, ckpts),
+                   "bound": theorem_bound(est, sched.m, T)}
 
 
 THEORY_KS = (50, 100, 200, 400, 800)
 
 
 def theory_check(config: harness.ExperimentConfig, n_probes: int) -> Iterator[dict]:
-    """Rate-matched single-worker runs over the K-sweep ``THEORY_KS``, one
-    per seed of ``config.seeds`` and K, each record yielded as its run ends.
-
-    The one worker is the fleet's one-wavelength design (``spacings = 1.0``).
-    Seed s trains on its :class:`harness.SeedDataCache` draw dataset_seed + s,
-    as ``risfed train`` does, through :func:`schedule_matched_trace` with
-    constants estimated from ``n_probes`` probes.  One record per (seed, K)
-    holds seed, K, T (the iteration count), the final iteration-weighted
-    running mean of the squared gradient norm, the theorem bound, and
-    ``held``: whether that running mean is at most the bound.
-
-    The check overrides spacings and m (so N = m = 1) and K, tau, alpha and
-    gamma (the rate-matched schedule).  It ignores algorithms and eval_every.
-    Every other setting (B, J, seeds and dataset_seed) comes from ``config``.
+    """The :func:`rate_matched_runs` of the fleet's one-wavelength design
+    (``spacings = 1.0``, so N = m = 1) over ``THEORY_KS``, each record mapped
+    to seed, K, T, the final iteration-weighted running mean of the squared
+    gradient norm, the bound, and ``held``: whether that mean is at most the
+    bound.  Of ``config``, only algorithms and eval_every go unused.
     """
-    base = replace(config, spacings=(1.0,), m=1)
-    data = harness.SeedDataCache(base)
-    for s in config.seeds:
-        train_sets, test_sets = data.for_seed(s)
-        est = estimate_constants(train_sets, n_probes=n_probes, rng=np.random.default_rng(1000 + s),
-                                 batch_size=config.B)
-        for K in THEORY_KS:
-            T, trace, bound = schedule_matched_trace(base, est, train_sets, test_sets, K, s)
-            final = float(running_mean(trace)[-1])
-            yield {"seed": s, "K": K, "T": T, "running_mean": final, "bound": bound, "held": final <= bound}
+    for r in rate_matched_runs(replace(config, spacings=(1.0,), m=1), n_probes, THEORY_KS):
+        final = float(running_mean(r["trace"])[-1])
+        yield {"seed": r["seed"], "K": r["K"], "T": r["T"], "running_mean": final, "bound": r["bound"],
+               "held": final <= r["bound"]}
 
 
 def theory_decay_slope(records: list[dict]) -> float:

@@ -345,6 +345,17 @@ def test_run_reproducibility(tiny_fleet):
     assert logs[0] == logs[1]
 
 
+@pytest.mark.parametrize("algorithm", fed.ALGORITHMS)
+def test_a_run_is_the_first_rounds_of_a_longer_run(tiny_fleet, algorithm):
+    # every draw is keyed by (seed, purpose, worker, round), so K rounds are the first K of 2K
+    train_sets, test_sets = tiny_fleet
+    short, long = (fed.RUNNERS[algorithm](ExperimentConfig(K=K, tau=2, B=10), train_sets, test_sets, seed=4,
+                                          eval_every=3) for K in (6, 12))
+    rows = [harness._format_value(row) for row in harness.run_rows(short)]
+    assert len(rows) == 2
+    assert rows == [harness._format_value(row) for row in harness.run_rows(long)][:2]
+
+
 def test_eval_every_thinning(tiny_fleet):
     train_sets, test_sets = tiny_fleet
     cfg = ExperimentConfig(K=10, tau=1, B=10)

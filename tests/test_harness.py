@@ -695,21 +695,37 @@ def test_cli_theory_writes_the_records_of_theory_check(tmp_path, monkeypatch, ca
     assert out[-1] == f"bound held in {held}/{len(records)} runs"
 
 
+def test_cli_diagnose_estimates_on_the_first_seeds_draw_with_the_seeds_probe_stream(tmp_path, capsys):
+    settings = ["--set", "K=4", "--set", "J=120", "--set", "B=10"]
+    assert cli.main(["diagnose", "--out-dir", str(tmp_path), "--probes", "100", "--seed-list", "3", *settings]) == 0
+    config = ExperimentConfig(seeds=(3,), K=4, J=120, B=10)
+    est = diagnostics.estimate_constants(SeedDataCache(config).for_seed(3)[0], 100, np.random.default_rng(1003), 10)
+    (record,) = diagnostics.rate_matched_runs(config, 100, (4,))
+    assert record["est"] == est
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"sigma_hat={est.sigma_hat:.4f} nu_hat={est.nu_hat:.4f} L_hat={est.L_hat:.4f} F0={est.F0:.4f}"
+    header, *rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert header == "t,grad_norm_sq,running_mean,bound"
+    trace = record["trace"]
+    assert [row.split(",")[:2] for row in rows] == [[str(t), str(g)] for t, g in zip(trace.t, trace.grad_norm_sq)]
+
+
 def test_theory_check_trains_the_fleets_one_wavelength_design_on_each_seeds_draw(monkeypatch):
     monkeypatch.setattr(diagnostics, "THEORY_KS", (4,))
-    real, seen = diagnostics.schedule_matched_trace, []
+    real, seen = fed.RUNNERS["fgdra"], []
 
-    def spy(base, est, train_sets, test_sets, K, seed):
-        seen.append((seed, train_sets, test_sets))
-        return real(base, est, train_sets, test_sets, K, seed)
+    def spy(config, train_sets, test_sets, seed=None, **kwargs):
+        seen.append((config, seed, train_sets, test_sets))
+        return real(config, train_sets, test_sets, seed=seed, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "schedule_matched_trace", spy)
+    monkeypatch.setitem(fed.RUNNERS, "fgdra", spy)
     config = ExperimentConfig(seeds=(0, 2), J=120, B=10, dataset_seed=5)
     list(diagnostics.theory_check(config, 100))
     cache = SeedDataCache(replace(config, spacings=(1.0,), m=1))
-    assert [s for s, _, _ in seen] == [0, 2]
-    for seed, train_sets, test_sets in seen:
+    assert [s for _, s, _, _ in seen] == [0, 2]
+    for run_config, seed, train_sets, test_sets in seen:
         (train,), (test,) = cache.for_seed(seed)
+        assert (run_config.spacings, run_config.m, run_config.K) == ((1.0,), 1, 4)
         assert len(train_sets) == len(test_sets) == 1
         assert train_sets[0].features.tobytes() == train.features.tobytes()
         assert test_sets[0].labels.tobytes() == test.labels.tobytes()
@@ -717,7 +733,7 @@ def test_theory_check_trains_the_fleets_one_wavelength_design_on_each_seeds_draw
 
 def test_cli_theory_writes_each_records_row_before_the_next_run_starts(tmp_path, monkeypatch):
     monkeypatch.setattr(diagnostics, "THEORY_KS", (4, 8))
-    real, seen = diagnostics.schedule_matched_trace, []
+    real, seen = fed.RUNNERS["fgdra"], []
 
     def read_rows_then_run(*args, **kwargs):
         seen.append(Path(tmp_path, "theory.csv").read_text())
@@ -725,7 +741,7 @@ def test_cli_theory_writes_each_records_row_before_the_next_run_starts(tmp_path,
             raise RuntimeError("stop")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "schedule_matched_trace", read_rows_then_run)
+    monkeypatch.setitem(fed.RUNNERS, "fgdra", read_rows_then_run)
     with pytest.raises(RuntimeError, match="stop"):
         cli.main(["theory", "--seed-list", "0", "--probes", "100", "--set", "J=120", "--set", "B=10",
                   "--out-dir", str(tmp_path)])
@@ -826,9 +842,9 @@ def test_cli_unusable_out_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatc
         raise AssertionError("a run started")
 
     monkeypatch.chdir(tmp_path)
-    for module, name in ((harness, "generate_data"), (harness, "run_grid"), (diagnostics, "estimate_constants"),
-                         (diagnostics, "schedule_matched_trace")):
+    for module, name in ((harness, "generate_data"), (harness, "run_grid"), (diagnostics, "estimate_constants")):
         monkeypatch.setattr(module, name, no_run)
+    monkeypatch.setitem(fed.RUNNERS, "fgdra", no_run)
     Path("a_file").write_text("")
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
