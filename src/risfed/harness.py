@@ -34,11 +34,6 @@ from .fed import RunResult
 from .labeling import (FEATURE_DIM, NUM_CLASSES, Dataset, FeatureScaler, RateParams, WorkerProfile, gen_dataset,
                        split, train_count)
 
-# run_sweep shares one SeedDataCache, keyed by run seed only, across its cells, so a J, spacings
-# or dataset_seed axis would silently train every cell on the base config's draw: key the cache
-# by those settings before adding such an axis.
-SWEEP_AXES = ("tau", "B", "m")
-
 # Anchor geometry of the default heterogeneity profile.  Worker 0's RX sits
 # past broadside (azimuth > 90 deg), which reverses the sweep direction of
 # its codebook fan.  The other workers' azimuths are chosen so that
@@ -287,7 +282,7 @@ class SeedDataCache:
     Each of the five runs behind a reported mean sees a fresh draw of every
     worker's dataset, so run-to-run spread reflects data variability as well
     as training stochasticity.  Draws are cached for reuse across
-    algorithms and sweep cells.
+    algorithms.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -434,39 +429,38 @@ def run_experiment(config: ExperimentConfig,
 
 
 def sweep_configs(config: ExperimentConfig, item: str) -> tuple[str, list[ExperimentConfig]]:
-    """The key of a ``KEY=V1,V2,...`` sweep item, one of :data:`SWEEP_AXES`, and one config per value,
-    each parsed, typed and validated as ``--set KEY=V`` would be; a duplicate value is refused too."""
+    """The key of a ``KEY=V1,V2,...`` sweep item, any config key that holds one number, and one config per
+    value, each parsed, typed and validated as ``--set KEY=V`` would be; a duplicate value is refused too."""
     axis, text = split_setting(item, "sweep")
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep: the key must be one of {', '.join(SWEEP_AXES)}, got {axis!r}")
+    numbers = [key for key, kind in _KINDS.items() if kind is not str and key not in _LIST_KEYS]
+    if axis not in numbers:
+        raise ValueError(f"sweep: the key must be a config key that holds one number "
+                         f"({', '.join(numbers)}), got {axis!r}")
     cell_configs = [apply_overrides(config, {axis: value.strip()}) for value in text.split(",")]
     if len({getattr(c, axis) for c in cell_configs}) < len(cell_configs):
         raise ValueError(f"sweep: {axis} values must be distinct, got {text!r}")
     return axis, cell_configs
 
 
-def run_sweep(config: ExperimentConfig, axis: str, cell_configs: Sequence[ExperimentConfig],
-              data: SeedDataCache | None = None) -> list[tuple[int, AlgorithmSummary]]:
-    """Evaluate every (cell config, algorithm) pair of a :func:`sweep_configs` sweep.
+def run_sweep(axis: str, cell_configs: Sequence[ExperimentConfig]) -> list[tuple[int | float, AlgorithmSummary]]:
+    """Evaluate every (cell config, algorithm) pair of a :func:`sweep_configs` sweep,
+    each cell a :func:`run_grid` of its own config on its own data draws.
 
     Returns ``(value of axis, final-round summary)`` per pair and writes one
     CSV row per pair, ending in its :attr:`AlgorithmSummary.cell`, to
-    ``<config.out_dir>/sweep.csv``, each cell's rows as the cell finishes, so
-    finished cells survive an interruption.
+    ``sweep.csv`` in the cells' ``out_dir``, each cell's rows as the cell
+    finishes, so finished cells survive an interruption.
     """
-    cache = data if data is not None else SeedDataCache(config)
     cells = []
-    with csv_writer(os.path.join(config.out_dir, "sweep.csv"),
+    with csv_writer(os.path.join(cell_configs[0].out_dir, "sweep.csv"),
                     ["axis", "value", "algorithm", "avg_acc_mean", "avg_acc_se", "worst_acc_mean", "worst_acc_se",
                      "cell"]) as write:
         for cfg_v in cell_configs:
-            summary = summarize_runs(seed_series(row for _, result in run_grid(cfg_v, cache)
-                                                 for row in run_rows(result)))
+            summary = summarize_runs(seed_series(row for _, result in run_grid(cfg_v) for row in run_rows(result)))
             value = getattr(cfg_v, axis)
             cells += ((value, s) for s in summary.per_algorithm.values())
-            # the summary's first five fields: algorithm and the four accuracy statistics;
-            # float(value) keeps the value text (1.0) that the sweep/sweep.csv digest pins
-            write((axis, float(value), *astuple(s)[:5], s.cell) for s in summary.per_algorithm.values())
+            # the summary's first five fields: algorithm and the four accuracy statistics
+            write((axis, value, *astuple(s)[:5], s.cell) for s in summary.per_algorithm.values())
     return cells
 
 

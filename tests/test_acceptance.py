@@ -45,7 +45,7 @@ def m2_battery(config, cache, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def sweep_cells(config, cache, default_battery, tmp_path_factory):
+def sweep_cells(config, default_battery, tmp_path_factory):
     """Final-round summary per (axis, value, algorithm); the tau=10 / B=50
     cell is the default battery."""
     default, _ = default_battery
@@ -54,7 +54,7 @@ def sweep_cells(config, cache, default_battery, tmp_path_factory):
         cells[("tau", 10, alg)] = cells[("B", 50, alg)] = summary
     for axis, values in (("tau", "1,5"), ("B", "10,30")):
         sweep = replace(config, eval_every=config.K, out_dir=str(tmp_path_factory.mktemp(axis)))
-        for value, summary in harness.run_sweep(sweep, *harness.sweep_configs(sweep, f"{axis}={values}"), cache):
+        for value, summary in harness.run_sweep(*harness.sweep_configs(sweep, f"{axis}={values}")):
             cells[(axis, value, summary.algorithm)] = summary
     return cells
 

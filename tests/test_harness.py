@@ -470,11 +470,11 @@ def test_per_seed_data_draws_differ(tmp_path):
 
 def test_run_sweep_layout_and_cells(tmp_path):
     cfg = small_config(tmp_path)
-    cells = harness.run_sweep(cfg, *harness.sweep_configs(cfg, "tau=1, 2,3"))
+    cells = harness.run_sweep(*harness.sweep_configs(cfg, "tau=1, 2,3"))
     assert [(value, s.algorithm) for value, s in cells] == [(v, alg) for v in (1, 2, 3) for alg in cfg.algorithms]
     header, *rows = Path(cfg.out_dir, "sweep.csv").read_text().splitlines()
     assert header.startswith("axis,value,algorithm,") and header.endswith(",cell")
-    assert [row.split(",")[:2] for row in rows[::3]] == [["tau", "1.0"], ["tau", "2.0"], ["tau", "3.0"]]
+    assert [row.split(",")[:2] for row in rows[::3]] == [["tau", "1"], ["tau", "2"], ["tau", "3"]]
     for row, (_, s) in zip(rows, cells, strict=True):
         assert re.fullmatch(r"\d+\.\d{2}/\d+\.\d{2}", s.cell)
         assert row.split(",")[-1] == s.cell == f"{s.avg_acc_mean:.2f}/{s.worst_acc_mean:.2f}"
@@ -482,25 +482,55 @@ def test_run_sweep_layout_and_cells(tmp_path):
     axis, m_configs = harness.sweep_configs(cfg, "m=1,2")
     assert axis == "m" and [c.m for c in m_configs] == [1, 2]
     assert m_configs[1] == replace(cfg, m=2)
-    assert len(harness.run_sweep(cfg, axis, m_configs)) == 6
+    assert len(harness.run_sweep(axis, m_configs)) == 6
+
+
+# a float cell, and two cells that change the data draw
+@pytest.mark.parametrize("item", ["alpha=0.002,0.004", "J=80,120", "dataset_seed=5,6"])
+def test_each_sweep_row_is_the_summary_row_of_its_cells_own_run(tmp_path, item):
+    cfg = small_config(tmp_path)
+    axis, cell_configs = harness.sweep_configs(cfg, item)
+    harness.run_sweep(axis, cell_configs)
+    _, *rows = Path(cfg.out_dir, "sweep.csv").read_text().splitlines()
+    expected = []
+    for value, cell in zip(item.partition("=")[2].split(","), cell_configs, strict=True):
+        out_dir = tmp_path / f"{axis}_{value}"
+        harness.run_experiment(replace(cell, out_dir=str(out_dir)))
+        _, *summary = (out_dir / "summary.csv").read_text().splitlines()
+        expected += [f"{axis},{value}," + ",".join(row.split(",")[:5]) for row in summary]
+    assert [row.rpartition(",")[0] for row in rows] == expected  # every column but the cell pair
+
+
+# values that {value:g} would print alike, or in exponent form
+@pytest.mark.parametrize("item", ["alpha=0.0012345678,0.0012345679", "dataset_seed=1234567,1234568"])
+def test_cli_sweep_prints_each_value_exactly(tmp_path, capsys, item):
+    argv = ["sweep", item, "--set", "J=40", "--set", "K=1", "--set", "algorithms=fgdra", "--seed-list", "0",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    path, *lines = capsys.readouterr().out.splitlines()
+    _, *rows = Path(path).read_text().splitlines()
+    axis, _, values = item.partition("=")
+    assert len(set(lines)) == 2
+    cells = [row.rpartition(",")[2] for row in rows]
+    assert lines == [f"{axis}={v} fgdra: {cell}" for v, cell in zip(values.split(","), cells, strict=True)]
 
 
 def test_run_sweep_writes_each_cells_rows_before_the_next_cell_runs(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, algorithms=("fgdra",), seeds=(0,))
     real, seen = harness.run_grid, []
 
-    def read_rows_then_run(config, data=None):
+    def read_rows_then_run(config):
         seen.append(Path(cfg.out_dir, "sweep.csv").read_text())
         if len(seen) == 2:
             raise RuntimeError("stop")
-        return real(config, data)
+        return real(config)
 
     monkeypatch.setattr(harness, "run_grid", read_rows_then_run)
     with pytest.raises(RuntimeError, match="stop"):
-        harness.run_sweep(cfg, *harness.sweep_configs(cfg, "tau=1,2"))
+        harness.run_sweep(*harness.sweep_configs(cfg, "tau=1,2"))
     assert seen[0].count("\n") == 1  # the header, before the first cell runs
     header, *rows = seen[1].splitlines()
-    assert [row.split(",")[:3] for row in rows] == [["tau", "1.0", "fgdra"]]
+    assert [row.split(",")[:3] for row in rows] == [["tau", "1", "fgdra"]]
 
 
 def assert_refused_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
@@ -526,10 +556,13 @@ def assert_refused_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
     ("tau=1,01", "tau values must be distinct"),
     ("tau=", "'tau'"),
     ("tau=1,,2", "'tau'"),
-    ("K=1,2", "'K'"),
-    ("alpha=0.001", "'alpha'"),
+    ("seeds=0,1", "'seeds'"),
+    ("spacings=0.125,0.25", "'spacings'"),
     ("1,2", "'1,2'"),
     (None, "KEY=V1,V2,... item"),
+    ("algorithms=fgdra,drfa", "'algorithms'"),
+    ("out_dir=a,b", "'out_dir'"),
+    ("N=3,4", "'N'"),
 ])
 def test_sweep_item_refused_before_any_run_naming_the_key(tmp_path, capsys, monkeypatch, item, named):
     argv = ["sweep", "--set", "J=40", "--set", "K=1"] + ([item] if item is not None else [])
