@@ -14,8 +14,10 @@ record carries the one "bound held" test.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +31,67 @@ MIN_PROBES = 100
 MIN_CHECKPOINTS = 5
 # Relative size of the displacement behind each L_hat probe of estimate_constants.
 PAIR_SCALE = 1e-2
+
+
+def _helper_count(cpus: int, environ: Mapping[str, str]) -> int:
+    """Threads that may join the caller on independent full-batch work:
+    ``cpus // blas - 1``, where ``blas`` is the BLAS thread count that
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, sets at load (a value
+    that is not a positive integer counts as unset), else ``cpus``.  So a
+    multi-threaded BLAS keeps the work serial, and each thread with its
+    single-threaded BLAS gets a core of its own."""
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(0, cpus // blas - 1)
+
+
+# Helper threads of _ordered_map, from the CPUs this process may run on
+# (all of them where the platform has no affinity mask).
+HELPERS = _helper_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+                        os.environ)
+
+
+def _ordered_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(x) for x in items]``, computed by the caller and :data:`HELPERS`
+    helper threads.
+
+    Each thread takes the next item under one lock, so a generator of items
+    runs in its serial order, and the results come back in input order.
+    The first exception on any thread, from ``items`` or ``fn``, stops the
+    others at their next item and is re-raised here once all have ended.
+    """
+    numbered = enumerate(items)
+    lock = threading.Lock()
+    results: dict[int, object] = {}
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while not failures:
+                with lock:
+                    item = next(numbered, None)
+                if item is None:
+                    return
+                results[item[0]] = fn(item[1])
+        except BaseException as exc:
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(HELPERS)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return [results[i] for i in range(len(results))]
 
 
 @dataclass(frozen=True)
@@ -68,11 +131,20 @@ def full_batch_grad(theta: np.ndarray, ds: Dataset) -> np.ndarray:
 
 
 def weighted_grad_norm_sq(theta: np.ndarray, lam: np.ndarray, train_sets: list[Dataset]) -> float:
-    """|| sum_n lambda_n grad l_n(theta) ||^2, full batch per worker."""
+    """|| sum_n lambda_n grad l_n(theta) ||^2, full batch per worker.
+
+    The workers' gradients are computed by :func:`_ordered_map` (in parallel
+    only when BLAS runs one thread per core) and summed in worker order, so
+    the value does not depend on the thread count.
+    """
+    def scaled_grad(n: int) -> np.ndarray:
+        g = full_batch_grad(theta, train_sets[n])
+        g *= lam[n]
+        return g
+
     acc = np.zeros(mlp.PARAM_COUNT)
-    for n, ds in enumerate(train_sets):
-        if lam[n] != 0.0:
-            acc += lam[n] * full_batch_grad(theta, ds)
+    for g in _ordered_map(scaled_grad, [n for n in range(len(train_sets)) if lam[n] != 0.0]):
+        acc += g
     return float(acc @ acc)
 
 
@@ -105,35 +177,49 @@ def estimate_constants(train_sets: list[Dataset], n_probes: int, rng: np.random.
     relative size :data:`PAIR_SCALE` and records the full-batch gradient
     difference ratio (for L_hat).  Maxima over probe supersets are
     monotone, so enlarging n_probes never shrinks the estimates.
+
+    F0's per-worker losses and the probes run through :func:`_ordered_map`:
+    in parallel only when BLAS runs one thread per core, with ``rng`` drawn
+    in probe order and the results reduced in that order, so the estimates
+    and ``rng``'s end state do not depend on the thread count.
     """
     if n_probes < MIN_PROBES:
         raise ValueError(f"n_probes must be >= {MIN_PROBES}")
     N = len(train_sets)
 
     theta_f0 = mlp.init(rng)
-    F0 = sum(
-        mlp.loss(theta_f0, mlp.MiniBatch(inputs=ds.features, labels=ds.labels)) for ds in train_sets
-    ) / N
+    F0 = sum(_ordered_map(lambda ds: mlp.loss(theta_f0, mlp.MiniBatch(inputs=ds.features, labels=ds.labels)),
+                          train_sets)) / N
+
+    def draws() -> Iterator[tuple]:
+        for i in range(n_probes):
+            theta = mlp.init(rng)
+            ds = train_sets[int(rng.integers(0, N))]
+            idx = rng.choice(len(ds), size=min(batch_size, len(ds)), replace=False)
+            delta = rng.standard_normal(theta.size) if i % 5 == 0 else None
+            yield theta, ds, idx, delta
+
+    def probe(draw: tuple) -> tuple[float, float, float]:
+        theta, ds, idx, delta = draw
+        g_stoch = mlp.grad(theta, mlp.MiniBatch(inputs=ds.features[idx], labels=ds.labels[idx]))
+        g_full = full_batch_grad(theta, ds)
+        sigma = float(np.linalg.norm(g_stoch))
+        g_stoch -= g_full
+        nu = float(np.linalg.norm(g_stoch))
+        if delta is None:
+            return sigma, nu, 0.0
+        delta *= PAIR_SCALE * np.linalg.norm(theta) / np.linalg.norm(delta)
+        g_full2 = full_batch_grad(theta + delta, ds)
+        g_full2 -= g_full
+        return sigma, nu, float(np.linalg.norm(g_full2) / np.linalg.norm(delta))
 
     sigma_hat = 0.0
     nu_hat = 0.0
     L_hat = 0.0
-    for i in range(n_probes):
-        theta = mlp.init(rng)
-        n = int(rng.integers(0, N))
-        ds = train_sets[n]
-        take = min(batch_size, len(ds))
-        idx = rng.choice(len(ds), size=take, replace=False)
-        batch = mlp.MiniBatch(inputs=ds.features[idx], labels=ds.labels[idx])
-        g_stoch = mlp.grad(theta, batch)
-        g_full = full_batch_grad(theta, ds)
-        sigma_hat = max(sigma_hat, float(np.linalg.norm(g_stoch)))
-        nu_hat = max(nu_hat, float(np.linalg.norm(g_stoch - g_full)))
-        if i % 5 == 0:
-            delta = rng.standard_normal(theta.size)
-            delta *= PAIR_SCALE * np.linalg.norm(theta) / np.linalg.norm(delta)
-            g_full2 = full_batch_grad(theta + delta, ds)
-            L_hat = max(L_hat, float(np.linalg.norm(g_full2 - g_full) / np.linalg.norm(delta)))
+    for sigma, nu, L in _ordered_map(probe, draws()):
+        sigma_hat = max(sigma_hat, sigma)
+        nu_hat = max(nu_hat, nu)
+        L_hat = max(L_hat, L)
     return TheoryEstimates(sigma_hat=sigma_hat, nu_hat=nu_hat, L_hat=L_hat, F0=F0)
 
 

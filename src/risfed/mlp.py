@@ -60,18 +60,18 @@ def init(rng: np.random.Generator) -> np.ndarray:
 
 def _forward_pass(views: list[np.ndarray], x: np.ndarray):
     W1, b1, W2, b2, W3, b3 = views
-    z1 = x @ W1.T
-    z1 += b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ W2.T
-    z2 += b2
-    a2 = np.maximum(z2, 0.0)
+    a1 = x @ W1.T
+    a1 += b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ W2.T
+    a2 += b2
+    np.maximum(a2, 0.0, out=a2)
     z3 = a2 @ W3.T
     z3 += b3
     z3 -= z3.max(axis=-1, keepdims=True)
     probs = np.exp(z3, out=z3)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return z1, a1, z2, a2, probs
+    return a1, a2, probs
 
 
 def forward(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,19 +97,23 @@ def grad(theta: np.ndarray, batch: MiniBatch) -> np.ndarray:
     B = len(y)
     views = layers(theta)
     W2, W3 = views[2], views[4]
-    z1, a1, z2, a2, delta3 = _forward_pass(views, X)
+    a1, a2, delta3 = _forward_pass(views, X)
     g = np.empty(PARAM_COUNT)
     gW1, gb1, gW2, gb2, gW3, gb3 = layers(g)
     delta3[np.arange(B), y] -= 1.0
     delta3 /= B
     np.matmul(delta3.T, a2, out=gW3)
     delta3.sum(axis=0, out=gb3)
-    delta2 = delta3 @ W3
-    delta2 *= z2 > 0.0
+    # Each delta overwrites its layer's activations once the weight gradient
+    # has read them; the ReLU mask a > 0 equals z > 0, NaN included.
+    mask = a2 > 0.0
+    delta2 = np.matmul(delta3, W3, out=a2)
+    delta2 *= mask
     np.matmul(delta2.T, a1, out=gW2)
     delta2.sum(axis=0, out=gb2)
-    delta1 = delta2 @ W2
-    delta1 *= z1 > 0.0
+    mask = a1 > 0.0
+    delta1 = np.matmul(delta2, W2, out=a1)
+    delta1 *= mask
     np.matmul(delta1.T, X, out=gW1)
     delta1.sum(axis=0, out=gb1)
     return g

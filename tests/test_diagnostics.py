@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -167,3 +169,65 @@ def test_theory_check_records_whether_the_bound_held(monkeypatch):
     assert [r["held"] for r in records] == [r["running_mean"] <= r["bound"] for r in records] == [True, True]
     monkeypatch.setattr(diagnostics, "theorem_bound", lambda est, m, T: 0.0)
     assert [r["held"] for r in diagnostics.theory_check(config, 100)] == [False, False]
+
+
+@pytest.mark.parametrize("cpus, environ, helpers", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    (2, {}, 0),
+    (4, {"OMP_NUM_THREADS": "2"}, 1),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 0),
+    (2, {"OPENBLAS_NUM_THREADS": "one"}, 0),
+    (2, {"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 0),
+])
+def test_helper_count_table(cpus, environ, helpers):
+    assert diagnostics._helper_count(cpus, environ) == helpers
+
+
+def test_pooled_convergence_check_equals_serial_bit_for_bit(tiny_fleet, monkeypatch):
+    train_sets, test_sets = tiny_fleet
+    cfg = ExperimentConfig(K=4, tau=2, B=10)
+    result = fed.run(cfg, train_sets, test_sets, seed=0, eval_every=4, checkpoint_rounds={0, 2, 4},
+                     algorithm="fgdra")
+    outputs = []
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(diagnostics, "HELPERS", helpers)
+        rng = np.random.default_rng(5)
+        est = estimate_constants(train_sets, n_probes=100, rng=rng, batch_size=20)
+        trace = grad_norm_trace(result, train_sets, [0, 2, 4])
+        outputs.append((est, rng.bit_generator.state, trace.grad_norm_sq.tobytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_failing_gradient_is_raised_and_ends_every_helper(tiny_fleet, monkeypatch):
+    train_sets, _ = tiny_fleet
+    calls = []
+    real = diagnostics.full_batch_grad
+
+    def third_call_fails(theta, ds):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ArithmeticError("third call")
+        return real(theta, ds)
+
+    monkeypatch.setattr(diagnostics, "HELPERS", 3)
+    monkeypatch.setattr(diagnostics, "full_batch_grad", third_call_fails)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="third call"):
+        estimate_constants(train_sets, n_probes=100, rng=np.random.default_rng(0), batch_size=20)
+    assert threading.active_count() == before
+    assert len(calls) < 100  # the helpers stopped instead of running every probe
+
+
+def test_ordered_map_keeps_draw_and_result_order_under_contention(monkeypatch):
+    monkeypatch.setattr(diagnostics, "HELPERS", 8)  # more threads than cores
+    rng = np.random.default_rng(3)
+    draws = ((i, rng.random()) for i in range(3000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = diagnostics._ordered_map(lambda d: (d[0], 2.0 * d[1]), draws)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = np.random.default_rng(3)
+    assert got == [(i, 2.0 * serial.random()) for i in range(3000)]

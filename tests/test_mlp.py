@@ -278,13 +278,26 @@ def reference_grad(theta, batch):
                            delta2.sum(axis=0), (delta3.T @ a2).ravel(), delta3.sum(axis=0)])
 
 
-@pytest.mark.parametrize("B", [1, 7, 50, 400])
+@pytest.mark.parametrize("B", [1, 7, 50, 400, 2000])
 def test_grad_equals_per_layer_reference_bit_for_bit(B):
     rng = np.random.default_rng(19 + B)
     theta = mlp.init(rng)
     mlp.layers(theta)[1][:] = rng.standard_normal(64)  # nonzero biases
     batch = random_batch(rng, B=B)
     assert mlp.grad(theta, batch).tobytes() == reference_grad(theta, batch).tobytes()
+
+
+def test_grad_with_units_dead_on_every_row_equals_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    theta = mlp.init(rng)
+    W1, b1, W2, b2, _, _ = mlp.layers(theta)
+    W1[5], b1[5] = 0.0, -1.0  # unit 5 of layer 1 and unit 9 of layer 2 are negative on every row
+    W2[9], b2[9] = 0.0, -1.0
+    batch = random_batch(rng, B=50)
+    g = mlp.grad(theta, batch)
+    gW1, gb1, gW2, gb2, _, _ = mlp.layers(g)
+    assert not gW1[5].any() and gb1[5] == 0.0 and not gW2[9].any() and gb2[9] == 0.0
+    assert g.tobytes() == reference_grad(theta, batch).tobytes()
 
 
 def test_run_checkpoints_stay_distinct_and_unmodified(tiny_fleet):
